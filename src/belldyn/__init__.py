@@ -5,6 +5,7 @@ non-Markovianity diagnostics."""
 
 from .correlations import (
     CorrelationReport,
+    bell_quantifiers,
     binary_entropy,
     c_vector_of_spectrum,
     closest_classical_bd,
@@ -17,10 +18,8 @@ from .correlations import (
     spectrum_of_c_vector,
 )
 from .dynamics import (
-    BELL_LABELS,
     BELL_RESIDUAL_TOL,
     BELL_VECTORS,
-    FieldChannel,
     ancilla_evolve,
     bell_spectrum_of,
     bell_spectrum_to_density,
@@ -32,9 +31,7 @@ from .dynamics import (
     validate_spectrum,
 )
 from .linalg import (
-    Spectrum,
     dephase_in_basis,
-    hermitian_eig,
     partial_trace,
     relative_entropy,
     tensor,

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlations import (
+    bell_quantifiers,
     binary_entropy,
     c_vector_of_spectrum,
     closest_classical_bd,
-    quantifier_report,
 )
 from .dynamics import (
     BELL_RESIDUAL_TOL,
@@ -58,7 +58,6 @@ class AnalyticPathError(Exception):
 @dataclass(frozen=True)
 class RunConfig:
     g: float = 1.0
-    omega: float = 0.0
     tau_max: float = math.pi
     steps: int = 2000
     convention: str = "increase_counting"
@@ -67,10 +66,11 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.g <= 0:
-            raise InputError("--g must be positive")
-        if self.tau_max <= 0:
-            raise InputError("--tau-max must be positive")
+        # written so that NaN fails too
+        if not 0.0 < self.g < math.inf:
+            raise InputError("--g must be positive and finite")
+        if not 0.0 < self.tau_max < math.inf:
+            raise InputError("--tau-max must be positive and finite")
         if self.steps < 2:
             raise InputError("--steps must be at least 2")
         if self.format not in ("csv", "json"):
@@ -85,7 +85,6 @@ class RunConfig:
 def _config_from_args(args) -> RunConfig:
     return RunConfig(
         g=args.g,
-        omega=args.omega,
         tau_max=args.tau_max,
         steps=args.steps,
         convention=CONVENTION_BY_FLAG[args.convention],
@@ -105,7 +104,11 @@ def _initial_from_dict(obj):
         vals = obj["bell"]
         if not isinstance(vals, (list, tuple)) or len(vals) != 4:
             raise InputError('"bell" must be a list of 4 coefficients')
-        return _normalized_spectrum([float(v) for v in vals])
+        try:
+            vals = [float(v) for v in vals]
+        except (TypeError, ValueError) as exc:
+            raise InputError(f'bad "bell" entry: {exc}') from exc
+        return _normalized_spectrum(vals)
     if "matrix" in obj:
         rows = obj["matrix"]
         try:
@@ -117,7 +120,7 @@ def _initial_from_dict(obj):
         if m.shape != (4, 4):
             raise InputError('"matrix" must be 4x4 with [re, im] entries')
         tr = float(np.trace(m).real)
-        if abs(tr - 1.0) > 1e-9:
+        if not abs(tr - 1.0) <= 1e-9:  # NaN fails too
             raise InputError(f"initial matrix trace is {tr!r}, expected 1")
         m = m / np.trace(m)
         try:
@@ -192,20 +195,23 @@ def _write_text(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write output: {exc}") from exc
 
 
 def _write_table(columns: dict, cfg: RunConfig) -> None:
+    """Write equal-length columns (arrays or lists) as CSV or JSON."""
     names = list(columns)
+    values = [np.asarray(v, dtype=float).tolist() for v in columns.values()]
     if cfg.format == "csv":
         lines = [",".join(names)]
-        n = len(columns[names[0]])
-        for k in range(n):
-            lines.append(",".join(_fmt(columns[name][k]) for name in names))
+        lines.extend(",".join(map(_fmt, row)) for row in zip(*values))
         _write_text(cfg.output, "\n".join(lines) + "\n")
     else:
-        data = {name: [float(_fmt(v)) for v in vals] for name, vals in columns.items()}
+        data = {name: [float(_fmt(v)) for v in vals] for name, vals in zip(names, values)}
         _write_text(cfg.output, json.dumps(data) + "\n")
 
 
@@ -214,49 +220,27 @@ def _write_table(columns: dict, cfg: RunConfig) -> None:
 
 def _trajectory_columns(lam0: np.ndarray, cfg: RunConfig) -> dict:
     grid = cfg.grid()
-    cols: dict = {"tau": list(grid)}
+    lam = evolve_bell_spectrum(lam0, grid)
+    cols: dict = {"tau": grid}
     if cfg.g != 1.0:
-        cols["t"] = [tau / cfg.g for tau in grid]
-    for name in ("f", "lambda_1p", "lambda_1m", "lambda_2p", "lambda_2m",
-                 "c1", "c2", "c3", "T", "D", "C", "E"):
-        cols[name] = []
-    for tau in grid:
-        lam = evolve_bell_spectrum(lam0, tau)
-        c = c_vector_of_spectrum(lam)
-        rep = quantifier_report(bell_spectrum_to_density(lam))
-        cols["f"].append(mixing_fraction(tau))
-        for i, name in enumerate(("lambda_1p", "lambda_1m", "lambda_2p", "lambda_2m")):
-            cols[name].append(float(lam[i]))
-        for i, name in enumerate(("c1", "c2", "c3")):
-            cols[name].append(float(c[i]))
-        cols["T"].append(rep.T)
-        cols["D"].append(rep.D)
-        cols["C"].append(rep.C)
-        cols["E"].append(rep.E)
+        cols["t"] = grid / cfg.g
+    cols["f"] = mixing_fraction(grid)
+    cols.update(zip(("lambda_1p", "lambda_1m", "lambda_2p", "lambda_2m"), lam.T))
+    cols.update(zip(("c1", "c2", "c3"), c_vector_of_spectrum(lam).T))
+    cols.update(zip(("T", "D", "C", "E"), bell_quantifiers(lam)))
     return cols
 
 
-def cmd_evolve(args) -> int:
+def cmd_trajectory(args) -> int:
+    """evolve, figure2 and figure3: the spectrum and T, D, C, E on the tau
+    grid, plus the ancilla columns E_anc and I_E when args.ancilla is set."""
     cfg = _config_from_args(args)
     lam0 = _spectrum_of_initial(load_initial(args.initial))
-    _write_table(_trajectory_columns(lam0, cfg), cfg)
-    return 0
-
-
-def cmd_figure2(args) -> int:
-    cfg = _config_from_args(args)
-    lam0 = _spectrum_of_initial(load_initial(DEFAULT_INITIAL))
-    _write_table(_trajectory_columns(lam0, cfg), cfg)
-    return 0
-
-
-def cmd_figure3(args) -> int:
-    cfg = _config_from_args(args)
-    lam0 = _spectrum_of_initial(load_initial(DEFAULT_INITIAL))
     cols = _trajectory_columns(lam0, cfg)
-    trace = nonmarkovianity_measure(cfg.grid(), cfg.convention)
-    cols["E_anc"] = list(trace.e_anc)
-    cols["I_E"] = list(trace.i_e)
+    if args.ancilla:
+        trace = nonmarkovianity_measure(cfg.grid(), cfg.convention)
+        cols["E_anc"] = trace.e_anc
+        cols["I_E"] = trace.i_e
     _write_table(cols, cfg)
     return 0
 
@@ -264,15 +248,15 @@ def cmd_figure3(args) -> int:
 def cmd_nonmarkov(args) -> int:
     cfg = _config_from_args(args)
     trace = nonmarkovianity_measure(cfg.grid(), cfg.convention)
-    cols = {"tau": list(trace.tau_grid), "E_anc": list(trace.e_anc), "I_E": list(trace.i_e)}
+    cols = {"tau": trace.tau_grid, "E_anc": trace.e_anc, "I_E": trace.i_e}
     _write_table(cols, cfg)
     return 0
 
 
 def cmd_composition(args) -> int:
     cfg = _config_from_args(args)
-    if args.tau1 >= args.tau2 or args.tau1 < 0:
-        raise InputError("need 0 <= tau1 < tau2")
+    if not 0.0 <= args.tau1 < args.tau2 < math.inf:
+        raise InputError("need 0 <= tau1 < tau2, both finite")
     lam0 = _spectrum_of_initial(load_initial(args.initial))
     direct = evolve_bell_spectrum(lam0, args.tau2)
     restarted = evolve_bell_spectrum(evolve_bell_spectrum(lam0, args.tau1), args.tau2 - args.tau1)
@@ -374,10 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="field-qubit coupling rate (default 1; time is reported "
                              "as the dimensionless tau = g*t, and an absolute-time "
                              "column t is added only when g != 1)")
-    common.add_argument("--omega", type=float, default=0.0,
-                        help="qubit frequency, recorded for documentation only: the "
-                             "dynamics is taken in the rotating frame at resonance "
-                             "and does not depend on it")
     common.add_argument("--tau-max", type=float, default=math.pi,
                         help="end of the tau grid (default pi)")
     common.add_argument("--steps", type=int, default=2000,
@@ -414,15 +394,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evolve", parents=[common, initial_opt],
                        help="trajectory of the Bell spectrum and all quantifiers")
-    p.set_defaults(func=cmd_evolve)
+    p.set_defaults(func=cmd_trajectory, ancilla=False)
     p = sub.add_parser("figure2", parents=[common],
                        help="frozen/oscillating correlation trajectory for the "
                             "(0.9, 0.1, 0, 0) state")
-    p.set_defaults(func=cmd_figure2)
+    p.set_defaults(func=cmd_trajectory, initial=DEFAULT_INITIAL, ancilla=False)
     p = sub.add_parser("figure3", parents=[common],
                        help="same trajectory plus ancilla entanglement and the "
                             "non-Markovianity quantifier")
-    p.set_defaults(func=cmd_figure3)
+    p.set_defaults(func=cmd_trajectory, initial=DEFAULT_INITIAL, ancilla=True)
     p = sub.add_parser("verify", parents=[common, initial_opt],
                        help="certify the analytic closest states against the "
                             "brute-force oracles")

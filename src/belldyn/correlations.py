@@ -3,9 +3,12 @@
 Total correlations T, discord D, classical correlations C and
 entanglement E are relative-entropy distances to the closest product,
 classical and separable states. For Bell-diagonal states all four closest
-states are known in closed form; `quantifier_report` uses them and falls
-back to the brute-force search of `belldyn.oracle` for states that are
-not Bell-diagonal (where E is only witnessed via the partial transpose).
+states are known in closed form and the quantifiers depend on the Bell
+spectrum alone: `bell_quantifiers` evaluates them on whole stacks of
+spectra. `quantifier_report` is the general matrix route: it builds the
+closest states, and falls back to the brute-force search of
+`belldyn.oracle` for states that are not Bell-diagonal (where E is only
+witnessed via the partial transpose).
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .dynamics import (
 )
 from .linalg import (
     PAULI,
+    _xlog2,
     check_density,
     partial_trace,
     relative_entropy,
@@ -60,7 +64,8 @@ def correlation_c_vector(rho) -> np.ndarray:
 
 
 def c_vector_of_spectrum(lam) -> np.ndarray:
-    """c-vector of the Bell-diagonal state with spectrum lam."""
+    """c-vector of the Bell-diagonal state with spectrum lam; a stack of
+    spectra (..., 4) gives a stack of c-vectors (..., 3)."""
     return validate_spectrum(lam) @ BELL_C_VECTORS
 
 
@@ -88,7 +93,7 @@ def closest_classical_bd(lam) -> np.ndarray:
     chi = (I + c_m sigma_m x sigma_m) / 4 with m = argmax_k |c_k|, ties
     broken toward the smallest index (D and C depend only on |c_m|).
     """
-    c = c_vector_of_spectrum(lam)
+    c = c_vector_of_spectrum(lam).reshape(3)
     m = int(np.argmax(np.abs(c)))
     p = PAULI[m]
     return (np.eye(4, dtype=complex) + c[m] * tensor(p, p)) / 4.0
@@ -103,12 +108,14 @@ def closest_separable_spectrum(lam) -> np.ndarray:
     the rescaling is degenerate and the spare half is put on the lowest
     non-dominant slot; the distance does not depend on that choice.
     """
-    a = validate_spectrum(lam)
+    a = validate_spectrum(lam).reshape(4)
     m = int(np.argmax(a))
     lmax = float(a[m])
     if lmax <= 0.5 + 1e-12:
         return a.copy()
-    rest = 1.0 - lmax
+    # summed, not 1 - lmax: the cancellation in 1 - lmax would break the
+    # 1e-12 normalization of the result for nearly pure inputs
+    rest = float(np.sum(np.delete(a, m)))
     out = np.zeros(4)
     if rest < 1e-15:
         out[m] = 0.5
@@ -122,6 +129,32 @@ def closest_separable_spectrum(lam) -> np.ndarray:
 def closest_separable_bd(lam) -> np.ndarray:
     """Closest separable state to a Bell-diagonal state, as a matrix."""
     return bell_spectrum_to_density(closest_separable_spectrum(lam))
+
+
+def bell_quantifiers(lam):
+    """T, D, C and E in bits of Bell-diagonal states, from their spectra.
+
+    `lam` is one spectrum of shape (4,) or a stack of shape (..., 4),
+    validated once; each quantifier comes back with shape lam.shape[:-1].
+    With H the Shannon entropy, h the binary entropy and c the c-vector:
+
+        T = 2 - H(lam),  C = 1 - h((1 + max|c_k|) / 2),  D = T - C,
+        E = 1 - h(lam_max) if lam_max > 1/2, else 0.
+
+    Rounding residues of D and E in (-1e-9, 0) are clamped to 0.
+    `quantifier_report` gives the same values through the closest states.
+    """
+    a = validate_spectrum(lam)
+    t = 2.0 + np.sum(_xlog2(a), axis=-1)  # 2 - H(lam)
+    cmax = np.max(np.abs(a @ BELL_C_VECTORS), axis=-1)
+    lmax = np.max(a, axis=-1)
+    p = np.stack([(1.0 + cmax) / 2.0, lmax])
+    h = -(_xlog2(p) + _xlog2(1.0 - p))
+    c = 1.0 - h[0]
+    d = t - c
+    e = np.where(lmax > 0.5, 1.0 - h[1], 0.0)
+    d, e = (np.where((x > -1e-9) & (x < 0.0), 0.0, x) for x in (d, e))
+    return t, d, c, e
 
 
 def negativity(rho) -> float:

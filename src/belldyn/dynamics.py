@@ -16,7 +16,6 @@ computational ordering.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,63 +33,44 @@ BELL_VECTORS = np.array([
     [0, 0, _S, -_S],
 ], dtype=complex)
 
-BELL_LABELS = ("1+", "1-", "2+", "2-")
-
-#: Partner of each Bell label under the channel: (1+,2-) and (1-,2+) mix.
-#: In the fixed label order this is exactly index reversal.
-BELL_PARTNER = (3, 2, 1, 0)
-
 BELL_RESIDUAL_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class FieldChannel:
-    """Parameters of the random-external-fields channel.
-
-    The qubit frequency omega is recorded for bookkeeping only: in the
-    rotating frame at resonance it drops out of the dynamics, which
-    depends on g*t alone.
-    """
-
-    g: float = 1.0
-    omega: float = 0.0
-    phases: tuple = BRANCH_PHASES
-    probabilities: tuple = (0.5, 0.5)
-
-    def __post_init__(self):
-        if self.g <= 0:
-            raise ValueError("coupling g must be positive")
-        if len(self.phases) != len(self.probabilities):
-            raise ValueError("phases and probabilities must have equal length")
-        if abs(sum(self.probabilities) - 1.0) > 1e-12:
-            raise ValueError("branch probabilities must sum to 1")
-        for p in self.phases:
-            if not (abs(p) < 1e-12 or abs(p - math.pi) < 1e-12):
-                raise ValueError("branch phases are fixed to {0, pi}")
-
-    def tau(self, t: float) -> float:
-        """Dimensionless time g*t for an absolute time t."""
-        return self.g * t
-
-
 def validate_spectrum(lam) -> np.ndarray:
-    """Validate a Bell-basis probability vector (lam_1+, lam_1-, lam_2+, lam_2-)."""
-    a = np.asarray(lam, dtype=float).reshape(-1)
-    if a.size != 4:
-        raise ValueError(f"Bell spectrum needs 4 entries, got {a.size}")
+    """Validate Bell-basis probability vectors (lam_1+, lam_1-, lam_2+, lam_2-).
+
+    A one-dimensional input is one spectrum of shape (4,); a stack of
+    spectra has shape (..., 4). Entries must be finite, at least -1e-12 and
+    sum to 1 within 1e-12 along the last axis; they are returned clipped
+    at 0. Functions of one state reshape the result to (4,), which rejects
+    stacks.
+    """
+    a = np.asarray(lam, dtype=float)
+    if a.ndim < 2:
+        a = a.reshape(-1)
+    if a.shape[-1] != 4:
+        raise ValueError(f"Bell spectrum needs 4 entries, got {a.shape[-1]}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("Bell spectrum has non-finite entries")
     if float(a.min()) < -1e-12:
         raise ValueError(f"Bell spectrum has negative entry {a.min():.3e}")
-    if abs(float(a.sum()) - 1.0) > 1e-12:
-        raise ValueError(f"Bell spectrum sums to {a.sum()!r}, expected 1")
+    total = np.asarray(a.sum(axis=-1))
+    off = np.abs(total - 1.0) > 1e-12
+    if np.any(off):
+        raise ValueError(f"Bell spectrum sums to {float(total[off][0])!r}, expected 1")
     return np.clip(a, 0.0, None)
 
 
-def mixing_fraction(tau) -> float:
-    """Branch mixing fraction f = sin^2(2 tau) / 2, in [0, 1/2]."""
-    t = float(tau)
-    if t < 0:
-        raise ValueError("tau must be non-negative")
-    return math.sin(2.0 * t) ** 2 / 2.0
+def mixing_fraction(tau):
+    """Branch mixing fraction f = sin^2(2 tau) / 2, in [0, 1/2].
+
+    A scalar tau gives a float, an array of tau an array of the same shape.
+    """
+    t = np.asarray(tau, dtype=float)
+    if not np.all((t >= 0.0) & (t < math.inf)):
+        raise ValueError("tau must be finite and non-negative")
+    f = np.sin(2.0 * t) ** 2 / 2.0
+    return float(f) if f.ndim == 0 else f
 
 
 def _phase_sign(phase) -> float:
@@ -168,16 +148,19 @@ def evolve_bell_spectrum(lam, tau) -> np.ndarray:
 
         lam_i(tau) = (1 - f) lam_i(0) + f lam_partner(i)(0)
 
-    with f = mixing_fraction(tau) and partner pairs (1+,2-), (1-,2+).
+    with f = mixing_fraction(tau) and partner pairs (1+,2-), (1-,2+), which
+    in the label order is index reversal. This is the package's one
+    evolution formula: an array of tau gives the spectra on the whole grid,
+    shape tau.shape + (4,).
     """
     a = validate_spectrum(lam)
-    f = mixing_fraction(tau)
-    return (1.0 - f) * a + f * a[::-1]
+    f = np.asarray(mixing_fraction(tau))[..., None]
+    return (1.0 - f) * a + f * a[..., ::-1]
 
 
 def bell_spectrum_to_density(lam) -> np.ndarray:
     """Assemble the Bell-diagonal density matrix with the given spectrum."""
-    a = validate_spectrum(lam)
+    a = validate_spectrum(lam).reshape(4)
     return (BELL_VECTORS * a) @ BELL_VECTORS.conj().T
 
 

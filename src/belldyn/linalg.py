@@ -8,7 +8,6 @@ tolerances below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +34,8 @@ def _as_square(m, name="matrix"):
 def check_hermitian(m, tol=HERMITICITY_TOL, name="matrix"):
     """Validate Hermiticity within tol and return the array as complex."""
     a = _as_square(m, name)
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} has non-finite entries")
     dev = float(np.max(np.abs(a - a.conj().T)))
     if dev > tol:
         raise ValueError(f"{name} is not Hermitian (max deviation {dev:.3e})")
@@ -54,29 +55,12 @@ def check_density(rho, name="state"):
 
 
 def _xlog2(p):
+    """Elementwise p log2 p with 0 log 0 := 0 (also for p < 0 and NaN); the
+    one entropy kernel of the package. Callers clip and sum themselves."""
     p = np.asarray(p, dtype=float)
-    out = np.zeros_like(p)
     pos = p > 0
-    out[pos] = p[pos] * np.log2(p[pos])
-    return out
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigendecomposition with eigenvalues sorted descending.
-
-    `vectors[:, k]` is the orthonormal eigenvector for `values[k]`.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def hermitian_eig(m) -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending."""
-    a = check_hermitian(m)
-    w, v = np.linalg.eigh(a)
-    return Spectrum(values=w[::-1].copy(), vectors=v[:, ::-1].copy())
+    q = np.where(pos, p, 1.0)
+    return np.where(pos, q * np.log2(q), 0.0)
 
 
 def von_neumann_entropy(rho) -> float:

@@ -14,22 +14,15 @@ Both are non-decreasing and start at zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import bell_spectrum_to_density, evolve_bell_spectrum, validate_spectrum
-from .linalg import trace_distance
+from .linalg import _xlog2, trace_distance
 
 CONVENTIONS = ("increase_counting", "literal")
-
-
-def _h2(p):
-    q = np.clip(np.asarray(p, dtype=float), 0.0, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a = np.where((q > 0) & (q < 1), q * np.log2(np.where(q > 0, q, 1.0)), 0.0)
-        b = np.where((q > 0) & (q < 1), (1 - q) * np.log2(np.where(q < 1, 1 - q, 1.0)), 0.0)
-    return -(a + b)
 
 
 def ancilla_entanglement(tau):
@@ -43,7 +36,9 @@ def ancilla_entanglement(tau):
     if np.any(t < 0):
         raise ValueError("tau must be non-negative")
     p = np.maximum(np.cos(t) ** 2, np.sin(t) ** 2)
-    e = np.where(p > 0.5, 1.0 - _h2(p), 0.0)
+    q = np.clip(p, 0.0, 1.0)
+    h = -(_xlog2(q) + _xlog2(1.0 - q))
+    e = np.where(p > 0.5, 1.0 - h, 0.0)
     return float(e) if np.isscalar(tau) or np.ndim(tau) == 0 else e
 
 
@@ -84,8 +79,8 @@ def composition_violation(lam0, tau1, tau2) -> float:
     restarted from the tau1 state; nonzero values witness failure of the
     two-step composition law."""
     t1, t2 = float(tau1), float(tau2)
-    if t1 < 0 or t2 < t1:
-        raise ValueError("need 0 <= tau1 <= tau2")
+    if not 0.0 <= t1 <= t2 < math.inf:
+        raise ValueError("need 0 <= tau1 <= tau2, both finite")
     lam = validate_spectrum(lam0)
     direct = evolve_bell_spectrum(lam, t2)
     restarted = evolve_bell_spectrum(evolve_bell_spectrum(lam, t1), t2 - t1)
@@ -137,23 +132,17 @@ def detect_frozen_intervals(tau_grid, values, tol: float = 1e-6):
     return out
 
 
-def _spectrum_at(lam0, tau):
-    f = np.sin(2.0 * tau) ** 2 / 2.0
-    return (1.0 - f) * lam0 + f * lam0[::-1]
-
-
 def detect_switching_times(lam0, tau_max, n_points: int = 2001):
     """Times where the Bell label of the second-largest coefficient
     changes, bracketed on a grid and refined by bisection to 1e-9.
     Permanent ties (e.g. the maximally mixed spectrum) yield no switches."""
-    lam = validate_spectrum(lam0)
-    if tau_max <= 0:
-        raise ValueError("tau_max must be positive")
+    lam = validate_spectrum(lam0).reshape(4)
+    if not 0.0 < tau_max < math.inf:
+        raise ValueError("tau_max must be positive and finite")
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
     grid = np.linspace(0.0, float(tau_max), n_points)
-    f = np.sin(2.0 * grid) ** 2 / 2.0
-    spectra = (1.0 - f)[:, None] * lam[None, :] + f[:, None] * lam[::-1][None, :]
+    spectra = evolve_bell_spectrum(lam, grid)
     second = np.argsort(-spectra, axis=1, kind="stable")[:, 1]
 
     times = []
@@ -162,7 +151,7 @@ def detect_switching_times(lam0, tau_max, n_points: int = 2001):
         lo, hi = float(grid[k]), float(grid[k + 1])
 
         def gap(t):
-            s = _spectrum_at(lam, t)
+            s = evolve_bell_spectrum(lam, t)
             return s[a] - s[b]
 
         glo, ghi = gap(lo), gap(hi)

@@ -29,6 +29,7 @@ from .linalg import (
     PAULI,
     SUPPORT_CUTOFF,
     SUPPORT_OVERLAP_TOL,
+    _xlog2,
     check_density,
     dephase_in_basis,
     von_neumann_entropy,
@@ -135,28 +136,23 @@ def _directions(theta, phi):
     return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
 
 
-def _shannon4(terms):
-    # terms: iterable of probability arrays covering the four outcomes
-    h = 0.0
-    for p in terms:
-        q = np.clip(p, 0.0, 1.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = np.where(q > 0.0, q * np.log2(np.where(q > 0.0, q, 1.0)), 0.0)
-        h = h - x
-    return h
-
 _SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
+
+def _dephased_entropy(alpha, beta, kappa):
+    # Shannon entropy of the four outcome probabilities
+    # (1 + s alpha + t beta + s t kappa) / 4 of the dephased diagonal
+    h = 0.0
+    for s, t in _SIGNS:
+        h = h - _xlog2(np.clip((1.0 + s * alpha + t * beta + s * t * kappa) / 4.0, 0.0, 1.0))
+    return h
 
 
 def _classical_values_grid(a_vec, b_vec, corr, ua, ub, s_rho):
     alpha = ua @ a_vec
     beta = ub @ b_vec
     kappa = ua @ corr @ ub.T
-    h = _shannon4(
-        (1.0 + s * alpha[:, None] + t * beta[None, :] + s * t * kappa) / 4.0
-        for s, t in _SIGNS
-    )
-    return h - s_rho
+    return _dephased_entropy(alpha[:, None], beta[None, :], kappa) - s_rho
 
 
 def _classical_values_quads(a_vec, b_vec, corr, quads, s_rho):
@@ -165,8 +161,7 @@ def _classical_values_quads(a_vec, b_vec, corr, quads, s_rho):
     alpha = ua @ a_vec
     beta = ub @ b_vec
     kappa = np.einsum("ni,ij,nj->n", ua, corr, ub)
-    h = _shannon4((1.0 + s * alpha + t * beta + s * t * kappa) / 4.0 for s, t in _SIGNS)
-    return h - s_rho
+    return _dephased_entropy(alpha, beta, kappa) - s_rho
 
 
 def oracle_closest_classical(rho, cfg: SearchConfig | None = None) -> OracleResult:
@@ -257,7 +252,7 @@ def oracle_closest_separable_bd(lam, cfg: SearchConfig | None = None) -> OracleR
     coefficients <= 1/2 (the separable slice of the Bell simplex), by
     simplex-grid enumeration plus pattern refinement."""
     cfg = cfg if cfg is not None else SearchConfig()
-    a = validate_spectrum(lam)
+    a = validate_spectrum(lam).reshape(4)
 
     m = int(round(0.5 / cfg.simplex_grid_step)) + 1
     axis = np.linspace(0.0, 0.5, m)

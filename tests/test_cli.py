@@ -188,6 +188,40 @@ def test_composition_bad_order_exits_2():
     assert main(["composition", "1.0", "0.5"]) == 2
 
 
+BAD_INPUTS = [
+    ["evolve", "--g", "nan"],
+    ["evolve", "--g", "inf"],
+    ["evolve", "--tau-max", "inf"],
+    ["evolve", "--tau-max", "nan"],
+    ["nonmarkov", "--tau-max", "nan"],
+    ["evolve", "--initial", '{"bell": ["a", 0, 0, 0]}'],
+    ["evolve", "--initial", '{"bell": [[1], 0, 0, 0]}'],
+    ["evolve", "--initial", '{"bell": [NaN, 0, 0, 0]}'],
+    ["evolve", "--initial", "nan,0,0,0"],
+    ["evolve", "--initial", "inf,0,0,0"],
+    ["evolve", "--initial", '{"matrix": [[[NaN, 0], [0, 0], [0, 0], [0, 0]],'
+                            ' [[0, 0], [0, 0], [0, 0], [0, 0]],'
+                            ' [[0, 0], [0, 0], [0, 0], [0, 0]],'
+                            ' [[0, 0], [0, 0], [0, 0], [1, 0]]]}'],
+    ["evolve", "--output", "{tmp}/no_such_dir/out.csv"],
+    ["verify", "--n", "1", "--output", "{tmp}"],
+    ["composition", "nan", "1"],
+    ["composition", "0", "nan"],
+    ["composition", "0", "inf"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS, ids=lambda a: " ".join(a)[:60])
+def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_composition_mixed_state_is_zero(tmp_path):
     out = tmp_path / "comp.json"
     assert main(["composition", "0.3", "0.9", "--initial", "0.25,0.25,0.25,0.25",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from belldyn.correlations import (
+    bell_quantifiers,
     binary_entropy,
     c_vector_of_spectrum,
     closest_classical_bd,
@@ -92,6 +93,50 @@ def test_closest_separable_examples():
     sig = closest_separable_bd(LAM_FIG)
     lam_sig, residual = bell_spectrum_of(sig)
     assert residual < 1e-14 and np.allclose(lam_sig, [0.5, 0.5, 0, 0])
+
+
+def test_closest_separable_of_nearly_pure_states():
+    # pure Bell states evolved to just off tau = k*pi/2 keep a dominant
+    # coefficient within 1e-9..1e-2 of 1; the rescaled rest must still sum
+    # to 1/2 and E must equal the closed form
+    for i in range(4):
+        for k in (1, 2, 3):
+            for d in np.geomspace(1e-9, 1e-2, 12):
+                for tau in (k * math.pi / 2 - d, k * math.pi / 2 + d):
+                    lam = evolve_bell_spectrum(np.eye(4)[i], tau)
+                    sig = closest_separable_spectrum(lam)
+                    assert abs(sig.sum() - 1.0) < 1e-12 and sig.max() <= 0.5 + 1e-12
+                    rep = quantifier_report(bell_spectrum_to_density(lam))
+                    assert abs(rep.E - (1.0 - binary_entropy(float(lam.max())))) < 1e-12
+
+
+def test_bell_quantifiers_closed_forms():
+    t, d, c, e = bell_quantifiers(LAM_FIG)
+    assert abs(t - (2 - H09)) < 1e-12
+    assert abs(d - (1 - H09)) < 1e-12
+    assert abs(c - 1.0) < 1e-12
+    assert abs(e - (1 - H09)) < 1e-12
+    assert [float(x) for x in bell_quantifiers(np.full(4, 0.25))] == [0.0, 0.0, 0.0, 0.0]
+    assert [float(x) for x in bell_quantifiers([1.0, 0, 0, 0])] == [2.0, 1.0, 1.0, 1.0]
+    # the frozen-to-oscillating fixed point tau = pi/4 has zero discord and
+    # the rounding residue is clamped to exactly 0
+    t, d, c, e = bell_quantifiers(evolve_bell_spectrum(LAM_FIG, math.pi / 4))
+    assert d == 0.0 and e == 0.0
+
+
+def test_bell_quantifiers_on_a_stack_match_the_report():
+    rng = np.random.default_rng(5)
+    lam = rng.dirichlet(np.ones(4), size=(3, 5))
+    out = bell_quantifiers(lam)
+    assert all(x.shape == (3, 5) for x in out)
+    for idx in np.ndindex(3, 5):
+        rep = quantifier_report(bell_spectrum_to_density(lam[idx]))
+        for got, want in zip(out, (rep.T, rep.D, rep.C, rep.E)):
+            assert abs(got[idx] - want) < 1e-12
+    with pytest.raises(ValueError):
+        bell_quantifiers([0.5, 0.5, math.nan, 0.0])
+    with pytest.raises(ValueError):
+        bell_quantifiers(np.ones((2, 3)) / 3)
 
 
 def test_entanglement_threshold():

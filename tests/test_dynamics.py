@@ -5,7 +5,6 @@ import pytest
 
 from belldyn.dynamics import (
     BELL_VECTORS,
-    FieldChannel,
     ancilla_evolve,
     bell_spectrum_of,
     bell_spectrum_to_density,
@@ -58,6 +57,11 @@ def test_mixing_fraction():
     assert abs(mixing_fraction(math.pi / 8) - 0.25) < 1e-15
     with pytest.raises(ValueError):
         mixing_fraction(-0.1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            mixing_fraction(bad)
+    with pytest.raises(ValueError):
+        mixing_fraction([0.1, math.nan])
 
 
 def test_single_qubit_map_examples():
@@ -221,18 +225,29 @@ def test_validate_spectrum():
         validate_spectrum([0.5, 0.5, 0.5, 0.5])
     out = validate_spectrum([0.25, 0.25, 0.25, 0.25])
     assert out.shape == (4,)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            validate_spectrum([bad, 0.5, 0.5, 0.0])
+    stack = validate_spectrum([[0.25] * 4, [1.0, 0.0, 0.0, -1e-13]])
+    assert stack.shape == (2, 4) and stack.min() == 0.0
+    with pytest.raises(ValueError, match="sums to"):
+        validate_spectrum([[0.25] * 4, [0.5, 0.5, 0.5, 0.0]])
+    # functions of one state reject a stack, even a 4x4 one
+    with pytest.raises(ValueError):
+        bell_spectrum_to_density(np.full((4, 4), 0.25))
 
 
-def test_field_channel():
-    ch = FieldChannel(g=2.0)
-    assert ch.tau(0.5) == 1.0
-    assert ch.omega == 0.0
-    with pytest.raises(ValueError):
-        FieldChannel(g=-1.0)
-    with pytest.raises(ValueError):
-        FieldChannel(probabilities=(0.6, 0.6))
-    with pytest.raises(ValueError):
-        FieldChannel(phases=(0.0, 1.0))
+def test_evolution_on_a_grid_matches_pointwise_evolution():
+    rng = np.random.default_rng(9)
+    lam0 = rng.dirichlet(np.ones(4))
+    grid = np.linspace(0.0, 2 * math.pi, 101)
+    spectra = evolve_bell_spectrum(lam0, grid)
+    assert spectra.shape == (101, 4)
+    f = mixing_fraction(grid)
+    for k, tau in enumerate(grid):
+        assert np.array_equal(spectra[k], evolve_bell_spectrum(lam0, tau))
+        assert f[k] == mixing_fraction(float(tau))
+    assert evolve_bell_spectrum(lam0, grid.reshape(101, 1)).shape == (101, 1, 4)
 
 
 def test_composition_example_states():

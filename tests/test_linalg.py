@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from belldyn.linalg import (
+    check_density,
+    check_hermitian,
     dephase_in_basis,
-    hermitian_eig,
     partial_trace,
     relative_entropy,
     tensor,
@@ -19,48 +20,22 @@ BELL_2P[np.ix_([0, 3], [0, 3])] = 0.5  # (|00>+|11>)/sqrt(2) projector
 H09 = 0.4689955935892812  # binary entropy of 0.9 in bits
 
 
-def random_hermitian(rng, dim):
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return (g + g.conj().T) / 2
-
-
 def random_density(rng, dim):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
 
 
-def test_eig_identity():
-    s = hermitian_eig(np.eye(4))
-    assert np.allclose(s.values, [1, 1, 1, 1])
-
-
-def test_eig_diagonal():
-    s = hermitian_eig(np.diag([0.9, 0.1]))
-    assert np.allclose(s.values, [0.9, 0.1])
-
-
-def test_eig_pauli_x():
-    s = hermitian_eig(np.array([[0, 1], [1, 0]]))
-    assert np.allclose(s.values, [1, -1])
-
-
-def test_eig_rejects_non_hermitian():
+def test_check_hermitian_rejects_bad_matrices():
+    with pytest.raises(ValueError, match="not Hermitian"):
+        check_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
+    for bad in (math.nan, math.inf):
+        m = np.eye(4) / 4
+        m[1, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            check_density(m)
     with pytest.raises(ValueError):
-        hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
-def test_eig_reconstruction_random():
-    rng = np.random.default_rng(7)
-    for dim in (2, 4):
-        for _ in range(25):
-            m = random_hermitian(rng, dim)
-            s = hermitian_eig(m)
-            rebuilt = (s.vectors * s.values) @ s.vectors.conj().T
-            assert np.max(np.abs(rebuilt - m)) < 1e-10
-            gram = s.vectors.conj().T @ s.vectors
-            assert np.max(np.abs(gram - np.eye(dim))) < 1e-10
-            assert np.all(np.diff(s.values) <= 1e-12)
+        check_hermitian(np.eye(3))
 
 
 def test_entropy_pure_and_mixed():

@@ -1,0 +1,69 @@
+"""Property-based checks of the invariants of the Bell-diagonal dynamics."""
+
+import math
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from belldyn.correlations import bell_quantifiers, quantifier_report  # noqa: E402
+from belldyn.dynamics import (  # noqa: E402
+    bell_spectrum_of,
+    bell_spectrum_to_density,
+    evolve_bell_spectrum,
+    two_qubit_map,
+)
+from belldyn.nonmarkov import CONVENTIONS, nonmarkovianity_measure  # noqa: E402
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
+
+# Integer weights give spectra whose entries are 0 or at least 1/4000, so
+# the matrix route's support cutoff (1e-12) never drops a weight; pure and
+# degenerate spectra are included.
+spectra = st.lists(st.integers(0, 1000), min_size=4, max_size=4).filter(any).map(
+    lambda w: np.array(w, dtype=float) / sum(w)
+)
+taus = st.floats(0.0, 4.0 * math.pi, allow_nan=False)
+
+
+@PROPERTY_SETTINGS
+@given(spectra, taus)
+def test_kernel_matches_the_matrix_route(lam0, tau):
+    lam = evolve_bell_spectrum(lam0, tau)
+    rep = quantifier_report(bell_spectrum_to_density(lam))
+    for got, want in zip(bell_quantifiers(lam), (rep.T, rep.D, rep.C, rep.E)):
+        assert abs(float(got) - want) < 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(spectra, st.lists(taus, min_size=1, max_size=5))
+def test_grid_evolution_is_the_bell_diagonal_of_the_channel(lam0, tau_list):
+    grid = np.array(tau_list)
+    evolved = evolve_bell_spectrum(lam0, grid)
+    rho0 = bell_spectrum_to_density(lam0)
+    for k, tau in enumerate(grid):
+        lam, residual = bell_spectrum_of(two_qubit_map(rho0, tau))
+        assert residual < 1e-12
+        assert np.max(np.abs(evolved[k] - lam)) < 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(spectra, st.floats(0.1, 4.0 * math.pi), st.integers(2, 60))
+def test_total_is_discord_plus_classical_and_entanglement_is_below_discord(lam0, tau_max, n):
+    lam = evolve_bell_spectrum(lam0, np.linspace(0.0, tau_max, n + 1))
+    t, d, c, e = bell_quantifiers(lam)
+    assert np.max(np.abs(t - (d + c))) < 1e-12
+    assert np.all(e <= d + 1e-12)
+    assert np.all((d >= 0) & (c >= 0) & (e >= 0))
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.floats(1e-3, 0.5), min_size=1, max_size=80), st.sampled_from(CONVENTIONS))
+def test_accumulated_non_markovianity_never_decreases(steps, convention):
+    grid = np.concatenate([[0.0], np.cumsum(steps)])
+    trace = nonmarkovianity_measure(grid, convention)
+    assert trace.i_e[0] == 0.0
+    assert np.all(np.diff(trace.i_e) >= 0.0)
