@@ -49,7 +49,6 @@ from .nonmarkov import (
 )
 from .oracle import (
     OracleResult,
-    SearchConfig,
     oracle_closest_classical,
     oracle_closest_product,
     oracle_closest_separable_bd,

@@ -31,9 +31,8 @@ from .dynamics import (
     validate_spectrum,
 )
 from .linalg import check_density, von_neumann_entropy
-from .nonmarkov import composition_violation, nonmarkovianity_measure
+from .nonmarkov import _composition, nonmarkovianity_measure
 from .oracle import (
-    SearchConfig,
     oracle_closest_classical,
     oracle_closest_product,
     oracle_closest_separable_bd,
@@ -258,9 +257,7 @@ def cmd_composition(args) -> int:
     if not 0.0 <= args.tau1 < args.tau2 < math.inf:
         raise InputError("need 0 <= tau1 < tau2, both finite")
     lam0 = _spectrum_of_initial(load_initial(args.initial))
-    direct = evolve_bell_spectrum(lam0, args.tau2)
-    restarted = evolve_bell_spectrum(evolve_bell_spectrum(lam0, args.tau1), args.tau2 - args.tau1)
-    dist = composition_violation(lam0, args.tau1, args.tau2)
+    direct, restarted, dist = _composition(lam0, args.tau1, args.tau2)
     report = {
         "tau1": args.tau1,
         "tau2": args.tau2,
@@ -273,7 +270,7 @@ def cmd_composition(args) -> int:
     return 0
 
 
-def _verify_state(lam: np.ndarray, search: SearchConfig) -> dict:
+def _verify_state(lam: np.ndarray, seed: int) -> dict:
     rho = bell_spectrum_to_density(lam)
     s_rho = von_neumann_entropy(rho)
     chi = closest_classical_bd(lam)
@@ -287,9 +284,9 @@ def _verify_state(lam: np.ndarray, search: SearchConfig) -> dict:
         "product": 2.0 - s_rho,
     }
     found = {
-        "classical": oracle_closest_classical(rho, search).value,
-        "separable": oracle_closest_separable_bd(lam, search).value,
-        "product": oracle_closest_product(rho, search).value,
+        "classical": oracle_closest_classical(rho, seed=seed).value,
+        "separable": oracle_closest_separable_bd(lam).value,
+        "product": oracle_closest_product(rho).value,
     }
     return {
         family: {
@@ -303,7 +300,6 @@ def _verify_state(lam: np.ndarray, search: SearchConfig) -> dict:
 
 def cmd_verify(args) -> int:
     cfg = _config_from_args(args)
-    search = SearchConfig(seed=cfg.seed)
     if args.initial is not None:
         states = [_spectrum_of_initial(load_initial(args.initial))]
     else:
@@ -318,7 +314,7 @@ def cmd_verify(args) -> int:
         for name in ("classical", "separable", "product")
     }
     for lam in states:
-        per_state = _verify_state(lam, search)
+        per_state = _verify_state(lam, cfg.seed)
         for name, entry in per_state.items():
             fam = families[name]
             if entry["discrepancy_bits"] >= fam["max_discrepancy_bits"]:

@@ -26,6 +26,7 @@ from .dynamics import (
 )
 from .linalg import (
     PAULI,
+    _clamp_residue,
     _xlog2,
     check_density,
     partial_trace,
@@ -33,7 +34,7 @@ from .linalg import (
     tensor,
     von_neumann_entropy,
 )
-from .oracle import SearchConfig, oracle_closest_classical
+from .oracle import oracle_closest_classical
 
 #: c-vector of each Bell basis state, rows ordered (1+, 1-, 2+, 2-).
 BELL_C_VECTORS = np.array([
@@ -153,8 +154,7 @@ def bell_quantifiers(lam):
     c = 1.0 - h[0]
     d = t - c
     e = np.where(lmax > 0.5, 1.0 - h[1], 0.0)
-    d, e = (np.where((x > -1e-9) & (x < 0.0), 0.0, x) for x in (d, e))
-    return t, d, c, e
+    return t, _clamp_residue(d), c, _clamp_residue(e)
 
 
 def negativity(rho) -> float:
@@ -187,14 +187,14 @@ class CorrelationReport:
     negativity: float
 
 
-def quantifier_report(rho, search: SearchConfig | None = None) -> CorrelationReport:
+def quantifier_report(rho) -> CorrelationReport:
     """Compute T, D, C, E and the closest-state certificates.
 
     T = S(pi) - S(rho), D = S(chi) - S(rho), C = S(pi_chi) - S(chi) and
     E = S(rho || sigma). Bell-diagonal inputs (Bell-basis residual below
     BELL_RESIDUAL_TOL) use the closed-form closest states; anything else
-    gets chi from the brute-force classical search configured by
-    `search`, no E value, and the PPT witness.
+    gets chi from the brute-force classical search, no E value, and the
+    PPT witness.
     """
     a = check_density(rho)
     if a.shape != (4, 4):
@@ -216,8 +216,7 @@ def quantifier_report(rho, search: SearchConfig | None = None) -> CorrelationRep
         e = relative_entropy(a, sig)
         return CorrelationReport(t, d, c, e, pi, chi, sig, True, neg)
 
-    found = oracle_closest_classical(a, search if search is not None else SearchConfig())
-    chi = found.minimizer
+    chi = oracle_closest_classical(a).minimizer
     s_chi = von_neumann_entropy(chi)
     d = s_chi - s_rho
     c = von_neumann_entropy(closest_product(chi)) - s_chi

@@ -80,6 +80,24 @@ def von_neumann_entropy(rho) -> float:
     return float(-np.sum(_xlog2(w)))
 
 
+def _clamp_residue(x):
+    """Set rounding residues of a distance in (-1e-9, 0) to 0, elementwise."""
+    return np.where((x > -1e-9) & (x < 0.0), 0.0, x)
+
+
+def _relative_entropy_stack(rho, sigmas, s_rho):
+    """S(rho || sigma) in bits for each sigma of an (N, d, d) stack, given
+    s_rho = S(rho); inputs are not validated. +inf where sigma's support
+    misses rho (see `relative_entropy`)."""
+    w, v = np.linalg.eigh(sigmas)
+    overlap = np.clip(np.real(np.einsum("nik,ij,njk->nk", v.conj(), rho, v)), 0.0, None)
+    small = w < SUPPORT_CUTOFF
+    bad = np.any(small & (overlap > SUPPORT_OVERLAP_TOL), axis=1)
+    logs = np.log2(np.where(small, 1.0, w))
+    vals = -np.sum(np.where(small, 0.0, overlap * logs), axis=1) - s_rho
+    return _clamp_residue(np.where(bad, math.inf, vals))
+
+
 def relative_entropy(rho, sigma) -> float:
     """S(rho || sigma) = -Tr(rho log2 sigma) - S(rho), in bits.
 
@@ -91,16 +109,7 @@ def relative_entropy(rho, sigma) -> float:
     s = check_density(sigma, name="sigma")
     if r.shape != s.shape:
         raise ValueError(f"dimension mismatch: {r.shape} vs {s.shape}")
-    w, v = np.linalg.eigh(s)
-    overlap = np.clip(np.real(np.einsum("ik,ij,jk->k", v.conj(), r, v)), 0.0, None)
-    small = w < SUPPORT_CUTOFF
-    if np.any(overlap[small] > SUPPORT_OVERLAP_TOL):
-        return math.inf
-    cross = -float(np.sum(overlap[~small] * np.log2(w[~small])))
-    val = cross - von_neumann_entropy(r)
-    if -1e-9 < val < 0.0:
-        return 0.0
-    return val
+    return float(_relative_entropy_stack(r, s[None], von_neumann_entropy(r))[0])
 
 
 def tensor(a, b) -> np.ndarray:

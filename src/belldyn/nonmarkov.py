@@ -78,15 +78,19 @@ def composition_violation(lam0, tau1, tau2) -> float:
     """Trace distance between direct evolution to tau2 and evolution
     restarted from the tau1 state; nonzero values witness failure of the
     two-step composition law."""
+    return _composition(lam0, tau1, tau2)[2]
+
+
+def _composition(lam0, tau1, tau2):
+    # (direct spectrum, restarted spectrum, their trace distance)
     t1, t2 = float(tau1), float(tau2)
     if not 0.0 <= t1 <= t2 < math.inf:
         raise ValueError("need 0 <= tau1 <= tau2, both finite")
     lam = validate_spectrum(lam0)
     direct = evolve_bell_spectrum(lam, t2)
     restarted = evolve_bell_spectrum(evolve_bell_spectrum(lam, t1), t2 - t1)
-    return trace_distance(
-        bell_spectrum_to_density(direct), bell_spectrum_to_density(restarted)
-    )
+    dist = trace_distance(bell_spectrum_to_density(direct), bell_spectrum_to_density(restarted))
+    return direct, restarted, dist
 
 
 def _check_uniform(grid):

@@ -27,40 +27,21 @@ import numpy as np
 from .dynamics import bell_spectrum_to_density, validate_spectrum
 from .linalg import (
     PAULI,
-    SUPPORT_CUTOFF,
-    SUPPORT_OVERLAP_TOL,
+    _clamp_residue,
+    _relative_entropy_stack,
     _xlog2,
     check_density,
     dephase_in_basis,
     von_neumann_entropy,
 )
 
+# Search resolution: grids of ~1e-3 bits, which the refinement then
+# polishes to machine precision inside the located basin.
+GRID_POINTS_PER_ANGLE = 24
+REFINEMENT_ITERATIONS = 200
+REFINEMENT_SHRINK = 0.5
+SIMPLEX_GRID_STEP = 0.01
 _MIN_WIDTH = 1e-13
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """Knobs of the brute-force searches.
-
-    The defaults give ~1e-3-bit grid resolution, which the refinement
-    then polishes to machine precision inside the located basin.
-    """
-
-    coarse_grid_points_per_angle: int = 24
-    refinement_iterations: int = 200
-    refinement_shrink: float = 0.5
-    simplex_grid_step: float = 0.01
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.coarse_grid_points_per_angle < 2:
-            raise ValueError("coarse_grid_points_per_angle must be >= 2")
-        if self.refinement_iterations < 1:
-            raise ValueError("refinement_iterations must be positive")
-        if not 0.0 < self.refinement_shrink < 1.0:
-            raise ValueError("refinement_shrink must be in (0, 1)")
-        if not 0.0 < self.simplex_grid_step <= 0.5:
-            raise ValueError("simplex_grid_step must be in (0, 0.5]")
 
 
 @dataclass(frozen=True)
@@ -75,10 +56,6 @@ class OracleResult:
     history: np.ndarray
 
 
-def _clamp(v: float) -> float:
-    return 0.0 if -1e-9 < v < 0.0 else v
-
-
 def _offsets(dim: int, axes_only: bool = False) -> np.ndarray:
     if axes_only:
         eye = np.eye(dim)
@@ -87,33 +64,38 @@ def _offsets(dim: int, axes_only: bool = False) -> np.ndarray:
     return np.array(rows)
 
 
-def _pattern_search(x0, value0, width0, evaluate, offsets, cfg, project=None):
-    """Shrinking pattern search; returns (x, value, history, evaluations).
+def _refine(starts, evaluate, offsets, project=None):
+    """Shrinking pattern search from each (x0, value0, width0) start.
 
-    Moves to the best candidate whenever it improves, otherwise shrinks
-    the pattern width; the best value is non-increasing by construction.
+    Each search moves to its best candidate whenever that improves, and
+    otherwise shrinks its pattern width. Returns the best point and value
+    over all starts, the number of objective evaluations, and the
+    best-so-far value after each step (non-increasing), led by the first
+    start's value.
     """
-    x = np.asarray(x0, dtype=float)
-    best = float(value0)
-    width = float(width0)
-    history = [best]
+    best_x, best = starts[0][0], starts[0][1]
+    trace = [best]
     evals = 0
-    for _ in range(cfg.refinement_iterations):
-        if width < _MIN_WIDTH:
-            break
-        cand = x[None, :] + width * offsets
-        if project is not None:
-            cand = project(cand)
-        vals = evaluate(cand)
-        evals += len(cand)
-        j = int(np.argmin(vals))
-        if vals[j] < best:
-            best = float(vals[j])
-            x = cand[j].copy()
-        else:
-            width *= cfg.refinement_shrink
-        history.append(best)
-    return x, best, history, evals
+    for x0, value0, width0 in starts:
+        x, value, width = np.asarray(x0, dtype=float), float(value0), float(width0)
+        trace.append(value)
+        for _ in range(REFINEMENT_ITERATIONS):
+            if width < _MIN_WIDTH:
+                break
+            cand = x[None, :] + width * offsets
+            if project is not None:
+                cand = project(cand)
+            vals = evaluate(cand)
+            evals += len(cand)
+            j = int(np.argmin(vals))
+            if vals[j] < value:
+                value, x = float(vals[j]), cand[j].copy()
+            else:
+                width *= REFINEMENT_SHRINK
+            trace.append(value)
+        if value < best:
+            best_x, best = x, value
+    return best_x, best, evals, np.minimum.accumulate(trace)
 
 
 # ---------------------------------------------------------------------------
@@ -164,22 +146,21 @@ def _classical_values_quads(a_vec, b_vec, corr, quads, s_rho):
     return _dephased_entropy(alpha, beta, kappa) - s_rho
 
 
-def oracle_closest_classical(rho, cfg: SearchConfig | None = None) -> OracleResult:
+def oracle_closest_classical(rho, seed: int = 0) -> OracleResult:
     """Minimize S(rho || chi) over classical states chi.
 
     For each product basis the optimal classical diagonal equals the
     dephased diagonal of rho, so only the four local angles are searched:
     a full coarse grid, then pattern refinement from the best cell and
-    from a couple of seeded random restarts.
+    from two random restarts drawn from `seed`.
     """
-    cfg = cfg if cfg is not None else SearchConfig()
     a = check_density(rho)
     if a.shape != (4, 4):
         raise ValueError("oracle_closest_classical expects a 4x4 state")
     a_vec, b_vec, corr = _pauli_data(a)
     s_rho = von_neumann_entropy(a)
 
-    n = cfg.coarse_grid_points_per_angle
+    n = GRID_POINTS_PER_ANGLE
     thetas = np.linspace(0.0, math.pi, n)
     phis = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
     th, ph = (g.ravel() for g in np.meshgrid(thetas, phis, indexing="ij"))
@@ -188,39 +169,28 @@ def oracle_closest_classical(rho, cfg: SearchConfig | None = None) -> OracleResu
     grid = _classical_values_grid(a_vec, b_vec, corr, u, u, s_rho)
     evaluations = grid.size
     ia, ib = np.unravel_index(int(np.argmin(grid)), grid.shape)
-    best_x = np.array([th[ia], ph[ia], th[ib], ph[ib]])
-    best_val = float(grid[ia, ib])
-    history = [best_val]
+    grid_x = np.array([th[ia], ph[ia], th[ib], ph[ib]])
 
     def evaluate(quads):
         return _classical_values_quads(a_vec, b_vec, corr, quads, s_rho)
 
-    offsets = _offsets(4)
     width0 = max(math.pi / (n - 1), 2.0 * math.pi / n)
-    rng = np.random.default_rng(cfg.seed)
-    starts = [(best_x, best_val, width0)]
+    rng = np.random.default_rng(seed)
+    starts = [(grid_x, float(grid[ia, ib]), width0)]
     for _ in range(2):
         x = np.array([
             rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi),
             rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi),
         ])
-        v = float(evaluate(x[None, :])[0])
         evaluations += 1
-        starts.append((x, v, math.pi / 4.0))
+        starts.append((x, float(evaluate(x[None, :])[0]), math.pi / 4.0))
 
-    for x0, v0, w0 in starts:
-        x, val, hist, ev = _pattern_search(x0, v0, w0, evaluate, offsets, cfg)
-        evaluations += ev
-        for h in hist:
-            history.append(min(history[-1], h))
-        if val < best_val:
-            best_val, best_x = val, x
-
+    x, value, evals, history = _refine(starts, evaluate, _offsets(4))
     return OracleResult(
-        minimizer=dephase_in_basis(a, best_x),
-        value=_clamp(best_val),
-        evaluations=evaluations,
-        history=np.array(history),
+        minimizer=dephase_in_basis(a, x),
+        value=float(_clamp_residue(value)),
+        evaluations=evaluations + evals,
+        history=history,
     )
 
 
@@ -243,25 +213,19 @@ def _separable_values(lam, q3):
         with np.errstate(divide="ignore"):
             term = li * (np.log2(li) - np.log2(np.where(qi > 0.0, qi, 1.0)))
         vals = vals + np.where(qi < 1e-15, math.inf, term)
-    vals = np.where(feasible, vals, math.inf)
-    return np.where((vals > -1e-9) & (vals < 0.0), 0.0, vals)
+    return _clamp_residue(np.where(feasible, vals, math.inf))
 
 
-def oracle_closest_separable_bd(lam, cfg: SearchConfig | None = None) -> OracleResult:
+def oracle_closest_separable_bd(lam) -> OracleResult:
     """Minimize S(rho || sigma) over Bell-diagonal sigma with all
     coefficients <= 1/2 (the separable slice of the Bell simplex), by
     simplex-grid enumeration plus pattern refinement."""
-    cfg = cfg if cfg is not None else SearchConfig()
     a = validate_spectrum(lam).reshape(4)
 
-    m = int(round(0.5 / cfg.simplex_grid_step)) + 1
-    axis = np.linspace(0.0, 0.5, m)
+    axis = np.linspace(0.0, 0.5, int(round(0.5 / SIMPLEX_GRID_STEP)) + 1)
     q3 = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
     vals = _separable_values(a, q3)
-    evaluations = len(q3)
     j = int(np.argmin(vals))
-    best_x, best_val = q3[j].copy(), float(vals[j])
-    history = [best_val]
 
     def evaluate(cand):
         return _separable_values(a, cand)
@@ -269,21 +233,16 @@ def oracle_closest_separable_bd(lam, cfg: SearchConfig | None = None) -> OracleR
     def project(cand):
         return np.clip(cand, 0.0, 0.5)
 
-    x, val, hist, ev = _pattern_search(
-        best_x, best_val, cfg.simplex_grid_step, evaluate, _offsets(3), cfg, project
-    )
-    evaluations += ev
-    for h in hist:
-        history.append(min(history[-1], h))
+    start = (q3[j], float(vals[j]), SIMPLEX_GRID_STEP)
+    x, value, evals, history = _refine([start], evaluate, _offsets(3), project)
 
     q4 = max(0.0, 1.0 - float(x.sum()))
     q = np.append(np.clip(x, 0.0, 0.5), q4)
-    q = q / q.sum()
     return OracleResult(
-        minimizer=bell_spectrum_to_density(q),
-        value=_clamp(val),
-        evaluations=evaluations,
-        history=np.array(history),
+        minimizer=bell_spectrum_to_density(q / q.sum()),
+        value=float(_clamp_residue(value)),
+        evaluations=len(q3) + evals,
+        history=history,
     )
 
 
@@ -305,18 +264,7 @@ def _product_states(params):
     return np.einsum("nab,ncd->nacbd", qa, qb).reshape(n, 4, 4)
 
 
-def _rel_entropy_stack(rho, sigmas, s_rho):
-    w, v = np.linalg.eigh(sigmas)
-    overlap = np.clip(np.real(np.einsum("nik,ij,njk->nk", v.conj(), rho, v)), 0.0, None)
-    small = w < SUPPORT_CUTOFF
-    bad = np.any(small & (overlap > SUPPORT_OVERLAP_TOL), axis=1)
-    logs = np.log2(np.where(small, 1.0, w))
-    vals = -np.sum(np.where(small, 0.0, overlap * logs), axis=1) - s_rho
-    vals = np.where(bad, math.inf, vals)
-    return np.where((vals > -1e-9) & (vals < 0.0), 0.0, vals)
-
-
-def oracle_closest_product(rho, cfg: SearchConfig | None = None) -> OracleResult:
+def oracle_closest_product(rho) -> OracleResult:
     """Minimize S(rho || pA x pB) over product states.
 
     The six Bloch components are gridded on a coarse Cartesian lattice
@@ -324,15 +272,13 @@ def oracle_closest_product(rho, cfg: SearchConfig | None = None) -> OracleResult
     astronomically large in six dimensions), then refined with an
     axis-aligned pattern search projected back into the balls.
     """
-    cfg = cfg if cfg is not None else SearchConfig()
     a = check_density(rho)
     if a.shape != (4, 4):
         raise ValueError("oracle_closest_product expects a 4x4 state")
     s_rho = von_neumann_entropy(a)
 
-    n6 = max(3, cfg.coarse_grid_points_per_angle // 6)
-    if n6 % 2 == 0:
-        n6 += 1
+    # a sixth of the per-angle resolution, odd so the lattice holds 0: 5
+    n6 = GRID_POINTS_PER_ANGLE // 6 + 1
     axis = np.linspace(-1.0, 1.0, n6)
     pts = np.stack(np.meshgrid(*([axis] * 6), indexing="ij"), axis=-1).reshape(-1, 6)
     ok = (np.linalg.norm(pts[:, :3], axis=1) <= 1.0 + 1e-12) & (
@@ -340,14 +286,8 @@ def oracle_closest_product(rho, cfg: SearchConfig | None = None) -> OracleResult
     )
     pts = pts[ok]
 
-    vals = _rel_entropy_stack(a, _product_states(pts), s_rho)
-    evaluations = len(pts)
-    j = int(np.argmin(vals))
-    best_x, best_val = pts[j].copy(), float(vals[j])
-    history = [best_val]
-
     def evaluate(cand):
-        return _rel_entropy_stack(a, _product_states(cand), s_rho)
+        return _relative_entropy_stack(a, _product_states(cand), s_rho)
 
     def project(cand):
         out = cand.copy()
@@ -357,17 +297,13 @@ def oracle_closest_product(rho, cfg: SearchConfig | None = None) -> OracleResult
             out[:, sl] /= scale[:, None]
         return out
 
-    width0 = 2.0 / (n6 - 1)
-    x, val, hist, ev = _pattern_search(
-        best_x, best_val, width0, evaluate, _offsets(6, axes_only=True), cfg, project
-    )
-    evaluations += ev
-    for h in hist:
-        history.append(min(history[-1], h))
-
+    vals = evaluate(pts)
+    j = int(np.argmin(vals))
+    start = (pts[j], float(vals[j]), 2.0 / (n6 - 1))
+    x, value, evals, history = _refine([start], evaluate, _offsets(6, axes_only=True), project)
     return OracleResult(
         minimizer=_product_states(x[None, :])[0],
-        value=_clamp(val),
-        evaluations=evaluations,
-        history=np.array(history),
+        value=float(_clamp_residue(value)),
+        evaluations=len(pts) + evals,
+        history=history,
     )

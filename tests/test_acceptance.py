@@ -253,7 +253,7 @@ def test_criterion_9_oracle_certification(tmp_path):
 
         # the simplex-grid oracle certifies the 1 - h(lam_max) closed form
         rng = np.random.default_rng(5)
-        from belldyn.oracle import SearchConfig, oracle_closest_separable_bd
+        from belldyn.oracle import oracle_closest_separable_bd
 
         checked = 0
         while checked < 10:
@@ -261,7 +261,7 @@ def test_criterion_9_oracle_certification(tmp_path):
             if lam.max() <= 0.5 + 1e-12:
                 continue
             checked += 1
-            found = oracle_closest_separable_bd(lam, SearchConfig()).value
+            found = oracle_closest_separable_bd(lam).value
             assert abs(found - (1.0 - binary_entropy(float(lam.max())))) < 1e-3
 
     _run(9, "verify exits 0 on 100 seeded states with all closest-state "

@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 import subprocess
 import sys
 
@@ -282,8 +283,8 @@ def test_verify_failure_exits_4(tmp_path, monkeypatch, capsys):
 
     real = cli.oracle_closest_classical
 
-    def broken(rho, cfg):
-        res = real(rho, cfg)
+    def broken(rho, seed):
+        res = real(rho, seed)
         return OracleResult(res.minimizer, res.value + 0.01, res.evaluations, res.history)
 
     monkeypatch.setattr(cli, "oracle_closest_classical", broken)
@@ -293,3 +294,31 @@ def test_verify_failure_exits_4(tmp_path, monkeypatch, capsys):
     assert data["passed"] is False
     assert data["families"]["classical"]["worst_state"] is not None
     assert "classical" in capsys.readouterr().err
+
+
+def test_verify_catches_a_wrong_closed_form(tmp_path, monkeypatch, capsys):
+    # negative control on the analytic side: a closest classical state built
+    # on the second-largest |c_k| instead of the largest must fail
+    import belldyn.cli as cli
+    from belldyn.correlations import c_vector_of_spectrum
+    from belldyn.linalg import PAULI, tensor
+
+    def second_largest(lam):
+        c = c_vector_of_spectrum(lam).reshape(3)
+        m = int(np.argsort(-np.abs(c), kind="stable")[1])
+        return (np.eye(4, dtype=complex) + c[m] * tensor(PAULI[m], PAULI[m])) / 4.0
+
+    monkeypatch.setattr(cli, "closest_classical_bd", second_largest)
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--initial", "0.9,0.1,0,0", "--output", str(out)]) == 4
+    data = json.loads(out.read_text(encoding="utf-8"))
+    assert data["families"]["classical"]["max_discrepancy_bits"] > 0.4
+    assert "classical family" in capsys.readouterr().err
+
+
+def test_verify_stdout_is_pinned(capsys):
+    # verify --n 10 --seed 0 as captured before the oracles shared one
+    # refinement loop; every oracle value must keep its bits
+    pinned = pathlib.Path(__file__).parent / "data" / "verify_n10_seed0.json"
+    assert main(["verify", "--n", "10"]) == 0
+    assert capsys.readouterr().out == pinned.read_text(encoding="utf-8")

@@ -10,7 +10,6 @@ from belldyn.correlations import (
 from belldyn.dynamics import bell_spectrum_to_density, evolve_bell_spectrum
 from belldyn.linalg import dephase_in_basis, relative_entropy, trace_distance, von_neumann_entropy
 from belldyn.oracle import (
-    SearchConfig,
     oracle_closest_classical,
     oracle_closest_product,
     oracle_closest_separable_bd,
@@ -19,8 +18,6 @@ from belldyn.oracle import (
 LAM_FIG = np.array([0.9, 0.1, 0.0, 0.0])
 H09 = 0.4689955935892812
 GRID_TOL = 1e-3
-
-CFG = SearchConfig()
 
 
 def analytic_values(lam):
@@ -35,57 +32,56 @@ def analytic_values(lam):
 
 def test_classical_on_classical_input():
     chi = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
-    assert oracle_closest_classical(chi, CFG).value < 1e-9
+    assert oracle_closest_classical(chi).value < 1e-9
 
 
 def test_classical_on_fig_state():
-    res = oracle_closest_classical(bell_spectrum_to_density(LAM_FIG), CFG)
+    res = oracle_closest_classical(bell_spectrum_to_density(LAM_FIG))
     assert abs(res.value - (1 - H09)) < GRID_TOL
     assert trace_distance(res.minimizer, np.diag([0, 0.5, 0.5, 0])) < 1e-6
 
 
 def test_classical_on_maximally_mixed():
-    assert oracle_closest_classical(np.eye(4) / 4, CFG).value < 1e-9
+    assert oracle_closest_classical(np.eye(4) / 4).value < 1e-9
 
 
 def test_separable_examples():
-    res = oracle_closest_separable_bd([0.4, 0.3, 0.2, 0.1], CFG)
+    res = oracle_closest_separable_bd([0.4, 0.3, 0.2, 0.1])
     assert res.value < 1e-9
-    res = oracle_closest_separable_bd(LAM_FIG, CFG)
+    res = oracle_closest_separable_bd(LAM_FIG)
     assert abs(res.value - (1 - H09)) < GRID_TOL
-    res = oracle_closest_separable_bd([1.0, 0.0, 0.0, 0.0], CFG)
+    res = oracle_closest_separable_bd([1.0, 0.0, 0.0, 0.0])
     assert abs(res.value - 1.0) < GRID_TOL
 
 
 def test_product_examples():
     rho01 = np.zeros((4, 4), dtype=complex)
     rho01[1, 1] = 1.0
-    assert oracle_closest_product(rho01, CFG).value < 1e-9
+    assert oracle_closest_product(rho01).value < 1e-9
 
-    res = oracle_closest_product(bell_spectrum_to_density(LAM_FIG), CFG)
+    res = oracle_closest_product(bell_spectrum_to_density(LAM_FIG))
     assert abs(res.value - (2 - H09)) < GRID_TOL
     assert trace_distance(res.minimizer, np.eye(4) / 4) < 1e-2
 
     bell = bell_spectrum_to_density([0, 0, 1, 0])
-    assert abs(oracle_closest_product(bell, CFG).value - 2.0) < GRID_TOL
+    assert abs(oracle_closest_product(bell).value - 2.0) < GRID_TOL
 
 
 def test_product_on_mixed_product_state():
     a = np.diag([0.75, 0.25]).astype(complex)
     b = np.diag([0.4, 0.6]).astype(complex)
-    res = oracle_closest_product(np.kron(a, b), CFG)
+    res = oracle_closest_product(np.kron(a, b))
     assert res.value < 1e-9
 
 
 def test_deterministic_given_seed():
     rho = bell_spectrum_to_density([0.55, 0.3, 0.1, 0.05])
-    for fn, arg in (
-        (oracle_closest_classical, rho),
-        (oracle_closest_separable_bd, np.array([0.55, 0.3, 0.1, 0.05])),
-        (oracle_closest_product, rho),
+    for call in (
+        lambda: oracle_closest_classical(rho, seed=42),
+        lambda: oracle_closest_separable_bd(np.array([0.55, 0.3, 0.1, 0.05])),
+        lambda: oracle_closest_product(rho),
     ):
-        r1 = fn(arg, SearchConfig(seed=42))
-        r2 = fn(arg, SearchConfig(seed=42))
+        r1, r2 = call(), call()
         assert r1.value == r2.value
         assert r1.evaluations == r2.evaluations
         assert np.array_equal(r1.minimizer, r2.minimizer)
@@ -95,9 +91,9 @@ def test_deterministic_given_seed():
 def test_history_is_monotone():
     rho = bell_spectrum_to_density([0.7, 0.2, 0.06, 0.04])
     for res in (
-        oracle_closest_classical(rho, CFG),
-        oracle_closest_separable_bd([0.7, 0.2, 0.06, 0.04], CFG),
-        oracle_closest_product(rho, CFG),
+        oracle_closest_classical(rho),
+        oracle_closest_separable_bd([0.7, 0.2, 0.06, 0.04]),
+        oracle_closest_product(rho),
     ):
         assert np.all(np.diff(res.history) <= 0.0)
         assert res.value <= res.history[0]
@@ -110,9 +106,9 @@ def test_two_sided_certification_on_random_states():
         lam = rng.dirichlet(np.ones(4))
         rho = bell_spectrum_to_density(lam)
         d, e, t = analytic_values(lam)
-        oc = oracle_closest_classical(rho, CFG).value
-        os_ = oracle_closest_separable_bd(lam, CFG).value
-        op = oracle_closest_product(rho, CFG).value
+        oc = oracle_closest_classical(rho).value
+        os_ = oracle_closest_separable_bd(lam).value
+        op = oracle_closest_product(rho).value
         # the search may only match or beat the analytic candidate...
         assert oc <= d + 1e-9 and os_ <= e + 1e-9 and op <= t + 1e-9
         # ...and the analytic candidate must survive the grid resolution
@@ -145,7 +141,7 @@ def test_oracle_confirms_fresh_classical_construction_after_switch():
     tau = 0.5 * math.asin(math.sqrt(0.4))  # f = 0.2
     lam_t = evolve_bell_spectrum(LAM_FIG, tau)
     rho_t = bell_spectrum_to_density(lam_t)
-    res = oracle_closest_classical(rho_t, CFG)
+    res = oracle_closest_classical(rho_t)
     d_fresh = relative_entropy(rho_t, closest_classical_bd(lam_t))
     assert abs(res.value - d_fresh) < GRID_TOL
     assert res.value < (1 - H09) - 0.2  # well below the evolved-chi distance
@@ -155,6 +151,6 @@ def test_separable_oracle_value_matches_matrix_route():
     rng = np.random.default_rng(9)
     for _ in range(5):
         lam = rng.dirichlet(np.ones(4))
-        res = oracle_closest_separable_bd(lam, CFG)
+        res = oracle_closest_separable_bd(lam)
         direct = relative_entropy(bell_spectrum_to_density(lam), res.minimizer)
         assert abs(res.value - direct) < 1e-9
