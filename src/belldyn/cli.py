@@ -74,6 +74,8 @@ class RunConfig:
             raise InputError("--steps must be at least 2")
         if self.format not in ("csv", "json"):
             raise InputError("--format must be csv or json")
+        if self.seed < 0:
+            raise InputError("--seed must be non-negative")
 
     def grid(self) -> np.ndarray:
         # steps counts intervals, so the grid has steps+1 points and the
@@ -131,6 +133,9 @@ def _initial_from_dict(obj):
 
 def _normalized_spectrum(vals):
     a = np.asarray(vals, dtype=float)
+    # checked before summing, so huge entries cannot overflow the sum
+    if not np.all((a >= -1e-9) & (a <= 1.0 + 1e-9)):
+        raise InputError(f"initial spectrum entries must lie in [0, 1], got {vals!r}")
     total = float(a.sum())
     if abs(total - 1.0) > 1e-9:
         raise InputError(f"initial spectrum sums to {total!r}, expected 1")

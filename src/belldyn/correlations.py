@@ -13,7 +13,6 @@ witnessed via the partial transpose).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,10 +26,10 @@ from .dynamics import (
 from .linalg import (
     PAULI,
     _clamp_residue,
+    _relative_entropy_stack,
     _xlog2,
     check_density,
     partial_trace,
-    relative_entropy,
     tensor,
     von_neumann_entropy,
 )
@@ -51,9 +50,7 @@ def binary_entropy(x) -> float:
     if v < -1e-12 or v > 1.0 + 1e-12:
         raise ValueError(f"binary_entropy argument must be in [0, 1], got {v!r}")
     v = min(max(v, 0.0), 1.0)
-    if v == 0.0 or v == 1.0:
-        return 0.0
-    return float(-v * math.log2(v) - (1.0 - v) * math.log2(1.0 - v))
+    return float(0.0 - (_xlog2(v) + _xlog2(1.0 - v)))  # 0.0 - keeps h(0) = +0.0
 
 
 def correlation_c_vector(rho) -> np.ndarray:
@@ -205,19 +202,17 @@ def quantifier_report(rho) -> CorrelationReport:
     t = von_neumann_entropy(pi) - s_rho
     neg = negativity(a)
 
-    if residual < BELL_RESIDUAL_TOL:
+    bell_diagonal = residual < BELL_RESIDUAL_TOL
+    e = sig = None
+    if bell_diagonal:
         lam = np.clip(lam, 0.0, None)
         lam = validate_spectrum(lam / lam.sum())
         chi = closest_classical_bd(lam)
         sig = closest_separable_bd(lam)
-        s_chi = von_neumann_entropy(chi)
-        d = s_chi - s_rho
-        c = von_neumann_entropy(closest_product(chi)) - s_chi
-        e = relative_entropy(a, sig)
-        return CorrelationReport(t, d, c, e, pi, chi, sig, True, neg)
-
-    chi = oracle_closest_classical(a).minimizer
+        e = float(_relative_entropy_stack(a, sig[None], s_rho)[0])
+    else:
+        chi = oracle_closest_classical(a).minimizer
     s_chi = von_neumann_entropy(chi)
     d = s_chi - s_rho
     c = von_neumann_entropy(closest_product(chi)) - s_chi
-    return CorrelationReport(t, d, c, None, pi, chi, None, False, neg)
+    return CorrelationReport(t, d, c, e, pi, chi, sig, bell_diagonal, neg)

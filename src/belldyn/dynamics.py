@@ -35,6 +35,9 @@ BELL_VECTORS = np.array([
 
 BELL_RESIDUAL_TOL = 1e-8
 
+#: the basis swap |0> <-> |1> between the two single-qubit orderings
+_SWAP = np.array([[0, 1], [1, 0]], dtype=complex)
+
 
 def validate_spectrum(lam) -> np.ndarray:
     """Validate Bell-basis probability vectors (lam_1+, lam_1-, lam_2+, lam_2-).
@@ -95,52 +98,36 @@ def branch_unitary(phase, tau) -> np.ndarray:
     return np.array([[c, -e * s], [e * s, c]], dtype=complex)
 
 
-def _branch_unitary_comp(phase, tau) -> np.ndarray:
-    # Same operator re-expressed in the computational {|0>, |1>} ordering
-    # (conjugation by the basis swap).
-    e = _phase_sign(phase)
-    c, s = math.cos(float(tau)), math.sin(float(tau))
-    return np.array([[c, e * s], [-e * s, c]], dtype=complex)
+def _comp_branches(tau) -> list:
+    # the branch unitaries in the computational {|0>, |1>} ordering
+    return [_SWAP @ branch_unitary(p, tau) @ _SWAP for p in BRANCH_PHASES]
+
+
+def _branch_average(rho, name, ops) -> np.ndarray:
+    # equal-weight average of w rho w^dag over the branch operators ops
+    a = check_density(rho)
+    d = len(ops[0])
+    if a.shape != (d, d):
+        raise ValueError(f"{name} expects a {d}x{d} state")
+    return sum(w @ a @ w.conj().T for w in ops) / len(ops)
 
 
 def single_qubit_map(rho, tau) -> np.ndarray:
     """Equal-weight average of the two branch evolutions of a qubit state."""
-    a = check_density(rho)
-    if a.shape != (2, 2):
-        raise ValueError("single_qubit_map expects a 2x2 state")
-    out = np.zeros((2, 2), dtype=complex)
-    for p in BRANCH_PHASES:
-        u = _branch_unitary_comp(p, tau)
-        out += u @ a @ u.conj().T
-    return out / 2.0
+    return _branch_average(rho, "single_qubit_map", _comp_branches(tau))
 
 
 def two_qubit_map(rho, tau) -> np.ndarray:
     """Four-branch average (1/4) sum_ij (U_i x U_j) rho (U_i x U_j)^dag."""
-    a = check_density(rho)
-    if a.shape != (4, 4):
-        raise ValueError("two_qubit_map expects a 4x4 state")
-    out = np.zeros((4, 4), dtype=complex)
-    for pa in BRANCH_PHASES:
-        ua = _branch_unitary_comp(pa, tau)
-        for pb in BRANCH_PHASES:
-            w = tensor(ua, _branch_unitary_comp(pb, tau))
-            out += w @ a @ w.conj().T
-    return out / 4.0
+    u = _comp_branches(tau)
+    return _branch_average(rho, "two_qubit_map", [tensor(ua, ub) for ua in u for ub in u])
 
 
 def ancilla_evolve(rho, tau) -> np.ndarray:
     """Evolve only qubit B of a two-qubit state, qubit A acting as a
     noise-isolated ancilla: (1/2) sum_i (I x U_i) rho (I x U_i)^dag."""
-    a = check_density(rho)
-    if a.shape != (4, 4):
-        raise ValueError("ancilla_evolve expects a 4x4 state")
     eye = np.eye(2, dtype=complex)
-    out = np.zeros((4, 4), dtype=complex)
-    for p in BRANCH_PHASES:
-        w = tensor(eye, _branch_unitary_comp(p, tau))
-        out += w @ a @ w.conj().T
-    return out / 2.0
+    return _branch_average(rho, "ancilla_evolve", [tensor(eye, u) for u in _comp_branches(tau)])
 
 
 def evolve_bell_spectrum(lam, tau) -> np.ndarray:

@@ -19,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .correlations import bell_quantifiers
 from .dynamics import bell_spectrum_to_density, evolve_bell_spectrum, validate_spectrum
-from .linalg import _xlog2, trace_distance
+from .linalg import trace_distance
 
 CONVENTIONS = ("increase_counting", "literal")
 
@@ -29,17 +30,16 @@ def ancilla_entanglement(tau):
     """Entanglement E(tau) of the ancilla protocol, in bits.
 
     The evolved ancilla pair is cos^2(tau) |2+><2+| + sin^2(tau) |1-><1-|,
-    so E = 1 - h(max(cos^2 tau, sin^2 tau)) when the max exceeds 1/2 and 0
+    so E is `bell_quantifiers`' E of the spectrum (0, sin^2, cos^2, 0):
+    1 - h(max(cos^2 tau, sin^2 tau)) when the max exceeds 1/2 and 0
     otherwise. Accepts scalars or arrays.
     """
     t = np.asarray(tau, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("tau must be non-negative")
-    p = np.maximum(np.cos(t) ** 2, np.sin(t) ** 2)
-    q = np.clip(p, 0.0, 1.0)
-    h = -(_xlog2(q) + _xlog2(1.0 - q))
-    e = np.where(p > 0.5, 1.0 - h, 0.0)
-    return float(e) if np.isscalar(tau) or np.ndim(tau) == 0 else e
+    if not np.all((t >= 0.0) & (t < math.inf)):
+        raise ValueError("tau must be finite and non-negative")
+    zero = np.zeros_like(t)
+    e = bell_quantifiers(np.stack([zero, np.sin(t) ** 2, np.cos(t) ** 2, zero], axis=-1))[3]
+    return float(e) if e.ndim == 0 else e
 
 
 @dataclass(frozen=True)
@@ -136,45 +136,33 @@ def detect_frozen_intervals(tau_grid, values, tol: float = 1e-6):
     return out
 
 
-def detect_switching_times(lam0, tau_max, n_points: int = 2001):
-    """Times where the Bell label of the second-largest coefficient
-    changes, bracketed on a grid and refined by bisection to 1e-9.
-    Permanent ties (e.g. the maximally mixed spectrum) yield no switches."""
+def detect_switching_times(lam0, tau_max):
+    """Times in (0, tau_max] where the Bell label of the second-largest
+    coefficient changes, in closed form.
+
+    Every coefficient is linear in f = mixing_fraction(tau), so each pair
+    of labels crosses at most once in f, at one linear solve; a crossing
+    is a switch when the second-largest label differs on its two sides. A
+    switch at f* = f(theta) recurs at k pi/2 + theta and (k+1) pi/2 - theta.
+    f only touches 0 and 1/2 (at tau = k pi/4) without crossing them, so a
+    tie there, such as two partners meeting at tau = pi/4, is no switch;
+    neither is a permanent tie (e.g. the maximally mixed spectrum).
+    """
     lam = validate_spectrum(lam0).reshape(4)
     if not 0.0 < tau_max < math.inf:
         raise ValueError("tau_max must be positive and finite")
-    if n_points < 2:
-        raise ValueError("n_points must be >= 2")
-    grid = np.linspace(0.0, float(tau_max), n_points)
-    spectra = evolve_bell_spectrum(lam, grid)
-    second = np.argsort(-spectra, axis=1, kind="stable")[:, 1]
-
-    times = []
-    for k in np.nonzero(np.diff(second))[0]:
-        a, b = int(second[k]), int(second[k + 1])
-        lo, hi = float(grid[k]), float(grid[k + 1])
-
-        def gap(t):
-            s = evolve_bell_spectrum(lam, t)
-            return s[a] - s[b]
-
-        glo, ghi = gap(lo), gap(hi)
-        if glo == ghi or glo * ghi > 0:
-            times.append(0.5 * (lo + hi))
-            continue
-        while hi - lo > 1e-9:
-            mid = 0.5 * (lo + hi)
-            if (gap(mid) > 0) == (glo > 0):
-                lo = mid
-            else:
-                hi = mid
-        times.append(0.5 * (lo + hi))
-
-    deduped = []
-    for t in times:
-        if not deduped or t - deduped[-1] > 1e-9:
-            deduped.append(t)
-    return deduped
+    i, j = np.triu_indices(4, 1)
+    half = evolve_bell_spectrum(lam, math.pi / 4)  # the spectrum at f = 1/2
+    g0, g1 = lam[i] - lam[j], half[i] - half[j]  # gaps of each pair at f = 0, 1/2
+    inside = g0 * g1 < 0  # the gap changes sign strictly inside (0, 1/2)
+    roots = np.unique(0.5 * g0[inside] / (g0[inside] - g1[inside]))
+    ends = np.concatenate([[0.0], roots, [0.5]])
+    mid = 0.5 * np.arcsin(np.sqrt(ends[:-1] + ends[1:]))  # tau at each midpoint f
+    second = np.argsort(-evolve_bell_spectrum(lam, mid), axis=1, kind="stable")[:, 1]
+    theta = 0.5 * np.arcsin(np.sqrt(2.0 * roots[second[1:] != second[:-1]]))
+    k = np.arange(int(tau_max // (math.pi / 2)) + 1)[:, None] * (math.pi / 2)
+    times = np.concatenate([k + theta, k + math.pi / 2 - theta], axis=None)
+    return sorted(times[(times > 0.0) & (times <= tau_max)].tolist())
 
 
 def detect_death_revival(tau_grid, e_values, threshold: float = 1e-12, refine=None):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import pathlib
@@ -209,6 +210,8 @@ BAD_INPUTS = [
     ["composition", "nan", "1"],
     ["composition", "0", "nan"],
     ["composition", "0", "inf"],
+    ["verify", "--n", "1", "--seed", "-1"],
+    ["evolve", "--initial", "1e308,1e308,-1e308,-1e308"],
 ]
 
 
@@ -221,6 +224,18 @@ def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_overflowing_initial_gives_one_stderr_line():
+    # a subprocess, because pytest's warning capture would hide a numpy
+    # overflow warning printed ahead of the error line
+    cp = subprocess.run(
+        [sys.executable, "-m", "belldyn", "evolve", "--initial", "1e308,1e308,-1e308,-1e308"],
+        capture_output=True, text=True,
+    )
+    assert cp.returncode == 2
+    assert cp.stdout == ""
+    assert cp.stderr.startswith("error: ") and cp.stderr.count("\n") == 1
 
 
 def test_composition_mixed_state_is_zero(tmp_path):
@@ -322,3 +337,20 @@ def test_verify_stdout_is_pinned(capsys):
     pinned = pathlib.Path(__file__).parent / "data" / "verify_n10_seed0.json"
     assert main(["verify", "--n", "10"]) == 0
     assert capsys.readouterr().out == pinned.read_text(encoding="utf-8")
+
+
+#: sha256 of stdout at the default settings, captured before the ancilla
+#: entanglement (figure3's E_anc and I_E) went through bell_quantifiers;
+#: evolve and figure2 print the same trajectory
+TRAJECTORY_SHA256 = {
+    "evolve": "7d9dfdfa566b77af2cb67c5c02bc72b1750ec0e26f025014a12ecc2044d91b5f",
+    "figure2": "7d9dfdfa566b77af2cb67c5c02bc72b1750ec0e26f025014a12ecc2044d91b5f",
+    "figure3": "c9963267bce5f519cd013be225cea6365f4af18a087015d2d74ca4b5a34cb0df",
+}
+
+
+@pytest.mark.parametrize("command", sorted(TRAJECTORY_SHA256))
+def test_trajectory_stdout_is_pinned(command, capsys):
+    assert main([command]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == TRAJECTORY_SHA256[command]

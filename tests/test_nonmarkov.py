@@ -127,6 +127,25 @@ def test_switching_times():
     assert abs(times2[0] - TAU_SWITCH) < 1e-9
 
 
+@pytest.mark.parametrize("lam0", [
+    [0.1, 0.0, 0.0, 0.9],  # partners meet at f = 1/2 (tau = pi/4) without crossing
+    [1.0, 0.0, 0.0, 0.0],  # three labels tied at f = 0 (tau = k pi/2)
+    [0.4, 0.3, 0.0, 0.3],  # a tie at f = 0 and partners meeting at f = 1/2
+])
+def test_switching_times_ignore_ties_where_f_only_touches(lam0):
+    assert detect_switching_times(lam0, math.pi) == []
+
+
+def test_switching_times_of_the_figure_state_are_exact():
+    times = detect_switching_times(LAM_FIG, math.pi)
+    want = [TAU_SWITCH, math.pi / 2 - TAU_SWITCH, math.pi / 2 + TAU_SWITCH, math.pi - TAU_SWITCH]
+    assert len(times) == 4
+    assert max(abs(t - w) for t, w in zip(times, want)) < 1e-15
+    assert detect_switching_times(LAM_FIG, TAU_SWITCH) == [TAU_SWITCH]
+    with pytest.raises(ValueError):
+        detect_switching_times(LAM_FIG, math.inf)
+
+
 def test_death_revival_ancilla_point():
     grid = np.linspace(0, math.pi / 2, 2001)
     out = detect_death_revival(grid, ancilla_entanglement(grid), threshold=1e-12)

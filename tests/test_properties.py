@@ -16,7 +16,11 @@ from belldyn.dynamics import (  # noqa: E402
     evolve_bell_spectrum,
     two_qubit_map,
 )
-from belldyn.nonmarkov import CONVENTIONS, nonmarkovianity_measure  # noqa: E402
+from belldyn.nonmarkov import (  # noqa: E402
+    CONVENTIONS,
+    detect_switching_times,
+    nonmarkovianity_measure,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -67,3 +71,33 @@ def test_accumulated_non_markovianity_never_decreases(steps, convention):
     trace = nonmarkovianity_measure(grid, convention)
     assert trace.i_e[0] == 0.0
     assert np.all(np.diff(trace.i_e) >= 0.0)
+
+
+def _second_label(lam0, tau):
+    return np.argsort(-evolve_bell_spectrum(lam0, tau), axis=-1, kind="stable")[..., 1]
+
+
+# Weights up to 100 keep distinct crossings at least ~1e-5 apart in f, so a
+# 1e-7 step to either side of a switch crosses no other crossing.
+small_spectra = st.lists(st.integers(0, 100), min_size=4, max_size=4).filter(any).map(
+    lambda w: np.array(w, dtype=float) / sum(w)
+)
+
+
+@PROPERTY_SETTINGS
+@given(small_spectra, st.floats(0.1, 7.0))
+def test_switching_times_are_exactly_the_label_changes(lam0, tau_max):
+    times = detect_switching_times(lam0, tau_max)
+    assert times == sorted(times) and all(0.0 < t <= tau_max for t in times)
+    for t in times:
+        assert _second_label(lam0, t - 1e-7) != _second_label(lam0, t + 1e-7)
+    # Between consecutive times the label is constant. Points within 1e-9 of
+    # a returned time or of k pi/4 are left out: labels tie there, and f only
+    # touches 0 or 1/2 at k pi/4, so a tie there is not a switch.
+    marks = np.concatenate([np.arange(0.0, tau_max + 1.0, math.pi / 4), times])
+    grid = np.linspace(0.0, tau_max, 20001)
+    grid = grid[np.min(np.abs(grid[:, None] - marks), axis=1) > 1e-9]
+    labels = _second_label(lam0, grid)
+    segment = np.searchsorted(np.asarray(times), grid)
+    for k in np.unique(segment):
+        assert np.unique(labels[segment == k]).size == 1
