@@ -90,6 +90,11 @@ def _relative_entropy_stack(rho, sigmas, s_rho):
     s_rho = S(rho); inputs are not validated. +inf where sigma's support
     misses rho (see `relative_entropy`)."""
     w, v = np.linalg.eigh(sigmas)
+    return _relative_entropy_tail(rho, w, v, s_rho)
+
+
+def _relative_entropy_tail(rho, w, v, s_rho):
+    """`_relative_entropy_stack` given the sigmas' eigendecompositions (w, v)."""
     overlap = np.clip(np.real(np.einsum("nik,ij,njk->nk", v.conj(), rho, v)), 0.0, None)
     small = w < SUPPORT_CUTOFF
     bad = np.any(small & (overlap > SUPPORT_OVERLAP_TOL), axis=1)

@@ -18,6 +18,7 @@ Three families are covered:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import product as _iterproduct
@@ -29,6 +30,7 @@ from .linalg import (
     PAULI,
     _clamp_residue,
     _relative_entropy_stack,
+    _relative_entropy_tail,
     _xlog2,
     check_density,
     dephase_in_basis,
@@ -68,34 +70,47 @@ def _refine(starts, evaluate, offsets, project=None):
     """Shrinking pattern search from each (x0, value0, width0) start.
 
     Each search moves to its best candidate whenever that improves, and
-    otherwise shrinks its pattern width. Returns the best point and value
-    over all starts, the number of objective evaluations, and the
-    best-so-far value after each step (non-increasing), led by the first
-    start's value.
+    otherwise shrinks its pattern width. The searches run in lockstep, one
+    `evaluate` call per step on the stacked candidates of those still
+    running; the objectives are row-independent, so each ends as if run
+    alone. Returns the best point and value over all starts, the number of
+    objective evaluations, and the best-so-far value after each step
+    (non-increasing), led by the first start's value.
     """
-    best_x, best = starts[0][0], starts[0][1]
-    trace = [best]
-    evals = 0
-    for x0, value0, width0 in starts:
-        x, value, width = np.asarray(x0, dtype=float), float(value0), float(width0)
-        trace.append(value)
-        for _ in range(REFINEMENT_ITERATIONS):
-            if width < _MIN_WIDTH:
-                break
-            cand = x[None, :] + width * offsets
-            if project is not None:
-                cand = project(cand)
-            vals = evaluate(cand)
-            evals += len(cand)
-            j = int(np.argmin(vals))
-            if vals[j] < value:
-                value, x = float(vals[j]), cand[j].copy()
+    xs = [np.asarray(x0, dtype=float) for x0, _, _ in starts]
+    values = [float(value0) for _, value0, _ in starts]
+    widths = [float(width0) for _, _, width0 in starts]
+    traces = [[value] for value in values]
+    evals, m = 0, len(offsets)
+    for _ in range(REFINEMENT_ITERATIONS):
+        active = [i for i, width in enumerate(widths) if width >= _MIN_WIDTH]
+        if not active:
+            break
+        cand = np.concatenate([xs[i][None, :] + widths[i] * offsets for i in active])
+        if project is not None:
+            cand = project(cand)
+        vals = evaluate(cand).reshape(len(active), m)
+        evals += len(cand)
+        for k, (i, j) in enumerate(zip(active, np.argmin(vals, axis=1))):
+            if vals[k, j] < values[i]:
+                values[i], xs[i] = float(vals[k, j]), cand[k * m + j].copy()
             else:
-                width *= REFINEMENT_SHRINK
-            trace.append(value)
+                widths[i] *= REFINEMENT_SHRINK
+            traces[i].append(values[i])
+    best_x, best = starts[0][0], starts[0][1]
+    for x, value in zip(xs, values):
         if value < best:
             best_x, best = x, value
-    return best_x, best, evals, np.minimum.accumulate(trace)
+    history = [starts[0][1]] + [value for trace in traces for value in trace]
+    return best_x, best, evals, np.minimum.accumulate(history)
+
+
+def _frozen(*arrays):
+    # state-independent grid work is cached per process; an oracle may hand
+    # a grid row back as its best point, so no caller may write to it
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
 
 
 # ---------------------------------------------------------------------------
@@ -130,11 +145,26 @@ def _dephased_entropy(alpha, beta, kappa):
     return h
 
 
-def _classical_values_grid(a_vec, b_vec, corr, ua, ub, s_rho):
-    alpha = ua @ a_vec
-    beta = ub @ b_vec
-    kappa = ua @ corr @ ub.T
-    return _dephased_entropy(alpha[:, None], beta[None, :], kappa) - s_rho
+@functools.cache
+def _direction_grid():
+    # (theta, phi) of each grid direction and its unit vector
+    n = GRID_POINTS_PER_ANGLE
+    thetas = np.linspace(0.0, math.pi, n)
+    phis = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    th, ph = (g.ravel() for g in np.meshgrid(thetas, phis, indexing="ij"))
+    return _frozen(th, ph, _directions(th, ph))
+
+
+def _classical_values_grid(a_vec, b_vec, corr, u, s_rho):
+    # all pairs of grid directions, in row blocks whose temporaries fit in cache
+    alpha = u @ a_vec
+    beta = u @ b_vec
+    kappa = u @ corr @ u.T
+    out = np.empty_like(kappa)
+    for r in range(0, len(u), GRID_POINTS_PER_ANGLE):
+        rows = slice(r, r + GRID_POINTS_PER_ANGLE)
+        out[rows] = _dephased_entropy(alpha[rows, None], beta[None, :], kappa[rows]) - s_rho
+    return out
 
 
 def _classical_values_quads(a_vec, b_vec, corr, quads, s_rho):
@@ -160,36 +190,26 @@ def oracle_closest_classical(rho, seed: int = 0) -> OracleResult:
     a_vec, b_vec, corr = _pauli_data(a)
     s_rho = von_neumann_entropy(a)
 
-    n = GRID_POINTS_PER_ANGLE
-    thetas = np.linspace(0.0, math.pi, n)
-    phis = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    th, ph = (g.ravel() for g in np.meshgrid(thetas, phis, indexing="ij"))
-    u = _directions(th, ph)
-
-    grid = _classical_values_grid(a_vec, b_vec, corr, u, u, s_rho)
-    evaluations = grid.size
+    th, ph, u = _direction_grid()
+    grid = _classical_values_grid(a_vec, b_vec, corr, u, s_rho)
     ia, ib = np.unravel_index(int(np.argmin(grid)), grid.shape)
     grid_x = np.array([th[ia], ph[ia], th[ib], ph[ib]])
 
     def evaluate(quads):
         return _classical_values_quads(a_vec, b_vec, corr, quads, s_rho)
 
-    width0 = max(math.pi / (n - 1), 2.0 * math.pi / n)
+    width0 = max(math.pi / (GRID_POINTS_PER_ANGLE - 1), 2.0 * math.pi / GRID_POINTS_PER_ANGLE)
     rng = np.random.default_rng(seed)
+    spans = (math.pi, 2.0 * math.pi, math.pi, 2.0 * math.pi)
+    restarts = np.array([[rng.uniform(0.0, hi) for hi in spans] for _ in range(2)])
     starts = [(grid_x, float(grid[ia, ib]), width0)]
-    for _ in range(2):
-        x = np.array([
-            rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi),
-            rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi),
-        ])
-        evaluations += 1
-        starts.append((x, float(evaluate(x[None, :])[0]), math.pi / 4.0))
+    starts += [(x, float(v), math.pi / 4.0) for x, v in zip(restarts, evaluate(restarts))]
 
     x, value, evals, history = _refine(starts, evaluate, _offsets(4))
     return OracleResult(
         minimizer=dephase_in_basis(a, x),
         value=float(_clamp_residue(value)),
-        evaluations=evaluations + evals,
+        evaluations=grid.size + len(restarts) + evals,
         history=history,
     )
 
@@ -197,23 +217,33 @@ def oracle_closest_classical(rho, seed: int = 0) -> OracleResult:
 # ---------------------------------------------------------------------------
 # closest separable Bell-diagonal state
 
-def _separable_values(lam, q3):
-    # q3: (N, 3) grid over the first three coefficients; the fourth is fixed
-    # by normalization. Bell-diagonal pairs commute, so
-    # S(rho || sigma) = sum_i lam_i log2(lam_i / q_i).
+def _separable_values(lam, log_q):
+    # Bell-diagonal pairs commute, so S(rho || sigma) = sum_i lam_i log2(lam_i / q_i)
+    vals = np.zeros(len(log_q))
+    for i, li in enumerate(lam):
+        if li > 0.0:
+            vals = vals + li * (np.log2(li) - log_q[:, i])
+    return vals
+
+
+def _simplex_log_q(q3):
+    # q3: (N, 3) points over the first three coefficients, the fourth fixed
+    # by normalization. Returns log2 of the clipped q, -inf where q < 1e-15
+    # (sigma misses rho's support: +inf away), and which rows are separable.
     q4 = 1.0 - q3.sum(axis=1)
     q = np.column_stack([q3, q4])
     feasible = np.all((q > -1e-12) & (q < 0.5 + 1e-12), axis=1)
     q = np.clip(q, 0.0, 0.5)
-    vals = np.zeros(len(q))
-    for i, li in enumerate(lam):
-        if li <= 0.0:
-            continue
-        qi = q[:, i]
-        with np.errstate(divide="ignore"):
-            term = li * (np.log2(li) - np.log2(np.where(qi > 0.0, qi, 1.0)))
-        vals = vals + np.where(qi < 1e-15, math.inf, term)
-    return _clamp_residue(np.where(feasible, vals, math.inf))
+    return np.where(q < 1e-15, -math.inf, np.log2(np.where(q > 0.0, q, 1.0))), feasible
+
+
+@functools.cache
+def _simplex_grid():
+    # the simplex grid over (q1, q2, q3), its separable rows and their log2 q
+    axis = np.linspace(0.0, 0.5, int(round(0.5 / SIMPLEX_GRID_STEP)) + 1)
+    q3 = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    log_q, feasible = _simplex_log_q(q3)
+    return _frozen(q3, np.flatnonzero(feasible), log_q[feasible])
 
 
 def oracle_closest_separable_bd(lam) -> OracleResult:
@@ -222,18 +252,20 @@ def oracle_closest_separable_bd(lam) -> OracleResult:
     simplex-grid enumeration plus pattern refinement."""
     a = validate_spectrum(lam).reshape(4)
 
-    axis = np.linspace(0.0, 0.5, int(round(0.5 / SIMPLEX_GRID_STEP)) + 1)
-    q3 = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
-    vals = _separable_values(a, q3)
-    j = int(np.argmin(vals))
+    # only the separable rows are scored: the others are +inf, and the row
+    # (1/4, 1/4, 1/4) is finite, so the first minimum lies among them
+    q3, rows, log_q = _simplex_grid()
+    vals = _clamp_residue(_separable_values(a, log_q))
+    k = int(np.argmin(vals))
 
     def evaluate(cand):
-        return _separable_values(a, cand)
+        log_q, feasible = _simplex_log_q(cand)
+        return _clamp_residue(np.where(feasible, _separable_values(a, log_q), math.inf))
 
     def project(cand):
         return np.clip(cand, 0.0, 0.5)
 
-    start = (q3[j], float(vals[j]), SIMPLEX_GRID_STEP)
+    start = (q3[rows[k]], float(vals[k]), SIMPLEX_GRID_STEP)
     x, value, evals, history = _refine([start], evaluate, _offsets(3), project)
 
     q4 = max(0.0, 1.0 - float(x.sum()))
@@ -264,6 +296,17 @@ def _product_states(params):
     return np.einsum("nab,ncd->nacbd", qa, qb).reshape(n, 4, 4)
 
 
+@functools.cache
+def _product_grid():
+    # lattice points in both Bloch balls and the eigendecompositions of their
+    # product states; a sixth of the per-angle resolution, odd so the lattice
+    # holds 0: 5 points per axis
+    axis = np.linspace(-1.0, 1.0, GRID_POINTS_PER_ANGLE // 6 + 1)
+    pts = np.stack(np.meshgrid(*([axis] * 6), indexing="ij"), axis=-1).reshape(-1, 6)
+    pts = pts[np.all(np.linalg.norm(pts.reshape(-1, 2, 3), axis=2) <= 1.0 + 1e-12, axis=1)]
+    return _frozen(pts, *np.linalg.eigh(_product_states(pts)))
+
+
 def oracle_closest_product(rho) -> OracleResult:
     """Minimize S(rho || pA x pB) over product states.
 
@@ -277,15 +320,6 @@ def oracle_closest_product(rho) -> OracleResult:
         raise ValueError("oracle_closest_product expects a 4x4 state")
     s_rho = von_neumann_entropy(a)
 
-    # a sixth of the per-angle resolution, odd so the lattice holds 0: 5
-    n6 = GRID_POINTS_PER_ANGLE // 6 + 1
-    axis = np.linspace(-1.0, 1.0, n6)
-    pts = np.stack(np.meshgrid(*([axis] * 6), indexing="ij"), axis=-1).reshape(-1, 6)
-    ok = (np.linalg.norm(pts[:, :3], axis=1) <= 1.0 + 1e-12) & (
-        np.linalg.norm(pts[:, 3:], axis=1) <= 1.0 + 1e-12
-    )
-    pts = pts[ok]
-
     def evaluate(cand):
         return _relative_entropy_stack(a, _product_states(cand), s_rho)
 
@@ -297,9 +331,10 @@ def oracle_closest_product(rho) -> OracleResult:
             out[:, sl] /= scale[:, None]
         return out
 
-    vals = evaluate(pts)
+    pts, w, v = _product_grid()
+    vals = _relative_entropy_tail(a, w, v, s_rho)
     j = int(np.argmin(vals))
-    start = (pts[j], float(vals[j]), 2.0 / (n6 - 1))
+    start = (pts[j], float(vals[j]), 2.0 / (GRID_POINTS_PER_ANGLE // 6))  # the lattice step
     x, value, evals, history = _refine([start], evaluate, _offsets(6, axes_only=True), project)
     return OracleResult(
         minimizer=_product_states(x[None, :])[0],

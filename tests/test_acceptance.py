@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. Every tolerance is pinned here, not configurable.
 """
 
+import hashlib
 import json
 import math
 
@@ -37,6 +38,9 @@ H09 = 0.4689955935892812
 TAU_SWITCH = 0.5 * math.asin(math.sqrt(0.2))
 DEATH_LO = 0.5 * math.asin(math.sqrt(8.0 / 9.0))
 DEATH_HI = (math.pi - math.asin(math.sqrt(8.0 / 9.0))) / 2.0
+#: sha256 of the `verify --n 100 --seed 0` report, captured before the
+#: oracles ran their restarts in lockstep
+VERIFY_N100_SHA256 = "dbb4535bb25f024b4cce37c272d0a36fc6d15cc538bf4d46580f0bb918d40b4d"
 
 
 def _run(number, description, body):
@@ -246,6 +250,7 @@ def test_criterion_9_oracle_certification(tmp_path):
         out = tmp_path / "verify.json"
         code = main(["verify", "--n", "100", "--seed", "0", "--output", str(out)])
         assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_N100_SHA256
         data = json.loads(out.read_text(encoding="utf-8"))
         assert data["passed"] is True and data["n"] == 100
         for family in ("classical", "separable", "product"):

@@ -1,6 +1,9 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
+import pytest
 
 from belldyn.correlations import (
     binary_entropy,
@@ -10,6 +13,14 @@ from belldyn.correlations import (
 from belldyn.dynamics import bell_spectrum_to_density, evolve_bell_spectrum
 from belldyn.linalg import dephase_in_basis, relative_entropy, trace_distance, von_neumann_entropy
 from belldyn.oracle import (
+    _MIN_WIDTH,
+    REFINEMENT_ITERATIONS,
+    REFINEMENT_SHRINK,
+    _direction_grid,
+    _offsets,
+    _product_grid,
+    _refine,
+    _simplex_grid,
     oracle_closest_classical,
     oracle_closest_product,
     oracle_closest_separable_bd,
@@ -154,3 +165,100 @@ def test_separable_oracle_value_matches_matrix_route():
         res = oracle_closest_separable_bd(lam)
         direct = relative_entropy(bell_spectrum_to_density(lam), res.minimizer)
         assert abs(res.value - direct) < 1e-9
+
+
+def _sequential_refine(starts, evaluate, offsets, project=None):
+    # one search after the other, as `_refine` ran before its lockstep form;
+    # also returns the number of steps each start took
+    best_x, best = starts[0][0], starts[0][1]
+    trace, evals, steps = [best], 0, []
+    for x0, value0, width0 in starts:
+        x, value, width = np.asarray(x0, dtype=float), float(value0), float(width0)
+        trace.append(value)
+        n = 0
+        while n < REFINEMENT_ITERATIONS and width >= _MIN_WIDTH:
+            cand = x[None, :] + width * offsets
+            if project is not None:
+                cand = project(cand)
+            vals = evaluate(cand)
+            evals += len(cand)
+            j = int(np.argmin(vals))
+            if vals[j] < value:
+                value, x = float(vals[j]), cand[j].copy()
+            else:
+                width *= REFINEMENT_SHRINK
+            trace.append(value)
+            n += 1
+        steps.append(n)
+        if value < best:
+            best_x, best = x, value
+    return best_x, best, evals, np.minimum.accumulate(trace), steps
+
+
+def test_lockstep_refine_matches_one_search_after_another():
+    wells = np.array([[0.5, -0.25], [-0.75, 1.0], [2.0, 2.0]])
+    depth = np.array([0.0, 0.0, 1.0])
+
+    def evaluate(cand):
+        # three quadratic wells: two of depth 0 (a tie) and one of depth 1
+        d2 = np.sum((cand[:, None, :] - wells[None]) ** 2, axis=2)
+        return np.min(d2 + depth, axis=1)
+
+    def start(x, width):
+        x = np.array(x)
+        return x, float(evaluate(x[None])[0]), width
+
+    scenarios = {
+        # converges to the depth-1 well, then to a depth-0 well in fewer
+        # steps; the second start wins
+        "different_steps": [start([2.2, 1.9], 0.5), start([0.5, -0.25], 1e-9)],
+        # far from every well with a small width: runs out of iterations
+        "iteration_cap": [start([40.0, -30.0], 1e-3), start([2.1, 2.0], 0.25)],
+        # a start value below every candidate never improves and only shrinks
+        "never_improves": [(np.array([0.0, 0.0]), -1.0, 0.5), start([1.0, 1.0], 0.5)],
+        # two starts settle in different wells of equal depth: the earlier wins
+        "tie": [start([2.0, 2.5], 0.5), start([0.25, -0.25], 0.25),
+                start([-0.75, 0.75], 0.25)],
+    }
+    steps_seen = {}
+    for name, starts in scenarios.items():
+        for project in (None, lambda c: np.clip(c, -1.0, 1.5)):
+            want = _sequential_refine(starts, evaluate, _offsets(2), project)
+            got = _refine(starts, evaluate, _offsets(2), project)
+            assert np.array_equal(got[0], want[0]), name
+            assert got[1] == want[1] and got[2] == want[2], name
+            assert np.array_equal(got[3], want[3]), name
+            if project is None:
+                steps_seen[name] = want
+    # the scenarios exercise what their names say
+    assert len(set(steps_seen["different_steps"][4])) == 2
+    assert REFINEMENT_ITERATIONS in steps_seen["iteration_cap"][4]
+    assert steps_seen["never_improves"][1] == -1.0
+    tie = steps_seen["tie"]
+    assert tie[1] == 0.0 and np.array_equal(tie[0], wells[0])
+
+
+def test_cached_grids_are_read_only():
+    # the maximally mixed state scores 0 at its grid start, so the separable
+    # and product searches never move and hand a cached row back as their
+    # best point
+    oracle_closest_classical(np.eye(4) / 4)
+    oracle_closest_separable_bd([0.25, 0.25, 0.25, 0.25])
+    oracle_closest_product(np.eye(4) / 4)
+    for build in (_direction_grid, _simplex_grid, _product_grid):
+        assert build.cache_info().currsize == 1
+        for arr in build():
+            with pytest.raises(ValueError):
+                arr.reshape(-1)[0] = 0
+
+
+def test_grid_caches_are_built_lazily():
+    code = (
+        "import belldyn.cli\n"
+        "from belldyn import oracle\n"
+        "print([f.cache_info().currsize for f in "
+        "(oracle._direction_grid, oracle._simplex_grid, oracle._product_grid)])\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[0, 0, 0]"
