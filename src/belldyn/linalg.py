@@ -86,20 +86,21 @@ def _clamp_residue(x):
 
 
 def _relative_entropy_stack(rho, sigmas, s_rho):
-    """S(rho || sigma) in bits for each sigma of an (N, d, d) stack, given
-    s_rho = S(rho); inputs are not validated. +inf where sigma's support
-    misses rho (see `relative_entropy`)."""
+    """S(rho || sigma) in bits for each sigma of an (..., d, d) stack, given
+    s_rho = S(rho); rho and s_rho broadcast against the stack's leading
+    axes. Inputs are not validated. +inf where sigma's support misses rho
+    (see `relative_entropy`)."""
     w, v = np.linalg.eigh(sigmas)
     return _relative_entropy_tail(rho, w, v, s_rho)
 
 
 def _relative_entropy_tail(rho, w, v, s_rho):
     """`_relative_entropy_stack` given the sigmas' eigendecompositions (w, v)."""
-    overlap = np.clip(np.real(np.einsum("nik,ij,njk->nk", v.conj(), rho, v)), 0.0, None)
+    overlap = np.clip(np.real(np.einsum("...ik,...ij,...jk->...k", v.conj(), rho, v)), 0.0, None)
     small = w < SUPPORT_CUTOFF
-    bad = np.any(small & (overlap > SUPPORT_OVERLAP_TOL), axis=1)
+    bad = np.any(small & (overlap > SUPPORT_OVERLAP_TOL), axis=-1)
     logs = np.log2(np.where(small, 1.0, w))
-    vals = -np.sum(np.where(small, 0.0, overlap * logs), axis=1) - s_rho
+    vals = -np.sum(np.where(small, 0.0, overlap * logs), axis=-1) - s_rho
     return _clamp_residue(np.where(bad, math.inf, vals))
 
 

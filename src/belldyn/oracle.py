@@ -14,6 +14,9 @@ Three families are covered:
 * separable Bell-diagonal states (all coefficients <= 1/2), searched on
   the simplex grid;
 * product states, parametrized by two Bloch vectors of norm <= 1.
+
+Each family's `*_batch` function searches a list of states with all their
+refinements in lockstep; the one-state functions call it with one state.
 """
 
 from __future__ import annotations
@@ -66,43 +69,59 @@ def _offsets(dim: int, axes_only: bool = False) -> np.ndarray:
     return np.array(rows)
 
 
-def _refine(starts, evaluate, offsets, project=None):
+def _refine(starts, evaluate, offsets, project=None, owner=None):
     """Shrinking pattern search from each (x0, value0, width0) start.
 
-    Each search moves to its best candidate whenever that improves, and
-    otherwise shrinks its pattern width. The searches run in lockstep, one
-    `evaluate` call per step on the stacked candidates of those still
-    running; the objectives are row-independent, so each ends as if run
-    alone. Returns the best point and value over all starts, the number of
-    objective evaluations, and the best-so-far value after each step
-    (non-increasing), led by the first start's value.
+    Start i searches state owner[i]. Each search moves to its best candidate
+    whenever that improves, and otherwise shrinks its pattern width. All
+    searches run in lockstep, one `evaluate(cand, owner)` call per step on
+    the (search, offset, coordinate) stack of those still running and the
+    state of each; the objectives are row-independent, so each search ends
+    as if run alone. Returns per state the best point and value over its
+    starts (the earliest wins a tie), the number of objective evaluations,
+    and the best-so-far value after each step (non-increasing), led by its
+    first start's value. Without `owner` all starts search one state,
+    `evaluate` takes the candidates as rows, and that state's tuple is
+    returned.
     """
-    xs = [np.asarray(x0, dtype=float) for x0, _, _ in starts]
-    values = [float(value0) for _, value0, _ in starts]
-    widths = [float(width0) for _, _, width0 in starts]
-    traces = [[value] for value in values]
-    evals, m = 0, len(offsets)
+    if owner is None:
+        def rows(cand, _):
+            return evaluate(cand.reshape(-1, cand.shape[-1])).reshape(cand.shape[:-1])
+        return _refine(starts, rows, offsets, project, [0] * len(starts))[0]
+    owner = np.asarray(owner, dtype=int)
+    x = np.array([x0 for x0, _, _ in starts], dtype=float)
+    value = np.array([value0 for _, value0, _ in starts], dtype=float)
+    width = np.array([width0 for _, _, width0 in starts], dtype=float)
+    steps = np.zeros(len(starts), dtype=int)
+    values = [value.copy()]  # every search's value after each step
     for _ in range(REFINEMENT_ITERATIONS):
-        active = [i for i, width in enumerate(widths) if width >= _MIN_WIDTH]
-        if not active:
+        active = np.flatnonzero(width >= _MIN_WIDTH)
+        if not len(active):
             break
-        cand = np.concatenate([xs[i][None, :] + widths[i] * offsets for i in active])
+        cand = x[active, None, :] + width[active, None, None] * offsets
         if project is not None:
             cand = project(cand)
-        vals = evaluate(cand).reshape(len(active), m)
-        evals += len(cand)
-        for k, (i, j) in enumerate(zip(active, np.argmin(vals, axis=1))):
-            if vals[k, j] < values[i]:
-                values[i], xs[i] = float(vals[k, j]), cand[k * m + j].copy()
-            else:
-                widths[i] *= REFINEMENT_SHRINK
-            traces[i].append(values[i])
-    best_x, best = starts[0][0], starts[0][1]
-    for x, value in zip(xs, values):
-        if value < best:
-            best_x, best = x, value
-    history = [starts[0][1]] + [value for trace in traces for value in trace]
-    return best_x, best, evals, np.minimum.accumulate(history)
+        vals = evaluate(cand, owner[active])
+        j = np.argmin(vals, axis=1)
+        best = vals[np.arange(len(active)), j]
+        better = best < value[active]
+        value[active[better]] = best[better]
+        x[active[better]] = cand[better, j[better]]
+        width[active[~better]] *= REFINEMENT_SHRINK
+        steps[active] += 1
+        values.append(value.copy())
+    values = np.array(values)
+    out = []
+    for state in range(owner.max(initial=-1) + 1):
+        mine = np.flatnonzero(owner == state)
+        best_i, best = mine[0], starts[mine[0]][1]
+        for i in mine:
+            if value[i] < best:
+                best_i, best = i, value[i]
+        history = [[starts[mine[0]][1]]] + [values[:steps[i] + 1, i] for i in mine]
+        out.append((x[best_i].copy(), float(best), int(steps[mine].sum()) * len(offsets),
+                    np.minimum.accumulate(np.concatenate(history))))
+    return out
 
 
 def _frozen(*arrays):
@@ -168,11 +187,14 @@ def _classical_values_grid(a_vec, b_vec, corr, u, s_rho):
 
 
 def _classical_values_quads(a_vec, b_vec, corr, quads, s_rho):
-    ua = _directions(quads[:, 0], quads[:, 1])
-    ub = _directions(quads[:, 2], quads[:, 3])
-    alpha = ua @ a_vec
-    beta = ub @ b_vec
-    kappa = np.einsum("ni,ij,nj->n", ua, corr, ub)
+    # quads (..., n, 4) with one state's data per leading index. alpha and
+    # beta use matmul, the BLAS kernel of the grid's `u @ a_vec`: an einsum
+    # rounds differently once a_vec != 0
+    ua = _directions(quads[..., 0], quads[..., 1])
+    ub = _directions(quads[..., 2], quads[..., 3])
+    alpha = np.matmul(ua, a_vec[..., None])[..., 0]
+    beta = np.matmul(ub, b_vec[..., None])[..., 0]
+    kappa = np.einsum("...ni,...ij,...nj->...n", ua, corr, ub)
     return _dephased_entropy(alpha, beta, kappa) - s_rho
 
 
@@ -184,34 +206,48 @@ def oracle_closest_classical(rho, seed: int = 0) -> OracleResult:
     a full coarse grid, then pattern refinement from the best cell and
     from two random restarts drawn from `seed`.
     """
-    a = check_density(rho)
-    if a.shape != (4, 4):
+    return oracle_closest_classical_batch([rho], seed)[0]
+
+
+def oracle_closest_classical_batch(rhos, seed: int = 0) -> list[OracleResult]:
+    """`oracle_closest_classical` of each state, every state with the same
+    restarts from `seed`; all refinements run in lockstep."""
+    states = [check_density(rho) for rho in rhos]
+    if any(a.shape != (4, 4) for a in states):
         raise ValueError("oracle_closest_classical expects a 4x4 state")
-    a_vec, b_vec, corr = _pauli_data(a)
-    s_rho = von_neumann_entropy(a)
+    if not states:
+        return []
+    a_vec, b_vec, corr = (np.array(x) for x in zip(*map(_pauli_data, states)))
+    s_rho = np.array([von_neumann_entropy(a) for a in states])
+
+    def evaluate(quads, owner):
+        return _classical_values_quads(a_vec[owner], b_vec[owner], corr[owner], quads,
+                                       s_rho[owner, None])
 
     th, ph, u = _direction_grid()
-    grid = _classical_values_grid(a_vec, b_vec, corr, u, s_rho)
-    ia, ib = np.unravel_index(int(np.argmin(grid)), grid.shape)
-    grid_x = np.array([th[ia], ph[ia], th[ib], ph[ib]])
-
-    def evaluate(quads):
-        return _classical_values_quads(a_vec, b_vec, corr, quads, s_rho)
-
     width0 = max(math.pi / (GRID_POINTS_PER_ANGLE - 1), 2.0 * math.pi / GRID_POINTS_PER_ANGLE)
     rng = np.random.default_rng(seed)
     spans = (math.pi, 2.0 * math.pi, math.pi, 2.0 * math.pi)
     restarts = np.array([[rng.uniform(0.0, hi) for hi in spans] for _ in range(2)])
-    starts = [(grid_x, float(grid[ia, ib]), width0)]
-    starts += [(x, float(v), math.pi / 4.0) for x, v in zip(restarts, evaluate(restarts))]
+    everyone = np.arange(len(states))
+    restart_values = evaluate(np.broadcast_to(restarts, (len(states),) + restarts.shape), everyone)
+    starts = []
+    for k in everyone:
+        grid = _classical_values_grid(a_vec[k], b_vec[k], corr[k], u, s_rho[k])
+        ia, ib = np.unravel_index(int(np.argmin(grid)), grid.shape)
+        starts.append((np.array([th[ia], ph[ia], th[ib], ph[ib]]), float(grid[ia, ib]), width0))
+        starts += [(x, float(v), math.pi / 4.0) for x, v in zip(restarts, restart_values[k])]
 
-    x, value, evals, history = _refine(starts, evaluate, _offsets(4))
-    return OracleResult(
-        minimizer=dephase_in_basis(a, x),
-        value=float(_clamp_residue(value)),
-        evaluations=grid.size + len(restarts) + evals,
-        history=history,
-    )
+    found = _refine(starts, evaluate, _offsets(4), owner=np.repeat(everyone, 3))
+    return [
+        OracleResult(
+            minimizer=dephase_in_basis(a, x),
+            value=float(_clamp_residue(value)),
+            evaluations=len(u) ** 2 + len(restarts) + evals,
+            history=history,
+        )
+        for a, (x, value, evals, history) in zip(states, found)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -219,20 +255,22 @@ def oracle_closest_classical(rho, seed: int = 0) -> OracleResult:
 
 def _separable_values(lam, log_q):
     # Bell-diagonal pairs commute, so S(rho || sigma) = sum_i lam_i log2(lam_i / q_i)
-    vals = np.zeros(len(log_q))
-    for i, li in enumerate(lam):
-        if li > 0.0:
-            vals = vals + li * (np.log2(li) - log_q[:, i])
+    # over lam_i > 0; lam is one spectrum, or one per leading index of log_q
+    pos = lam > 0.0
+    log_lam = np.log2(np.where(pos, lam, 1.0))
+    vals = np.zeros(log_q.shape[:-1])
+    with np.errstate(invalid="ignore"):  # 0 * inf in the dropped terms
+        for i in range(4):
+            vals = vals + np.where(pos[..., i], lam[..., i] * (log_lam[..., i] - log_q[..., i]), 0.0)
     return vals
 
 
 def _simplex_log_q(q3):
-    # q3: (N, 3) points over the first three coefficients, the fourth fixed
+    # q3: (..., 3) points over the first three coefficients, the fourth fixed
     # by normalization. Returns log2 of the clipped q, -inf where q < 1e-15
-    # (sigma misses rho's support: +inf away), and which rows are separable.
-    q4 = 1.0 - q3.sum(axis=1)
-    q = np.column_stack([q3, q4])
-    feasible = np.all((q > -1e-12) & (q < 0.5 + 1e-12), axis=1)
+    # (sigma misses rho's support: +inf away), and which points are separable.
+    q = np.concatenate([q3, 1.0 - q3.sum(axis=-1, keepdims=True)], axis=-1)
+    feasible = np.all((q > -1e-12) & (q < 0.5 + 1e-12), axis=-1)
     q = np.clip(q, 0.0, 0.5)
     return np.where(q < 1e-15, -math.inf, np.log2(np.where(q > 0.0, q, 1.0))), feasible
 
@@ -250,32 +288,41 @@ def oracle_closest_separable_bd(lam) -> OracleResult:
     """Minimize S(rho || sigma) over Bell-diagonal sigma with all
     coefficients <= 1/2 (the separable slice of the Bell simplex), by
     simplex-grid enumeration plus pattern refinement."""
-    a = validate_spectrum(lam).reshape(4)
+    return oracle_closest_separable_bd_batch([lam])[0]
+
+
+def oracle_closest_separable_bd_batch(lams) -> list[OracleResult]:
+    """`oracle_closest_separable_bd` of each spectrum; all refinements run
+    in lockstep."""
+    lam = np.array([validate_spectrum(x).reshape(4) for x in lams])
 
     # only the separable rows are scored: the others are +inf, and the row
     # (1/4, 1/4, 1/4) is finite, so the first minimum lies among them
     q3, rows, log_q = _simplex_grid()
-    vals = _clamp_residue(_separable_values(a, log_q))
-    k = int(np.argmin(vals))
+    starts = []
+    for a in lam:
+        vals = _clamp_residue(_separable_values(a, log_q))
+        k = int(np.argmin(vals))
+        starts.append((q3[rows[k]], float(vals[k]), SIMPLEX_GRID_STEP))
 
-    def evaluate(cand):
+    def evaluate(cand, owner):
         log_q, feasible = _simplex_log_q(cand)
-        return _clamp_residue(np.where(feasible, _separable_values(a, log_q), math.inf))
+        return _clamp_residue(np.where(feasible, _separable_values(lam[owner, None], log_q), math.inf))
 
     def project(cand):
         return np.clip(cand, 0.0, 0.5)
 
-    start = (q3[rows[k]], float(vals[k]), SIMPLEX_GRID_STEP)
-    x, value, evals, history = _refine([start], evaluate, _offsets(3), project)
-
-    q4 = max(0.0, 1.0 - float(x.sum()))
-    q = np.append(np.clip(x, 0.0, 0.5), q4)
-    return OracleResult(
-        minimizer=bell_spectrum_to_density(q / q.sum()),
-        value=float(_clamp_residue(value)),
-        evaluations=len(q3) + evals,
-        history=history,
-    )
+    found = _refine(starts, evaluate, _offsets(3), project, owner=range(len(lam)))
+    out = []
+    for x, value, evals, history in found:
+        q = np.append(np.clip(x, 0.0, 0.5), max(0.0, 1.0 - float(x.sum())))
+        out.append(OracleResult(
+            minimizer=bell_spectrum_to_density(q / q.sum()),
+            value=float(_clamp_residue(value)),
+            evaluations=len(q3) + evals,
+            history=history,
+        ))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +337,11 @@ def _bloch_states(vecs):
 
 
 def _product_states(params):
-    qa = _bloch_states(params[:, :3])
-    qb = _bloch_states(params[:, 3:])
-    n = len(params)
-    return np.einsum("nab,ncd->nacbd", qa, qb).reshape(n, 4, 4)
+    # (..., 6) parameters -> (..., 4, 4) product states
+    flat = params.reshape(-1, 6)
+    qa = _bloch_states(flat[:, :3])
+    qb = _bloch_states(flat[:, 3:])
+    return np.einsum("nab,ncd->nacbd", qa, qb).reshape(params.shape[:-1] + (4, 4))
 
 
 @functools.cache
@@ -315,30 +363,43 @@ def oracle_closest_product(rho) -> OracleResult:
     astronomically large in six dimensions), then refined with an
     axis-aligned pattern search projected back into the balls.
     """
-    a = check_density(rho)
-    if a.shape != (4, 4):
-        raise ValueError("oracle_closest_product expects a 4x4 state")
-    s_rho = von_neumann_entropy(a)
+    return oracle_closest_product_batch([rho])[0]
 
-    def evaluate(cand):
-        return _relative_entropy_stack(a, _product_states(cand), s_rho)
+
+def oracle_closest_product_batch(rhos) -> list[OracleResult]:
+    """`oracle_closest_product` of each state; all refinements run in
+    lockstep."""
+    states = [check_density(rho) for rho in rhos]
+    if any(a.shape != (4, 4) for a in states):
+        raise ValueError("oracle_closest_product expects a 4x4 state")
+    rho = np.array(states)
+    s_rho = np.array([von_neumann_entropy(a) for a in states])
+
+    def evaluate(cand, owner):
+        return _relative_entropy_stack(rho[owner, None], _product_states(cand), s_rho[owner, None])
 
     def project(cand):
         out = cand.copy()
         for sl in (slice(0, 3), slice(3, 6)):
-            norms = np.linalg.norm(out[:, sl], axis=1)
+            norms = np.linalg.norm(out[..., sl], axis=-1)
             scale = np.where(norms > 1.0, norms, 1.0)
-            out[:, sl] /= scale[:, None]
+            out[..., sl] /= scale[..., None]
         return out
 
     pts, w, v = _product_grid()
-    vals = _relative_entropy_tail(a, w, v, s_rho)
-    j = int(np.argmin(vals))
-    start = (pts[j], float(vals[j]), 2.0 / (GRID_POINTS_PER_ANGLE // 6))  # the lattice step
-    x, value, evals, history = _refine([start], evaluate, _offsets(6, axes_only=True), project)
-    return OracleResult(
-        minimizer=_product_states(x[None, :])[0],
-        value=float(_clamp_residue(value)),
-        evaluations=len(pts) + evals,
-        history=history,
-    )
+    starts = []
+    for a, s in zip(states, s_rho):
+        vals = _relative_entropy_tail(a, w, v, s)
+        j = int(np.argmin(vals))
+        starts.append((pts[j], float(vals[j]), 2.0 / (GRID_POINTS_PER_ANGLE // 6)))  # the lattice step
+
+    found = _refine(starts, evaluate, _offsets(6, axes_only=True), project, owner=range(len(rho)))
+    return [
+        OracleResult(
+            minimizer=_product_states(x[None, :])[0],
+            value=float(_clamp_residue(value)),
+            evaluations=len(pts) + evals,
+            history=history,
+        )
+        for x, value, evals, history in found
+    ]

@@ -296,13 +296,13 @@ def test_verify_failure_exits_4(tmp_path, monkeypatch, capsys):
     import belldyn.cli as cli
     from belldyn.oracle import OracleResult
 
-    real = cli.oracle_closest_classical
+    real = cli.oracle_closest_classical_batch
 
-    def broken(rho, seed):
-        res = real(rho, seed)
-        return OracleResult(res.minimizer, res.value + 0.01, res.evaluations, res.history)
+    def broken(rhos, seed):
+        return [OracleResult(res.minimizer, res.value + 0.01, res.evaluations, res.history)
+                for res in real(rhos, seed)]
 
-    monkeypatch.setattr(cli, "oracle_closest_classical", broken)
+    monkeypatch.setattr(cli, "oracle_closest_classical_batch", broken)
     out = tmp_path / "verify.json"
     assert main(["verify", "--initial", "0.9,0.1,0,0", "--output", str(out)]) == 4
     data = json.loads(out.read_text(encoding="utf-8"))
@@ -337,6 +337,37 @@ def test_verify_stdout_is_pinned(capsys):
     pinned = pathlib.Path(__file__).parent / "data" / "verify_n10_seed0.json"
     assert main(["verify", "--n", "10"]) == 0
     assert capsys.readouterr().out == pinned.read_text(encoding="utf-8")
+
+
+def test_verify_stdout_does_not_depend_on_the_chunk_size(capsys, monkeypatch):
+    # chunks of 3 put boundaries inside the pinned run: 3 + 3 + 3 + 1 states
+    import belldyn.cli as cli
+
+    monkeypatch.setattr(cli, "_VERIFY_CHUNK", 3)
+    pinned = pathlib.Path(__file__).parent / "data" / "verify_n10_seed0.json"
+    assert main(["verify", "--n", "10"]) == 0
+    assert capsys.readouterr().out == pinned.read_text(encoding="utf-8")
+
+
+def test_verify_refines_each_chunk_in_one_lockstep_loop(capsys, monkeypatch):
+    # one classical objective call for the restarts and one per lockstep
+    # step of a chunk; refining state after state takes about 100 calls
+    # per state (825 for these 8)
+    import belldyn.cli as cli
+    from belldyn import oracle
+
+    calls = []
+    real = oracle._classical_values_quads
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(oracle, "_classical_values_quads", counted)
+    assert main(["verify", "--n", "8"]) == 0
+    chunks = -(-8 // cli._VERIFY_CHUNK)
+    assert 0 < len(calls) <= chunks * (oracle.REFINEMENT_ITERATIONS + 1)
+    capsys.readouterr()
 
 
 #: sha256 of stdout at the default settings, captured before the ancilla

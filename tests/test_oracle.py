@@ -238,6 +238,43 @@ def test_lockstep_refine_matches_one_search_after_another():
     assert tie[1] == 0.0 and np.array_equal(tie[0], wells[0])
 
 
+def test_lockstep_refine_of_many_states_matches_each_state_alone():
+    # each state is the three-well landscape shifted by its own offset; the
+    # states' searches take different numbers of steps, one hits the cap and
+    # one ties between wells, and they are interleaved in the start list
+    wells = np.array([[0.5, -0.25], [-0.75, 1.0], [2.0, 2.0]])
+    depth = np.array([0.0, 0.0, 1.0])
+    shift = np.array([[0.0, 0.0], [0.3, -0.1], [-1.0, 2.0]])
+
+    def landscape(cand, s):
+        d2 = np.sum((cand[..., None, :] - (wells + s[..., None, :])) ** 2, axis=-1)
+        return np.min(d2 + depth, axis=-1)
+
+    def start(state, x, width):
+        x = np.array(x) + shift[state]
+        return x, float(landscape(x, shift[state])), width
+
+    per_state = [
+        [start(0, [2.2, 1.9], 0.5), start(0, [0.5, -0.25], 1e-9)],
+        [start(1, [40.0, -30.0], 1e-3), start(1, [2.1, 2.0], 0.25)],
+        [start(2, [2.0, 2.5], 0.5), start(2, [0.25, -0.25], 0.25),
+         start(2, [-0.75, 0.75], 0.25)],
+    ]
+    order = [(2, 0), (0, 0), (1, 0), (2, 1), (1, 1), (0, 1), (2, 2)]
+    starts = [per_state[s][k] for s, k in order]
+    owner = [s for s, _ in order]
+    project = lambda c: np.clip(c, -1.0, 1.5)  # noqa: E731
+    for proj in (None, project):
+        got = _refine(starts, lambda c, o: landscape(c, shift[o][:, None, :]), _offsets(2),
+                      proj, owner=owner)
+        assert len(got) == len(per_state)
+        for s, mine in enumerate(per_state):
+            want = _sequential_refine(mine, lambda c, s=s: landscape(c, shift[s]), _offsets(2),
+                                      proj)
+            assert np.array_equal(got[s][0], want[0]) and got[s][1] == want[1], s
+            assert got[s][2] == want[2] and np.array_equal(got[s][3], want[3]), s
+
+
 def test_cached_grids_are_read_only():
     # the maximally mixed state scores 0 at its grid start, so the separable
     # and product searches never move and hand a cached row back as their

@@ -19,8 +19,11 @@ import numpy as np
 from belldyn.dynamics import bell_spectrum_to_density
 from belldyn.oracle import (
     oracle_closest_classical,
+    oracle_closest_classical_batch,
     oracle_closest_product,
+    oracle_closest_product_batch,
     oracle_closest_separable_bd,
+    oracle_closest_separable_bd_batch,
 )
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "oracle_golden.json"
@@ -83,6 +86,35 @@ def test_oracle_results_are_bit_identical_to_the_golden_capture():
     assert sorted(got) == sorted(golden)
     moved = [name for name in golden if got[name] != golden[name]]
     assert moved == []
+
+
+
+def _batched_digests(names, states, spectra) -> dict:
+    # one call of each batched entry point on the named states, in order
+    rhos = [states[name] for name in names]
+    bd = [name for name in names if name in spectra]
+    got = {}
+    for seed in (0, 3):
+        results = oracle_closest_classical_batch(rhos, seed=seed)
+        got.update({f"{name}/classical/seed{seed}": _digest(r) for name, r in zip(names, results)})
+    results = oracle_closest_separable_bd_batch([spectra[name] for name in bd])
+    got.update({f"{name}/separable": _digest(r) for name, r in zip(bd, results)})
+    results = oracle_closest_product_batch(rhos)
+    got.update({f"{name}/product": _digest(r) for name, r in zip(names, results)})
+    return got
+
+
+def test_batched_entry_points_match_the_golden_capture():
+    # every golden state in one batch, forwards and backwards: a state's
+    # bits depend neither on its batch-mates nor on its place in the batch
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    spectra = _spectra()
+    states = {name: bell_spectrum_to_density(lam) for name, lam in spectra.items()}
+    states.update(_general_states())
+    for names in (list(states), list(states)[::-1]):
+        got = _batched_digests(names, states, spectra)
+        assert sorted(got) == sorted(golden)
+        assert [name for name in golden if got[name] != golden[name]] == []
 
 
 if __name__ == "__main__":
