@@ -6,7 +6,6 @@ non-Markovianity diagnostics."""
 from .correlations import (
     CorrelationReport,
     bell_quantifiers,
-    binary_entropy,
     c_vector_of_spectrum,
     closest_classical_bd,
     closest_product,

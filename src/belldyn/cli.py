@@ -16,12 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import (
-    bell_quantifiers,
-    binary_entropy,
-    c_vector_of_spectrum,
-    closest_classical_bd,
-)
+from .correlations import bell_quantifiers, c_vector_of_spectrum
 from .dynamics import (
     BELL_RESIDUAL_TOL,
     bell_spectrum_of,
@@ -30,7 +25,7 @@ from .dynamics import (
     mixing_fraction,
     validate_spectrum,
 )
-from .linalg import check_density, von_neumann_entropy
+from .linalg import check_density
 from .nonmarkov import _composition, nonmarkovianity_measure
 from .oracle import (
     oracle_closest_classical_batch,
@@ -277,20 +272,6 @@ def cmd_composition(args) -> int:
     return 0
 
 
-def _verify_state(lam: np.ndarray, rho: np.ndarray) -> dict:
-    """The analytic closest-state distance of each family, in bits."""
-    s_rho = von_neumann_entropy(rho)
-    lam_max = float(lam.max())
-    # 1 - h(lam_max) is positive on both sides of 1/2; it is the
-    # entanglement only in the entangled regime lam_max > 1/2.
-    e_analytic = 1.0 - binary_entropy(lam_max) if lam_max > 0.5 + 1e-12 else 0.0
-    return {
-        "classical": von_neumann_entropy(closest_classical_bd(lam)) - s_rho,
-        "separable": e_analytic,
-        "product": 2.0 - s_rho,
-    }
-
-
 def _verify_chunks(args, cfg):
     # the states to certify, drawn one chunk at a time
     if args.initial is not None:
@@ -314,18 +295,21 @@ def cmd_verify(args) -> int:
     n = 0
     for states in _verify_chunks(args, cfg):
         rhos = [bell_spectrum_to_density(lam) for lam in states]
-        found = {
-            "classical": oracle_closest_classical_batch(rhos, seed=cfg.seed),
-            "separable": oracle_closest_separable_bd_batch(states),
-            "product": oracle_closest_product_batch(rhos),
+        # the analytic side is the kernel the trajectory commands print: each
+        # family's closest-state distance is D, E or T
+        t, d, _, e = bell_quantifiers(np.array(states))
+        checks = {
+            "classical": (d, oracle_closest_classical_batch(rhos, seed=cfg.seed)),
+            "separable": (e, oracle_closest_separable_bd_batch(states)),
+            "product": (t, oracle_closest_product_batch(rhos)),
         }
-        for k, (lam, rho) in enumerate(zip(states, rhos)):
-            for name, analytic in _verify_state(lam, rho).items():
-                oracle = found[name][k].value
-                gap = abs(oracle - analytic)
+        for name, (analytic, found) in checks.items():
+            for lam, value, res in zip(states, analytic, found):
+                gap = abs(res.value - float(value))
                 if gap >= families[name]["max_discrepancy_bits"]:
-                    families[name].update(max_discrepancy_bits=gap, analytic_bits=analytic,
-                                          oracle_bits=oracle, worst_state=[float(v) for v in lam])
+                    families[name].update(max_discrepancy_bits=gap, analytic_bits=float(value),
+                                          oracle_bits=res.value,
+                                          worst_state=[float(v) for v in lam])
         n += len(states)
 
     passed = all(f["max_discrepancy_bits"] < VERIFY_TOL_BITS for f in families.values())

@@ -44,15 +44,6 @@ BELL_C_VECTORS = np.array([
 ])
 
 
-def binary_entropy(x) -> float:
-    """h(x) = -x log2 x - (1-x) log2(1-x), zero at both endpoints."""
-    v = float(x)
-    if v < -1e-12 or v > 1.0 + 1e-12:
-        raise ValueError(f"binary_entropy argument must be in [0, 1], got {v!r}")
-    v = min(max(v, 0.0), 1.0)
-    return float(0.0 - (_xlog2(v) + _xlog2(1.0 - v)))  # 0.0 - keeps h(0) = +0.0
-
-
 def correlation_c_vector(rho) -> np.ndarray:
     """(c1, c2, c3) with c_k = Tr[rho (sigma_k x sigma_k)]."""
     a = check_density(rho)
@@ -144,7 +135,9 @@ def bell_quantifiers(lam):
     """
     a = validate_spectrum(lam)
     t = 2.0 + np.sum(_xlog2(a), axis=-1)  # 2 - H(lam)
-    cmax = np.max(np.abs(a @ BELL_C_VECTORS), axis=-1)
+    # einsum, not matmul: BLAS rounds one row differently from a stack, and
+    # a spectrum must get the same bits alone or in a stack
+    cmax = np.max(np.abs(np.einsum("...i,ij->...j", a, BELL_C_VECTORS)), axis=-1)
     lmax = np.max(a, axis=-1)
     p = np.stack([(1.0 + cmax) / 2.0, lmax])
     h = -(_xlog2(p) + _xlog2(1.0 - p))

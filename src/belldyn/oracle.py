@@ -69,7 +69,7 @@ def _offsets(dim: int, axes_only: bool = False) -> np.ndarray:
     return np.array(rows)
 
 
-def _refine(starts, evaluate, offsets, project=None, owner=None):
+def _refine(starts, evaluate, offsets, project=None, *, owner):
     """Shrinking pattern search from each (x0, value0, width0) start.
 
     Start i searches state owner[i]. Each search moves to its best candidate
@@ -80,14 +80,8 @@ def _refine(starts, evaluate, offsets, project=None, owner=None):
     as if run alone. Returns per state the best point and value over its
     starts (the earliest wins a tie), the number of objective evaluations,
     and the best-so-far value after each step (non-increasing), led by its
-    first start's value. Without `owner` all starts search one state,
-    `evaluate` takes the candidates as rows, and that state's tuple is
-    returned.
+    first start's value.
     """
-    if owner is None:
-        def rows(cand, _):
-            return evaluate(cand.reshape(-1, cand.shape[-1])).reshape(cand.shape[:-1])
-        return _refine(starts, rows, offsets, project, [0] * len(starts))[0]
     owner = np.asarray(owner, dtype=int)
     x = np.array([x0 for x0, _, _ in starts], dtype=float)
     value = np.array([value0 for _, value0, _ in starts], dtype=float)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from belldyn.cli import main
-from belldyn.correlations import quantifier_report
+from belldyn.correlations import bell_quantifiers, quantifier_report
 from belldyn.dynamics import bell_spectrum_to_density
 
 H09 = 0.4689955935892812
@@ -312,18 +312,20 @@ def test_verify_failure_exits_4(tmp_path, monkeypatch, capsys):
 
 
 def test_verify_catches_a_wrong_closed_form(tmp_path, monkeypatch, capsys):
-    # negative control on the analytic side: a closest classical state built
-    # on the second-largest |c_k| instead of the largest must fail
+    # negative control on the analytic side: a kernel whose C is built on the
+    # second-largest |c_k| instead of the largest, with D = T - C, must fail
     import belldyn.cli as cli
     from belldyn.correlations import c_vector_of_spectrum
-    from belldyn.linalg import PAULI, tensor
+
+    real = cli.bell_quantifiers
 
     def second_largest(lam):
-        c = c_vector_of_spectrum(lam).reshape(3)
-        m = int(np.argsort(-np.abs(c), kind="stable")[1])
-        return (np.eye(4, dtype=complex) + c[m] * tensor(PAULI[m], PAULI[m])) / 4.0
+        t, _, _, e = real(lam)
+        p = (1.0 + np.sort(np.abs(c_vector_of_spectrum(lam)), axis=-1)[..., 1]) / 2.0
+        c = 1.0 + p * np.log2(p) + (1.0 - p) * np.log2(1.0 - p)
+        return t, t - c, c, e
 
-    monkeypatch.setattr(cli, "closest_classical_bd", second_largest)
+    monkeypatch.setattr(cli, "bell_quantifiers", second_largest)
     out = tmp_path / "verify.json"
     assert main(["verify", "--initial", "0.9,0.1,0,0", "--output", str(out)]) == 4
     data = json.loads(out.read_text(encoding="utf-8"))
@@ -332,8 +334,9 @@ def test_verify_catches_a_wrong_closed_form(tmp_path, monkeypatch, capsys):
 
 
 def test_verify_stdout_is_pinned(capsys):
-    # verify --n 10 --seed 0 as captured before the oracles shared one
-    # refinement loop; every oracle value must keep its bits
+    # verify --n 10 --seed 0: the oracle values keep the bits captured before
+    # the oracles shared one refinement loop, the analytic values are those
+    # of bell_quantifiers
     pinned = pathlib.Path(__file__).parent / "data" / "verify_n10_seed0.json"
     assert main(["verify", "--n", "10"]) == 0
     assert capsys.readouterr().out == pinned.read_text(encoding="utf-8")
@@ -347,6 +350,21 @@ def test_verify_stdout_does_not_depend_on_the_chunk_size(capsys, monkeypatch):
     pinned = pathlib.Path(__file__).parent / "data" / "verify_n10_seed0.json"
     assert main(["verify", "--n", "10"]) == 0
     assert capsys.readouterr().out == pinned.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("chunk", [1, 32])
+def test_verify_certifies_the_printed_kernel(chunk, capsys, monkeypatch):
+    # the analytic side of each family is, bit for bit, the kernel the
+    # trajectory commands print from (D, E or T of bell_quantifiers) on its
+    # worst state, whatever the chunk size
+    import belldyn.cli as cli
+
+    monkeypatch.setattr(cli, "_VERIFY_CHUNK", chunk)
+    assert main(["verify", "--n", "10"]) == 0
+    families = json.loads(capsys.readouterr().out)["families"]
+    for name, index in (("classical", 1), ("separable", 3), ("product", 0)):
+        fam = families[name]
+        assert fam["analytic_bits"] == float(bell_quantifiers(fam["worst_state"])[index]), name
 
 
 def test_verify_refines_each_chunk_in_one_lockstep_loop(capsys, monkeypatch):

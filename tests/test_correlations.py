@@ -5,7 +5,6 @@ import pytest
 
 from belldyn.correlations import (
     bell_quantifiers,
-    binary_entropy,
     c_vector_of_spectrum,
     closest_classical_bd,
     closest_product,
@@ -29,18 +28,29 @@ LAM_FIG = np.array([0.9, 0.1, 0.0, 0.0])
 H09 = 0.4689955935892812
 
 
+def h(x):
+    """Binary entropy in bits, zero at both endpoints."""
+    return -sum(p * math.log2(p) for p in (x, 1.0 - x) if p > 0.0)
+
+
 def bell_projector(k):
     v = BELL_VECTORS[:, k]
     return np.outer(v, v.conj())
 
 
 def test_binary_entropy():
-    assert binary_entropy(0.0) == 0.0
-    assert binary_entropy(1.0) == 0.0
-    assert binary_entropy(0.5) == 1.0
-    assert abs(binary_entropy(0.9) - 0.46900) < 1e-5
+    # the binary entropy lives in bell_quantifiers: C = 1 - h((1 + max|c_k|)/2)
+    # and E = 1 - h(lam_max); a pure Bell state has p = 1, so h(1) = h(0) = 0
+    t, d, c, e = bell_quantifiers([1.0, 0.0, 0.0, 0.0])
+    assert float(c) == 1.0 and float(e) == 1.0
+    # I/4 has c = 0, so p = 1/2 and h(1/2) = 1 exactly
+    assert float(bell_quantifiers(np.full(4, 0.25))[2]) == 0.0
+    assert abs((1.0 - float(bell_quantifiers(LAM_FIG)[3])) - 0.46900) < 1e-5
+    for x in (0.55, 0.75, 0.9, 0.999):
+        lam = [x, 1.0 - x, 0.0, 0.0]
+        assert abs(float(bell_quantifiers(lam)[3]) - (1.0 - h(x))) < 1e-15
     with pytest.raises(ValueError):
-        binary_entropy(1.2)
+        bell_quantifiers([1.2, -0.2, 0.0, 0.0])
 
 
 def test_c_vector_examples():
@@ -107,7 +117,7 @@ def test_closest_separable_of_nearly_pure_states():
                     sig = closest_separable_spectrum(lam)
                     assert abs(sig.sum() - 1.0) < 1e-12 and sig.max() <= 0.5 + 1e-12
                     rep = quantifier_report(bell_spectrum_to_density(lam))
-                    assert abs(rep.E - (1.0 - binary_entropy(float(lam.max())))) < 1e-12
+                    assert abs(rep.E - (1.0 - h(float(lam.max())))) < 1e-12
 
 
 def test_bell_quantifiers_closed_forms():
@@ -115,9 +125,13 @@ def test_bell_quantifiers_closed_forms():
     assert abs(t - (2 - H09)) < 1e-12
     assert abs(d - (1 - H09)) < 1e-12
     assert abs(c - 1.0) < 1e-12
-    assert abs(e - (1 - H09)) < 1e-12
-    assert [float(x) for x in bell_quantifiers(np.full(4, 0.25))] == [0.0, 0.0, 0.0, 0.0]
+    assert abs(e - (1 - H09)) < 1e-12 and abs(e - (1 - h(0.9))) < 1e-12
+    mixed = [float(x) for x in bell_quantifiers(np.full(4, 0.25))]
+    assert mixed == [0.0, 0.0, 0.0, 0.0] and math.copysign(1.0, mixed[2]) == 1.0  # C = +0.0
     assert [float(x) for x in bell_quantifiers([1.0, 0, 0, 0])] == [2.0, 1.0, 1.0, 1.0]
+    # E vanishes exactly at the separability edge lam_max = 1/2
+    for lam in ([0.5, 0.5, 0.0, 0.0], [0.5, 0.25, 0.125, 0.125]):
+        assert float(bell_quantifiers(lam)[3]) == 0.0
     # the frozen-to-oscillating fixed point tau = pi/4 has zero discord and
     # the rounding residue is clamped to exactly 0
     t, d, c, e = bell_quantifiers(evolve_bell_spectrum(LAM_FIG, math.pi / 4))
@@ -158,7 +172,7 @@ def test_entanglement_closed_form_two_ways():
         if lam.max() <= 0.5:
             continue
         via_rel = relative_entropy(bell_spectrum_to_density(lam), closest_separable_bd(lam))
-        closed = 1.0 - binary_entropy(float(lam.max()))
+        closed = 1.0 - h(float(lam.max()))
         assert abs(via_rel - closed) < 1e-10
 
 
@@ -251,7 +265,7 @@ def test_classical_state_commutation_breaks_at_the_switch():
     d_evolved = relative_entropy(rho_t, chi_evolved)
     assert trace_distance(chi_new, chi_evolved) > 0.05
     assert d_new < d_evolved - 0.2
-    assert abs(d_new - (1 + binary_entropy(0.9) - von_neumann_entropy(rho_t))) < 1e-12
+    assert abs(d_new - (1 + h(0.9) - von_neumann_entropy(rho_t))) < 1e-12
 
 
 def test_negativity_examples():

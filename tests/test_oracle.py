@@ -5,11 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from belldyn.correlations import (
-    binary_entropy,
-    closest_classical_bd,
-    closest_separable_bd,
-)
+from belldyn.correlations import bell_quantifiers, closest_classical_bd
 from belldyn.dynamics import bell_spectrum_to_density, evolve_bell_spectrum
 from belldyn.linalg import dephase_in_basis, relative_entropy, trace_distance, von_neumann_entropy
 from belldyn.oracle import (
@@ -32,13 +28,8 @@ GRID_TOL = 1e-3
 
 
 def analytic_values(lam):
-    rho = bell_spectrum_to_density(lam)
-    s_rho = von_neumann_entropy(rho)
-    d = von_neumann_entropy(closest_classical_bd(lam)) - s_rho
-    lam_max = float(np.max(lam))
-    e = 1.0 - binary_entropy(lam_max) if lam_max > 0.5 + 1e-12 else 0.0
-    t = 2.0 - s_rho
-    return d, e, t
+    t, d, _, e = bell_quantifiers(lam)
+    return float(d), float(e), float(t)
 
 
 def test_classical_on_classical_input():
@@ -204,6 +195,10 @@ def test_lockstep_refine_matches_one_search_after_another():
         d2 = np.sum((cand[:, None, :] - wells[None]) ** 2, axis=2)
         return np.min(d2 + depth, axis=1)
 
+    def rows(cand, _owner):
+        # all starts search one state; score the candidate stack row by row
+        return evaluate(cand.reshape(-1, cand.shape[-1])).reshape(cand.shape[:-1])
+
     def start(x, width):
         x = np.array(x)
         return x, float(evaluate(x[None])[0]), width
@@ -224,7 +219,7 @@ def test_lockstep_refine_matches_one_search_after_another():
     for name, starts in scenarios.items():
         for project in (None, lambda c: np.clip(c, -1.0, 1.5)):
             want = _sequential_refine(starts, evaluate, _offsets(2), project)
-            got = _refine(starts, evaluate, _offsets(2), project)
+            [got] = _refine(starts, rows, _offsets(2), project, owner=[0] * len(starts))
             assert np.array_equal(got[0], want[0]), name
             assert got[1] == want[1] and got[2] == want[2], name
             assert np.array_equal(got[3], want[3]), name

@@ -43,6 +43,17 @@ def test_kernel_matches_the_matrix_route(lam0, tau):
 
 
 @PROPERTY_SETTINGS
+@given(st.lists(spectra, min_size=2, max_size=20))
+def test_each_row_of_a_stack_gets_the_bits_of_a_one_state_call(rows):
+    # verify certifies chunks of any size, down to one state, while the
+    # trajectory commands print whole stacks: both must see the same bits
+    stack = bell_quantifiers(np.array(rows))
+    for k, lam in enumerate(rows):
+        alone = bell_quantifiers(lam)
+        assert all(got[k] == want for got, want in zip(stack, alone)), lam
+
+
+@PROPERTY_SETTINGS
 @given(spectra, st.lists(taus, min_size=1, max_size=5))
 def test_grid_evolution_is_the_bell_diagonal_of_the_channel(lam0, tau_list):
     grid = np.array(tau_list)
