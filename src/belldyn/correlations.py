@@ -52,10 +52,15 @@ def correlation_c_vector(rho) -> np.ndarray:
     return np.array([float(np.trace(a @ tensor(p, p)).real) for p in PAULI])
 
 
+def _c_vectors(a):
+    # einsum, not matmul: BLAS rounds a lone spectrum and a stack differently
+    return np.einsum("...i,ij->...j", a, BELL_C_VECTORS)
+
+
 def c_vector_of_spectrum(lam) -> np.ndarray:
     """c-vector of the Bell-diagonal state with spectrum lam; a stack of
     spectra (..., 4) gives a stack of c-vectors (..., 3)."""
-    return validate_spectrum(lam) @ BELL_C_VECTORS
+    return _c_vectors(validate_spectrum(lam))
 
 
 def spectrum_of_c_vector(c) -> np.ndarray:
@@ -135,9 +140,7 @@ def bell_quantifiers(lam):
     """
     a = validate_spectrum(lam)
     t = 2.0 + np.sum(_xlog2(a), axis=-1)  # 2 - H(lam)
-    # einsum, not matmul: BLAS rounds one row differently from a stack, and
-    # a spectrum must get the same bits alone or in a stack
-    cmax = np.max(np.abs(np.einsum("...i,ij->...j", a, BELL_C_VECTORS)), axis=-1)
+    cmax = np.max(np.abs(_c_vectors(a)), axis=-1)
     lmax = np.max(a, axis=-1)
     p = np.stack([(1.0 + cmax) / 2.0, lmax])
     h = -(_xlog2(p) + _xlog2(1.0 - p))

@@ -10,7 +10,8 @@ Three families are covered:
 
 * classical states (diagonal in some product basis): for a fixed basis
   the optimal diagonal is the dephased diagonal of rho, so the search
-  space is exactly the four local Bloch angles;
+  space is exactly the four local Bloch angles; u and -u define the same
+  basis, so the grid holds one hemisphere of directions per qubit;
 * separable Bell-diagonal states (all coefficients <= 1/2), searched on
   the simplex grid;
 * product states, parametrized by two Bloch vectors of norm <= 1.
@@ -160,12 +161,14 @@ def _dephased_entropy(alpha, beta, kappa):
 
 @functools.cache
 def _direction_grid():
-    # (theta, phi) of each grid direction and its unit vector
+    # (theta, phi) and unit vector of one direction of each antipodal pair of
+    # the n x n grid (u and -u give one basis): theta < pi/2, the pole once
     n = GRID_POINTS_PER_ANGLE
     thetas = np.linspace(0.0, math.pi, n)
     phis = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
     th, ph = (g.ravel() for g in np.meshgrid(thetas, phis, indexing="ij"))
-    return _frozen(th, ph, _directions(th, ph))
+    keep = (th < math.pi / 2.0) & ((th > 0.0) | (ph == 0.0))
+    return _frozen(th[keep], ph[keep], _directions(th[keep], ph[keep]))
 
 
 def _classical_values_grid(a_vec, b_vec, corr, u, s_rho):

@@ -10,10 +10,14 @@ from belldyn.dynamics import bell_spectrum_to_density, evolve_bell_spectrum
 from belldyn.linalg import dephase_in_basis, relative_entropy, trace_distance, von_neumann_entropy
 from belldyn.oracle import (
     _MIN_WIDTH,
+    GRID_POINTS_PER_ANGLE,
     REFINEMENT_ITERATIONS,
     REFINEMENT_SHRINK,
+    _classical_values_grid,
+    _dephased_entropy,
     _direction_grid,
     _offsets,
+    _pauli_data,
     _product_grid,
     _refine,
     _simplex_grid,
@@ -120,7 +124,7 @@ def test_two_sided_certification_on_random_states():
 def test_classical_objective_matches_matrix_route():
     # the fast Bloch-form objective must equal S(rho || dephase(rho, basis))
     rng = np.random.default_rng(7)
-    from belldyn.oracle import _classical_values_quads, _pauli_data
+    from belldyn.oracle import _classical_values_quads
 
     for _ in range(20):
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -135,6 +139,87 @@ def test_classical_objective_matches_matrix_route():
                                        von_neumann_entropy(rho))[0]
         slow = relative_entropy(rho, dephase_in_basis(rho, quad))
         assert abs(fast - slow) < 1e-10
+
+
+N = GRID_POINTS_PER_ANGLE
+# the spectra at the edges of the Bell simplex that the golden file pins
+EDGE_SPECTRA = ([0.9, 0.1, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.25, 0.25, 0.25, 0.25],
+                [0.5, 0.5, 0.0, 0.0])
+
+
+def _full_direction_grid():
+    # theta, phi and unit vector of each (k, j) of the full n x n grid
+    th, ph = np.meshgrid(np.linspace(0.0, math.pi, N),
+                         np.linspace(0.0, 2.0 * math.pi, N, endpoint=False), indexing="ij")
+    u = np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=-1)
+    return th, ph, u
+
+
+def _general_state(rng, rank):
+    g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def _kept(k, j):
+    # (k, j) of the full grid -> (row of the hemisphere grid, sign): a row
+    # with theta > pi/2 is the antipode of (n - 1 - k, j + n/2), and the pole
+    # is kept once, at phi = 0
+    sign = 1.0
+    if k >= N // 2:
+        k, j, sign = N - 1 - k, (j + N // 2) % N, -1.0
+    return (0 if k == 0 else 1 + (k - 1) * N + j), sign
+
+
+def test_hemisphere_grid_covers_every_direction_of_the_full_grid():
+    th, ph, u = _direction_grid()
+    full_th, full_ph, full_u = _full_direction_grid()
+    # a subset of the full grid, angle for angle, not a new grid
+    rows = [(0, 0)] + [(k, j) for k in range(1, N // 2) for j in range(N)]
+    assert len(u) == len(rows) == 265
+    assert np.array_equal(th, [full_th[r] for r in rows])
+    assert np.array_equal(ph, [full_ph[r] for r in rows])
+    hit = np.zeros(len(u), dtype=bool)
+    for k in range(N):
+        for j in range(N):
+            i, sign = _kept(k, j)
+            assert np.max(np.abs(full_u[k, j] - sign * u[i])) < 1e-15, (k, j)
+            hit[i] = True
+    assert hit.all()  # the map is onto: no kept direction stands for none
+
+
+def test_hemisphere_grid_directions_are_distinct_up_to_sign():
+    _, _, u = _direction_grid()
+    cos = u @ u.T
+    np.fill_diagonal(cos, 0.0)
+    # the closest pair, next to the pole, is about 0.036 rad apart
+    assert np.max(np.abs(cos)) < 1.0 - 1e-4
+
+
+def test_hemisphere_grid_minimum_equals_the_full_grid_minimum():
+    rng = np.random.default_rng(11)
+    states = [bell_spectrum_to_density(rng.dirichlet(np.ones(4))) for _ in range(16)]
+    states += [bell_spectrum_to_density(lam) for lam in EDGE_SPECTRA]
+    states += [_general_state(rng, rank) for rank in (4, 3, 2, 1)]
+    _, _, u = _direction_grid()
+    full_u = _full_direction_grid()[2].reshape(-1, 3)
+    for rho in states:
+        a_vec, b_vec, corr = _pauli_data(rho)
+        s_rho = von_neumann_entropy(rho)
+        full = _dephased_entropy((full_u @ a_vec)[:, None], (full_u @ b_vec)[None, :],
+                                 full_u @ corr @ full_u.T) - s_rho
+        hemi = _classical_values_grid(a_vec, b_vec, corr, u, s_rho)
+        assert abs(hemi.min() - full.min()) < 1e-15
+
+
+def test_classical_evaluations_count_the_hemisphere_grid():
+    # 265^2 grid pairs, the two restarts and one pattern per refinement step;
+    # the history holds the lead value, each start's value and one per step
+    for rho in (bell_spectrum_to_density(LAM_FIG), _general_state(np.random.default_rng(5), 4)):
+        res = oracle_closest_classical(rho, seed=3)
+        steps = len(res.history) - 4
+        assert steps > 0
+        assert res.evaluations == 265 ** 2 + 2 + steps * len(_offsets(4))
 
 
 def test_oracle_confirms_fresh_classical_construction_after_switch():

@@ -3,10 +3,15 @@
 `tests/data/oracle_golden.json` holds, per case, the sha256 of the
 `value`, `evaluations`, `minimizer` and `history` bytes of one
 `OracleResult`, captured before the oracles ran their restarts in
-lockstep and built their state-independent grid work once. Any change to
-the search order, the grids or the relative-entropy kernel that moves a
-single bit fails here. `python tests/test_oracle_golden.py` prints the
-digests of the current code as JSON.
+lockstep and built their state-independent grid work once. The 38
+`*/classical/*` entries were re-captured when the classical direction grid
+was cut to one hemisphere per qubit (u and -u define the same basis):
+`evaluations` fell by 261,551 grid pairs, and the grid start may land on
+the antipode of the old one; the separable and product entries kept their
+bytes. Any change to the search order, the grids or the relative-entropy
+kernel that moves a single bit fails here. `python
+tests/test_oracle_golden.py` prints the digests of the current code as
+JSON.
 """
 
 import hashlib

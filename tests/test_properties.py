@@ -1,4 +1,5 @@
-"""Property-based checks of the invariants of the Bell-diagonal dynamics."""
+"""Property-based checks of the invariants of the Bell-diagonal dynamics and
+of the classical oracle's objective."""
 
 import math
 
@@ -9,7 +10,11 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from belldyn.correlations import bell_quantifiers, quantifier_report  # noqa: E402
+from belldyn.correlations import (  # noqa: E402
+    bell_quantifiers,
+    c_vector_of_spectrum,
+    quantifier_report,
+)
 from belldyn.dynamics import (  # noqa: E402
     bell_spectrum_of,
     bell_spectrum_to_density,
@@ -21,6 +26,7 @@ from belldyn.nonmarkov import (  # noqa: E402
     detect_switching_times,
     nonmarkovianity_measure,
 )
+from belldyn.oracle import _dephased_entropy, _directions, _pauli_data  # noqa: E402
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -31,6 +37,20 @@ spectra = st.lists(st.integers(0, 1000), min_size=4, max_size=4).filter(any).map
     lambda w: np.array(w, dtype=float) / sum(w)
 )
 taus = st.floats(0.0, 4.0 * math.pi, allow_nan=False)
+
+
+def _density(entries):
+    g = np.array(entries[:16]).reshape(4, 4) + 1j * np.array(entries[16:]).reshape(4, 4)
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+# Bell-diagonal states and general states g g^+ / Tr of every rank
+states = st.one_of(
+    spectra.map(bell_spectrum_to_density),
+    st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32)
+    .filter(lambda w: sum(x * x for x in w) > 1e-3).map(_density),
+)
 
 
 @PROPERTY_SETTINGS
@@ -46,11 +66,29 @@ def test_kernel_matches_the_matrix_route(lam0, tau):
 @given(st.lists(spectra, min_size=2, max_size=20))
 def test_each_row_of_a_stack_gets_the_bits_of_a_one_state_call(rows):
     # verify certifies chunks of any size, down to one state, while the
-    # trajectory commands print whole stacks: both must see the same bits
+    # trajectory commands print whole stacks, c-vectors included: a library
+    # call on one spectrum must see the same bits
     stack = bell_quantifiers(np.array(rows))
+    c_stack = c_vector_of_spectrum(np.array(rows))
     for k, lam in enumerate(rows):
         alone = bell_quantifiers(lam)
         assert all(got[k] == want for got, want in zip(stack, alone)), lam
+        assert np.array_equal(c_stack[k], c_vector_of_spectrum(lam)), lam
+
+
+@PROPERTY_SETTINGS
+@given(states, st.floats(0.0, math.pi), st.floats(0.0, 2.0 * math.pi),
+       st.floats(0.0, math.pi), st.floats(0.0, 2.0 * math.pi))
+def test_dephased_entropy_is_even_in_each_local_direction(rho, th_a, ph_a, th_b, ph_b):
+    # u -> -u on one qubit flips alpha (or beta) and kappa, which only permutes
+    # the four outcome probabilities: the classical oracle's hemisphere grid
+    # relies on it
+    a_vec, b_vec, corr = _pauli_data(rho)
+    ua, ub = _directions(th_a, ph_a), _directions(th_b, ph_b)
+    alpha, beta, kappa = ua @ a_vec, ub @ b_vec, ua @ corr @ ub
+    h = _dephased_entropy(alpha, beta, kappa)
+    assert abs(_dephased_entropy(-alpha, beta, -kappa) - h) < 1e-15
+    assert abs(_dephased_entropy(alpha, -beta, -kappa) - h) < 1e-15
 
 
 @PROPERTY_SETTINGS
