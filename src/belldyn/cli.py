@@ -12,7 +12,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,47 +48,6 @@ class InputError(Exception):
 
 class AnalyticPathError(Exception):
     """Initial state outside the Bell-diagonal fast path (exit code 3)."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    g: float = 1.0
-    tau_max: float = math.pi
-    steps: int = 2000
-    convention: str = "increase_counting"
-    output: str = "-"
-    format: str = "csv"
-    seed: int = 0
-
-    def __post_init__(self):
-        # written so that NaN fails too
-        if not 0.0 < self.g < math.inf:
-            raise InputError("--g must be positive and finite")
-        if not 0.0 < self.tau_max < math.inf:
-            raise InputError("--tau-max must be positive and finite")
-        if self.steps < 2:
-            raise InputError("--steps must be at least 2")
-        if self.format not in ("csv", "json"):
-            raise InputError("--format must be csv or json")
-        if self.seed < 0:
-            raise InputError("--seed must be non-negative")
-
-    def grid(self) -> np.ndarray:
-        # steps counts intervals, so the grid has steps+1 points and the
-        # defaults land exactly on tau = pi/4, pi/2, ...
-        return np.linspace(0.0, self.tau_max, self.steps + 1)
-
-
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        g=args.g,
-        tau_max=args.tau_max,
-        steps=args.steps,
-        convention=CONVENTION_BY_FLAG[args.convention],
-        output=args.output,
-        format=args.format,
-        seed=args.seed,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -203,28 +161,40 @@ def _write_text(path: str, text: str) -> None:
         raise InputError(f"cannot write output: {exc}") from exc
 
 
-def _write_table(columns: dict, cfg: RunConfig) -> None:
+def _write_table(columns: dict, args) -> None:
     """Write equal-length columns (arrays or lists) as CSV or JSON."""
     names = list(columns)
     values = [np.asarray(v, dtype=float).tolist() for v in columns.values()]
-    if cfg.format == "csv":
+    if args.format == "csv":
         lines = [",".join(names)]
         lines.extend(",".join(map(_fmt, row)) for row in zip(*values))
-        _write_text(cfg.output, "\n".join(lines) + "\n")
+        _write_text(args.output, "\n".join(lines) + "\n")
     else:
         data = {name: [float(_fmt(v)) for v in vals] for name, vals in zip(names, values)}
-        _write_text(cfg.output, json.dumps(data) + "\n")
+        _write_text(args.output, json.dumps(data) + "\n")
 
 
 # ---------------------------------------------------------------------------
 # commands
 
-def _trajectory_columns(lam0: np.ndarray, cfg: RunConfig) -> dict:
-    grid = cfg.grid()
+def _grid(args) -> np.ndarray:
+    # written so that NaN fails too
+    if not 0.0 < args.tau_max < math.inf:
+        raise InputError("--tau-max must be positive and finite")
+    if args.steps < 2:
+        raise InputError("--steps must be at least 2")
+    # steps counts intervals, so the grid has steps+1 points and the
+    # defaults land exactly on tau = pi/4, pi/2, ...
+    return np.linspace(0.0, args.tau_max, args.steps + 1)
+
+
+def _trajectory_columns(lam0: np.ndarray, grid: np.ndarray, g: float) -> dict:
+    if not 0.0 < g < math.inf:
+        raise InputError("--g must be positive and finite")
     lam = evolve_bell_spectrum(lam0, grid)
     cols: dict = {"tau": grid}
-    if cfg.g != 1.0:
-        cols["t"] = grid / cfg.g
+    if g != 1.0:
+        cols["t"] = grid / g
     cols["f"] = mixing_fraction(grid)
     cols.update(zip(("lambda_1p", "lambda_1m", "lambda_2p", "lambda_2m"), lam.T))
     cols.update(zip(("c1", "c2", "c3"), c_vector_of_spectrum(lam).T))
@@ -235,27 +205,22 @@ def _trajectory_columns(lam0: np.ndarray, cfg: RunConfig) -> dict:
 def cmd_trajectory(args) -> int:
     """evolve, figure2 and figure3: the spectrum and T, D, C, E on the tau
     grid, plus the ancilla columns E_anc and I_E when args.ancilla is set."""
-    cfg = _config_from_args(args)
-    lam0 = _spectrum_of_initial(load_initial(args.initial))
-    cols = _trajectory_columns(lam0, cfg)
+    grid = _grid(args)
+    cols = _trajectory_columns(_spectrum_of_initial(load_initial(args.initial)), grid, args.g)
     if args.ancilla:
-        trace = nonmarkovianity_measure(cfg.grid(), cfg.convention)
-        cols["E_anc"] = trace.e_anc
-        cols["I_E"] = trace.i_e
-    _write_table(cols, cfg)
+        trace = nonmarkovianity_measure(grid, CONVENTION_BY_FLAG[args.convention])
+        cols.update(E_anc=trace.e_anc, I_E=trace.i_e)
+    _write_table(cols, args)
     return 0
 
 
 def cmd_nonmarkov(args) -> int:
-    cfg = _config_from_args(args)
-    trace = nonmarkovianity_measure(cfg.grid(), cfg.convention)
-    cols = {"tau": trace.tau_grid, "E_anc": trace.e_anc, "I_E": trace.i_e}
-    _write_table(cols, cfg)
+    trace = nonmarkovianity_measure(_grid(args), CONVENTION_BY_FLAG[args.convention])
+    _write_table({"tau": trace.tau_grid, "E_anc": trace.e_anc, "I_E": trace.i_e}, args)
     return 0
 
 
 def cmd_composition(args) -> int:
-    cfg = _config_from_args(args)
     if not 0.0 <= args.tau1 < args.tau2 < math.inf:
         raise InputError("need 0 <= tau1 < tau2, both finite")
     lam0 = _spectrum_of_initial(load_initial(args.initial))
@@ -268,38 +233,39 @@ def cmd_composition(args) -> int:
         "restarted": [float(_fmt(v)) for v in restarted],
         "trace_distance": float(_fmt(dist)),
     }
-    _write_text(cfg.output, json.dumps(report) + "\n")
+    _write_text(args.output, json.dumps(report) + "\n")
     return 0
 
 
-def _verify_chunks(args, cfg):
+def _verify_chunks(args):
     # the states to certify, drawn one chunk at a time
     if args.initial is not None:
         yield [_spectrum_of_initial(load_initial(args.initial))]
         return
     if args.n < 1:
         raise InputError("--n must be at least 1")
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(args.seed)
     for first in range(0, args.n, _VERIFY_CHUNK):
         size = min(_VERIFY_CHUNK, args.n - first)
         yield [validate_spectrum(rng.dirichlet(np.ones(4))) for _ in range(size)]
 
 
 def cmd_verify(args) -> int:
-    cfg = _config_from_args(args)
+    if args.seed < 0:
+        raise InputError("--seed must be non-negative")
     families = {
         name: {"max_discrepancy_bits": 0.0, "analytic_bits": 0.0,
                "oracle_bits": 0.0, "worst_state": None}
         for name in ("classical", "separable", "product")
     }
     n = 0
-    for states in _verify_chunks(args, cfg):
+    for states in _verify_chunks(args):
         rhos = [bell_spectrum_to_density(lam) for lam in states]
         # the analytic side is the kernel the trajectory commands print: each
         # family's closest-state distance is D, E or T
         t, d, _, e = bell_quantifiers(np.array(states))
         checks = {
-            "classical": (d, oracle_closest_classical_batch(rhos, seed=cfg.seed)),
+            "classical": (d, oracle_closest_classical_batch(rhos, seed=args.seed)),
             "separable": (e, oracle_closest_separable_bd_batch(states)),
             "product": (t, oracle_closest_product_batch(rhos)),
         }
@@ -315,12 +281,12 @@ def cmd_verify(args) -> int:
     passed = all(f["max_discrepancy_bits"] < VERIFY_TOL_BITS for f in families.values())
     report = {
         "n": n,
-        "seed": cfg.seed,
+        "seed": args.seed,
         "tolerance_bits": VERIFY_TOL_BITS,
         "families": families,
         "passed": passed,
     }
-    _write_text(cfg.output, json.dumps(report) + "\n")
+    _write_text(args.output, json.dumps(report) + "\n")
     if not passed:
         for name, fam in families.items():
             if fam["max_discrepancy_bits"] >= VERIFY_TOL_BITS:
@@ -337,38 +303,45 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+#: every option of the CLI, keyed by flag; each command lists the ones it reads
+_OPTIONS = {
+    "--initial": dict(default=None,
+                      help="initial state: JSON file or inline JSON with a "
+                           '"bell" spectrum or a 4x4 "matrix" of [re, im] '
+                           "pairs, or four comma-separated Bell coefficients "
+                           f"(default {DEFAULT_INITIAL})"),
+    "--g": dict(type=float, default=1.0,
+                help="field-qubit coupling rate (default 1; time is reported "
+                     "as the dimensionless tau = g*t, and an absolute-time "
+                     "column t is added only when g != 1)"),
+    "--tau-max": dict(type=float, default=math.pi, help="end of the tau grid (default pi)"),
+    "--steps": dict(type=int, default=2000,
+                    help="number of grid intervals; the grid has steps+1 points "
+                         "(default 2000)"),
+    "--convention": dict(choices=sorted(CONVENTION_BY_FLAG), default="rhp",
+                         help="accumulation convention for the non-Markovianity "
+                              "quantifier: rhp counts entanglement increases only, "
+                              "literal applies the integral-minus-variation formula "
+                              "verbatim (default rhp)"),
+    "--output": dict(default="-", help="output path, '-' for stdout (default)"),
+    "--format": dict(choices=("csv", "json"), default="csv", help="table format (default csv)"),
+    "--seed": dict(type=int, default=0, help="seed for the random states and oracle restarts"),
+    "--n": dict(type=int, default=100,
+                help="number of seeded random Bell-diagonal states (default 100; "
+                     "ignored when --initial is given)"),
+    "tau1": dict(type=float),
+    "tau2": dict(type=float),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    # a usage error is bad input: one line and exit 2, not a usage block
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--g", type=float, default=1.0,
-                        help="field-qubit coupling rate (default 1; time is reported "
-                             "as the dimensionless tau = g*t, and an absolute-time "
-                             "column t is added only when g != 1)")
-    common.add_argument("--tau-max", type=float, default=math.pi,
-                        help="end of the tau grid (default pi)")
-    common.add_argument("--steps", type=int, default=2000,
-                        help="number of grid intervals; the grid has steps+1 points "
-                             "(default 2000)")
-    common.add_argument("--convention", choices=sorted(CONVENTION_BY_FLAG),
-                        default="rhp",
-                        help="accumulation convention for the non-Markovianity "
-                             "quantifier: rhp counts entanglement increases only, "
-                             "literal applies the integral-minus-variation formula "
-                             "verbatim (default rhp)")
-    common.add_argument("--output", default="-",
-                        help="output path, '-' for stdout (default)")
-    common.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="table format (default csv)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for random sampling and oracle restarts")
-
-    initial_opt = argparse.ArgumentParser(add_help=False)
-    initial_opt.add_argument("--initial", default=None,
-                             help="initial state: JSON file or inline JSON with a "
-                                  '"bell" spectrum or a 4x4 "matrix" of [re, im] '
-                                  "pairs, or four comma-separated Bell coefficients "
-                                  f"(default {DEFAULT_INITIAL})")
-
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="belldyn",
         description="Correlation dynamics of two qubits under local classical "
                     "random external fields.",
@@ -376,47 +349,41 @@ def build_parser() -> argparse.ArgumentParser:
                "4 certification failure",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("evolve", parents=[common, initial_opt],
-                       help="trajectory of the Bell spectrum and all quantifiers")
-    p.set_defaults(func=cmd_trajectory, ancilla=False)
-    p = sub.add_parser("figure2", parents=[common],
-                       help="frozen/oscillating correlation trajectory for the "
-                            "(0.9, 0.1, 0, 0) state")
-    p.set_defaults(func=cmd_trajectory, initial=DEFAULT_INITIAL, ancilla=False)
-    p = sub.add_parser("figure3", parents=[common],
-                       help="same trajectory plus ancilla entanglement and the "
-                            "non-Markovianity quantifier")
-    p.set_defaults(func=cmd_trajectory, initial=DEFAULT_INITIAL, ancilla=True)
-    p = sub.add_parser("verify", parents=[common, initial_opt],
-                       help="certify the analytic closest states against the "
-                            "brute-force oracles")
-    p.add_argument("--n", type=int, default=100,
-                   help="number of seeded random Bell-diagonal states (default 100; "
-                        "ignored when --initial is given)")
-    p.set_defaults(func=cmd_verify)
-    p = sub.add_parser("nonmarkov", parents=[common],
-                       help="ancilla entanglement and accumulated non-Markovianity")
-    p.set_defaults(func=cmd_nonmarkov)
-    p = sub.add_parser("composition", parents=[common, initial_opt],
-                       help="two-step composition-law violation witness")
-    p.add_argument("tau1", type=float)
-    p.add_argument("tau2", type=float)
-    p.set_defaults(func=cmd_composition)
+    trajectory = ("--g", "--tau-max", "--steps", "--output", "--format")
+    # (command, help, the options it reads, fixed arguments), built per call so
+    # that each command runs the module's current binding of its function
+    for name, help_text, options, fixed in (
+        ("evolve", "trajectory of the Bell spectrum and all quantifiers",
+         ("--initial",) + trajectory, dict(func=cmd_trajectory, ancilla=False)),
+        ("figure2", "frozen/oscillating correlation trajectory for the (0.9, 0.1, 0, 0) state",
+         trajectory, dict(func=cmd_trajectory, initial=DEFAULT_INITIAL, ancilla=False)),
+        ("figure3", "same trajectory plus ancilla entanglement and the non-Markovianity "
+         "quantifier", trajectory + ("--convention",),
+         dict(func=cmd_trajectory, initial=DEFAULT_INITIAL, ancilla=True)),
+        ("verify", "certify the analytic closest states against the brute-force oracles",
+         ("--initial", "--n", "--seed", "--output"), dict(func=cmd_verify)),
+        ("nonmarkov", "ancilla entanglement and accumulated non-Markovianity",
+         ("--tau-max", "--steps", "--convention", "--output", "--format"),
+         dict(func=cmd_nonmarkov)),
+        ("composition", "two-step composition-law violation witness",
+         ("tau1", "tau2", "--initial", "--output"), dict(func=cmd_composition)),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        # an option in a group skips argparse's trial help line (1/4 of the build)
+        group = p.add_argument_group(f"{name} options")
+        for option in options:
+            group.add_argument(option, **_OPTIONS[option])
+        p.set_defaults(**fixed)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except InputError as exc:
+    except (InputError, AnalyticPathError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except AnalyticPathError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 3 if isinstance(exc, AnalyticPathError) else 2
 
 
 def run() -> None:

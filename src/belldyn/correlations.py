@@ -28,7 +28,7 @@ from .linalg import (
     _clamp_residue,
     _relative_entropy_stack,
     _xlog2,
-    check_density,
+    check_two_qubit_state,
     partial_trace,
     tensor,
     von_neumann_entropy,
@@ -46,9 +46,7 @@ BELL_C_VECTORS = np.array([
 
 def correlation_c_vector(rho) -> np.ndarray:
     """(c1, c2, c3) with c_k = Tr[rho (sigma_k x sigma_k)]."""
-    a = check_density(rho)
-    if a.shape != (4, 4):
-        raise ValueError("correlation_c_vector expects a 4x4 state")
+    a = check_two_qubit_state(rho, "correlation_c_vector")
     return np.array([float(np.trace(a @ tensor(p, p)).real) for p in PAULI])
 
 
@@ -74,9 +72,7 @@ def spectrum_of_c_vector(c) -> np.ndarray:
 def closest_product(rho) -> np.ndarray:
     """Tensor product of the two marginals, the relative-entropy-closest
     product state. Equals I/4 for every Bell-diagonal input."""
-    a = check_density(rho)
-    if a.shape != (4, 4):
-        raise ValueError("closest_product expects a 4x4 state")
+    a = check_two_qubit_state(rho, "closest_product")
     return tensor(partial_trace(a, "A"), partial_trace(a, "B"))
 
 
@@ -153,9 +149,7 @@ def bell_quantifiers(lam):
 def negativity(rho) -> float:
     """Sum of |negative eigenvalues| of the partial transpose; a PPT
     entanglement witness valid for any two-qubit state."""
-    a = check_density(rho)
-    if a.shape != (4, 4):
-        raise ValueError("negativity expects a 4x4 state")
+    a = check_two_qubit_state(rho, "negativity")
     pt = a.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
     w = np.linalg.eigvalsh(pt)
     return float(-w[w < 0].sum())
@@ -189,9 +183,7 @@ def quantifier_report(rho) -> CorrelationReport:
     gets chi from the brute-force classical search, no E value, and the
     PPT witness.
     """
-    a = check_density(rho)
-    if a.shape != (4, 4):
-        raise ValueError("quantifier_report expects a 4x4 state")
+    a = check_two_qubit_state(rho, "quantifier_report")
     lam, residual = bell_spectrum_of(a)
     s_rho = von_neumann_entropy(a)
     pi = closest_product(a)

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .linalg import check_density, tensor
+from .linalg import check_density, check_two_qubit_state, tensor
 
 BRANCH_PHASES = (0.0, math.pi)
 
@@ -159,9 +159,7 @@ def bell_spectrum_of(rho):
     the state is not Bell-diagonal; the diagonal is still returned, never
     silently truncated into a state.
     """
-    a = check_density(rho)
-    if a.shape != (4, 4):
-        raise ValueError("bell_spectrum_of expects a 4x4 state")
+    a = check_two_qubit_state(rho, "bell_spectrum_of")
     m = BELL_VECTORS.conj().T @ a @ BELL_VECTORS
     lam = np.real(np.diag(m)).copy()
     off = m - np.diag(np.diag(m))

@@ -54,6 +54,14 @@ def check_density(rho, name="state"):
     return a
 
 
+def check_two_qubit_state(rho, name):
+    """check_density of a 4x4 state; the shape error names the caller `name`."""
+    a = check_density(rho)
+    if a.shape != (4, 4):
+        raise ValueError(f"{name} expects a 4x4 state")
+    return a
+
+
 def _xlog2(p):
     """Elementwise p log2 p with 0 log 0 := 0 (also for p < 0 and NaN); the
     one entropy kernel of the package. Callers clip and sum themselves."""
@@ -129,9 +137,7 @@ def tensor(a, b) -> np.ndarray:
 
 def partial_trace(rho, keep) -> np.ndarray:
     """Reduce a two-qubit state to the marginal of subsystem 'A' or 'B'."""
-    a = check_density(rho)
-    if a.shape != (4, 4):
-        raise ValueError("partial_trace expects a 4x4 state")
+    a = check_two_qubit_state(rho, "partial_trace")
     t = a.reshape(2, 2, 2, 2)
     if keep == "A":
         return np.einsum("abcb->ac", t)
@@ -160,9 +166,7 @@ def product_basis(angles) -> np.ndarray:
 
 def dephase_in_basis(rho, angles) -> np.ndarray:
     """Zero all off-diagonal elements of rho in the given product basis."""
-    a = check_density(rho)
-    if a.shape != (4, 4):
-        raise ValueError("dephase_in_basis expects a 4x4 state")
+    a = check_two_qubit_state(rho, "dephase_in_basis")
     b = product_basis(angles)
     p = np.clip(np.real(np.einsum("ik,ij,jk->k", b.conj(), a, b)), 0.0, None)
     return (b * p) @ b.conj().T

@@ -24,6 +24,8 @@ from .dynamics import bell_spectrum_to_density, evolve_bell_spectrum, validate_s
 from .linalg import trace_distance
 
 CONVENTIONS = ("increase_counting", "literal")
+FROZEN_TOL = 1e-6
+DEATH_THRESHOLD = 1e-12
 
 
 def ancilla_entanglement(tau):
@@ -105,9 +107,9 @@ def _check_uniform(grid):
     return g
 
 
-def detect_frozen_intervals(tau_grid, values, tol: float = 1e-6):
-    """Maximal intervals where the series stays within tol of its interval
-    mean at every grid point. Intervals shorter than 3 grid points are
+def detect_frozen_intervals(tau_grid, values):
+    """Maximal intervals where the series stays within FROZEN_TOL of its
+    interval mean at every grid point. Intervals shorter than 3 grid points are
     discarded. Returns a list of (start_tau, end_tau) pairs."""
     g = _check_uniform(tau_grid)
     v = np.asarray(values, dtype=float).reshape(-1)
@@ -125,7 +127,7 @@ def detect_frozen_intervals(tau_grid, values, tol: float = 1e-6):
             lo_new = min(lo, v[j])
             hi_new = max(hi, v[j])
             mean = total_new / (j - i + 1)
-            if hi_new - mean < tol and mean - lo_new < tol:
+            if hi_new - mean < FROZEN_TOL and mean - lo_new < FROZEN_TOL:
                 total, lo, hi = total_new, lo_new, hi_new
                 j += 1
             else:
@@ -165,8 +167,8 @@ def detect_switching_times(lam0, tau_max):
     return sorted(times[(times > 0.0) & (times <= tau_max)].tolist())
 
 
-def detect_death_revival(tau_grid, e_values, threshold: float = 1e-12, refine=None):
-    """Maximal intervals where the entanglement series is <= threshold.
+def detect_death_revival(tau_grid, e_values, refine=None):
+    """Maximal intervals where the entanglement series is <= DEATH_THRESHOLD.
 
     If `refine` is a callable E(tau), interior boundaries are sharpened by
     bisection between the bracketing grid points. Returns a list of
@@ -175,7 +177,7 @@ def detect_death_revival(tau_grid, e_values, threshold: float = 1e-12, refine=No
     e = np.asarray(e_values, dtype=float).reshape(-1)
     if e.size != g.size:
         raise ValueError("values and tau grid must have equal length")
-    dead = e <= threshold
+    dead = e <= DEATH_THRESHOLD
     out = []
     i = 0
     n = e.size
@@ -189,19 +191,19 @@ def detect_death_revival(tau_grid, e_values, threshold: float = 1e-12, refine=No
         start, end = float(g[i]), float(g[j])
         if refine is not None:
             if i > 0:
-                start = _bisect_threshold(refine, float(g[i - 1]), start, threshold, False)
+                start = _bisect_threshold(refine, float(g[i - 1]), start, False)
             if j + 1 < n:
-                end = _bisect_threshold(refine, end, float(g[j + 1]), threshold, True)
+                end = _bisect_threshold(refine, end, float(g[j + 1]), True)
         out.append((start, end))
         i = j + 1
     return out
 
 
-def _bisect_threshold(fn, lo, hi, threshold, rising):
-    # rising=True: fn <= threshold at lo and > threshold at hi.
+def _bisect_threshold(fn, lo, hi, rising):
+    # rising=True: fn <= DEATH_THRESHOLD at lo and > DEATH_THRESHOLD at hi.
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        below = fn(mid) <= threshold
+        below = fn(mid) <= DEATH_THRESHOLD
         if below == rising:
             lo = mid
         else:

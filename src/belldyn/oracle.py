@@ -36,7 +36,7 @@ from .linalg import (
     _relative_entropy_stack,
     _relative_entropy_tail,
     _xlog2,
-    check_density,
+    check_two_qubit_state,
     dephase_in_basis,
     von_neumann_entropy,
 )
@@ -209,9 +209,7 @@ def oracle_closest_classical(rho, seed: int = 0) -> OracleResult:
 def oracle_closest_classical_batch(rhos, seed: int = 0) -> list[OracleResult]:
     """`oracle_closest_classical` of each state, every state with the same
     restarts from `seed`; all refinements run in lockstep."""
-    states = [check_density(rho) for rho in rhos]
-    if any(a.shape != (4, 4) for a in states):
-        raise ValueError("oracle_closest_classical expects a 4x4 state")
+    states = [check_two_qubit_state(rho, "oracle_closest_classical") for rho in rhos]
     if not states:
         return []
     a_vec, b_vec, corr = (np.array(x) for x in zip(*map(_pauli_data, states)))
@@ -366,9 +364,7 @@ def oracle_closest_product(rho) -> OracleResult:
 def oracle_closest_product_batch(rhos) -> list[OracleResult]:
     """`oracle_closest_product` of each state; all refinements run in
     lockstep."""
-    states = [check_density(rho) for rho in rhos]
-    if any(a.shape != (4, 4) for a in states):
-        raise ValueError("oracle_closest_product expects a 4x4 state")
+    states = [check_two_qubit_state(rho, "oracle_closest_product") for rho in rhos]
     rho = np.array(states)
     s_rho = np.array([von_neumann_entropy(a) for a in states])
 

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -8,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from belldyn.cli import main
+from belldyn.cli import build_parser, main
 from belldyn.correlations import bell_quantifiers, quantifier_report
 from belldyn.dynamics import bell_spectrum_to_density
 
@@ -212,6 +213,10 @@ BAD_INPUTS = [
     ["composition", "0", "inf"],
     ["verify", "--n", "1", "--seed", "-1"],
     ["evolve", "--initial", "1e308,1e308,-1e308,-1e308"],
+    ["evolve", "--format", "xml"],
+    ["evolve", "--steps", "abc"],
+    ["verify", "--n", "1", "--format", "csv"],
+    ["composition", "0", "1", "--seed", "3"],
 ]
 
 
@@ -224,6 +229,34 @@ def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
     assert list(tmp_path.iterdir()) == []
+
+
+#: the options each subcommand reads, and no others
+OPTIONS_BY_COMMAND = {
+    "evolve": {"--initial", "--g", "--tau-max", "--steps", "--output", "--format"},
+    "figure2": {"--g", "--tau-max", "--steps", "--output", "--format"},
+    "figure3": {"--g", "--tau-max", "--steps", "--output", "--format", "--convention"},
+    "nonmarkov": {"--tau-max", "--steps", "--convention", "--output", "--format"},
+    "composition": {"--initial", "--output"},
+    "verify": {"--initial", "--n", "--seed", "--output"},
+}
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+             for name, p in sub.choices.items()}
+    assert flags == OPTIONS_BY_COMMAND
+    assert sum(map(len, flags.values())) == 28
+    positionals = {name: [a.dest for a in p._actions if not a.option_strings]
+                   for name, p in sub.choices.items()}
+    assert positionals == {name: (["tau1", "tau2"] if name == "composition" else [])
+                           for name in OPTIONS_BY_COMMAND}
+
+
+def test_missing_subcommand_returns_2_with_one_line(capsys):
+    assert main([]) == 2
+    assert capsys.readouterr().err == "error: the following arguments are required: command\n"
 
 
 def test_overflowing_initial_gives_one_stderr_line():

@@ -3,6 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from belldyn.correlations import (
+    closest_product,
+    correlation_c_vector,
+    negativity,
+    quantifier_report,
+)
+from belldyn.dynamics import bell_spectrum_of
 from belldyn.linalg import (
     check_density,
     check_hermitian,
@@ -13,6 +20,7 @@ from belldyn.linalg import (
     trace_distance,
     von_neumann_entropy,
 )
+from belldyn.oracle import oracle_closest_classical_batch, oracle_closest_product_batch
 
 BELL_2P = np.zeros((4, 4), dtype=complex)
 BELL_2P[np.ix_([0, 3], [0, 3])] = 0.5  # (|00>+|11>)/sqrt(2) projector
@@ -150,3 +158,26 @@ def test_trace_distance_examples():
     a = np.diag([0.9, 0.1, 0.0, 0.0])
     b = np.diag([0.45, 0.05, 0.05, 0.45])
     assert abs(trace_distance(a, b) - 0.5) < 1e-12
+
+
+
+#: every public entry point that takes one two-qubit state
+TWO_QUBIT_ENTRY_POINTS = {
+    "partial_trace": lambda rho: partial_trace(rho, "A"),
+    "dephase_in_basis": lambda rho: dephase_in_basis(rho, (0.0, 0.0, 0.0, 0.0)),
+    "bell_spectrum_of": bell_spectrum_of,
+    "correlation_c_vector": correlation_c_vector,
+    "closest_product": closest_product,
+    "negativity": negativity,
+    "quantifier_report": quantifier_report,
+    "oracle_closest_classical": lambda rho: oracle_closest_classical_batch([rho]),
+    "oracle_closest_product": lambda rho: oracle_closest_product_batch([rho]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWO_QUBIT_ENTRY_POINTS))
+def test_two_qubit_entry_points_reject_a_valid_qubit_state(name):
+    # a valid 2x2 density matrix passes check_density but is no two-qubit state
+    qubit = check_density(np.array([[0.7, 0.1], [0.1, 0.3]]))
+    with pytest.raises(ValueError, match=f"^{name} expects a 4x4 state$"):
+        TWO_QUBIT_ENTRY_POINTS[name](qubit)

@@ -148,7 +148,7 @@ def test_switching_times_of_the_figure_state_are_exact():
 
 def test_death_revival_ancilla_point():
     grid = np.linspace(0, math.pi / 2, 2001)
-    out = detect_death_revival(grid, ancilla_entanglement(grid), threshold=1e-12)
+    out = detect_death_revival(grid, ancilla_entanglement(grid))
     assert len(out) == 1
     start, end = out[0]
     step = grid[1] - grid[0]
@@ -171,7 +171,7 @@ def test_death_revival_two_qubit_window():
             return 0.0
         return 1.0 + lam_max * math.log2(lam_max) + (1 - lam_max) * math.log2(1 - lam_max)
 
-    out = detect_death_revival(grid, e, threshold=1e-12, refine=closed_form)
+    out = detect_death_revival(grid, e, refine=closed_form)
     assert len(out) == 1
     start, end = out[0]
     assert abs(start - DEATH_LO) < 1e-3
