@@ -14,7 +14,6 @@ from .correlations import (
     correlation_c_vector,
     negativity,
     quantifier_report,
-    spectrum_of_c_vector,
 )
 from .dynamics import (
     BELL_RESIDUAL_TOL,

@@ -78,11 +78,16 @@ def _initial_from_dict(obj):
         tr = float(np.trace(m).real)
         if not abs(tr - 1.0) <= 1e-9:  # NaN fails too
             raise InputError(f"initial matrix trace is {tr!r}, expected 1")
-        m = m / np.trace(m)
         try:
-            return check_density(m, name="initial state")
+            lam, residual = bell_spectrum_of(check_density(m / np.trace(m), name="initial state"))
         except ValueError as exc:
             raise InputError(str(exc)) from exc
+        if residual >= BELL_RESIDUAL_TOL:
+            raise AnalyticPathError(
+                f"initial state is not Bell-diagonal (residual {residual:.3e}); "
+                "this pipeline is analytic-only"
+            )
+        return lam
     raise InputError('initial-state JSON needs a "bell" or "matrix" key')
 
 
@@ -102,8 +107,8 @@ def _normalized_spectrum(vals):
 
 def load_initial(arg: str | None):
     """Parse --initial: a JSON file path, an inline JSON object, or four
-    comma-separated Bell coefficients. Returns a spectrum (4,) or a 4x4
-    density matrix."""
+    comma-separated Bell coefficients. Returns the Bell spectrum (4,); a
+    matrix that is not Bell-diagonal raises AnalyticPathError."""
     text = (arg if arg is not None else DEFAULT_INITIAL).strip()
     if text.startswith("{"):
         try:
@@ -128,19 +133,6 @@ def load_initial(arg: str | None):
             raise InputError("inline spectrum needs 4 comma-separated values")
         return _normalized_spectrum(vals)
     raise InputError(f"initial-state file not found: {text}")
-
-
-def _spectrum_of_initial(initial) -> np.ndarray:
-    if initial.ndim == 1:
-        return initial
-    lam, residual = bell_spectrum_of(initial)
-    if residual >= BELL_RESIDUAL_TOL:
-        raise AnalyticPathError(
-            f"initial state is not Bell-diagonal (residual {residual:.3e}); "
-            "this pipeline is analytic-only"
-        )
-    lam = np.clip(lam, 0.0, None)
-    return validate_spectrum(lam / lam.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +183,10 @@ def _grid(args) -> np.ndarray:
 def _trajectory_columns(lam0: np.ndarray, grid: np.ndarray, g: float) -> dict:
     if not 0.0 < g < math.inf:
         raise InputError("--g must be positive and finite")
-    lam = evolve_bell_spectrum(lam0, grid)
+    try:
+        lam = evolve_bell_spectrum(lam0, grid)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     cols: dict = {"tau": grid}
     if g != 1.0:
         cols["t"] = grid / g
@@ -206,7 +201,7 @@ def cmd_trajectory(args) -> int:
     """evolve, figure2 and figure3: the spectrum and T, D, C, E on the tau
     grid, plus the ancilla columns E_anc and I_E when args.ancilla is set."""
     grid = _grid(args)
-    cols = _trajectory_columns(_spectrum_of_initial(load_initial(args.initial)), grid, args.g)
+    cols = _trajectory_columns(load_initial(args.initial), grid, args.g)
     if args.ancilla:
         trace = nonmarkovianity_measure(grid, CONVENTION_BY_FLAG[args.convention])
         cols.update(E_anc=trace.e_anc, I_E=trace.i_e)
@@ -221,10 +216,11 @@ def cmd_nonmarkov(args) -> int:
 
 
 def cmd_composition(args) -> int:
-    if not 0.0 <= args.tau1 < args.tau2 < math.inf:
-        raise InputError("need 0 <= tau1 < tau2, both finite")
-    lam0 = _spectrum_of_initial(load_initial(args.initial))
-    direct, restarted, dist = _composition(lam0, args.tau1, args.tau2)
+    lam0 = load_initial(args.initial)
+    try:
+        direct, restarted, dist = _composition(lam0, args.tau1, args.tau2)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     report = {
         "tau1": args.tau1,
         "tau2": args.tau2,
@@ -240,7 +236,7 @@ def cmd_composition(args) -> int:
 def _verify_chunks(args):
     # the states to certify, drawn one chunk at a time
     if args.initial is not None:
-        yield [_spectrum_of_initial(load_initial(args.initial))]
+        yield [load_initial(args.initial)]
         return
     if args.n < 1:
         raise InputError("--n must be at least 1")

@@ -61,14 +61,6 @@ def c_vector_of_spectrum(lam) -> np.ndarray:
     return _c_vectors(validate_spectrum(lam))
 
 
-def spectrum_of_c_vector(c) -> np.ndarray:
-    """Inverse of c_vector_of_spectrum: lam_s = (1 + c(s).c) / 4."""
-    v = np.asarray(c, dtype=float).reshape(-1)
-    if v.size != 3:
-        raise ValueError("c-vector needs 3 entries")
-    return (1.0 + BELL_C_VECTORS @ v) / 4.0
-
-
 def closest_product(rho) -> np.ndarray:
     """Tensor product of the two marginals, the relative-entropy-closest
     product state. Equals I/4 for every Bell-diagonal input."""
@@ -193,8 +185,6 @@ def quantifier_report(rho) -> CorrelationReport:
     bell_diagonal = residual < BELL_RESIDUAL_TOL
     e = sig = None
     if bell_diagonal:
-        lam = np.clip(lam, 0.0, None)
-        lam = validate_spectrum(lam / lam.sum())
         chi = closest_classical_bd(lam)
         sig = closest_separable_bd(lam)
         e = float(_relative_entropy_stack(a, sig[None], s_rho)[0])

@@ -35,6 +35,9 @@ BELL_VECTORS = np.array([
 
 BELL_RESIDUAL_TOL = 1e-8
 
+#: largest tau whose 2*tau is still finite
+_TAU_LIMIT = np.finfo(float).max / 2
+
 #: the basis swap |0> <-> |1> between the two single-qubit orderings
 _SWAP = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -67,11 +70,12 @@ def validate_spectrum(lam) -> np.ndarray:
 def mixing_fraction(tau):
     """Branch mixing fraction f = sin^2(2 tau) / 2, in [0, 1/2].
 
+    tau must lie in [0, max float / 2], so that 2 tau does not overflow.
     A scalar tau gives a float, an array of tau an array of the same shape.
     """
     t = np.asarray(tau, dtype=float)
-    if not np.all((t >= 0.0) & (t < math.inf)):
-        raise ValueError("tau must be finite and non-negative")
+    if not np.all((t >= 0.0) & (t <= _TAU_LIMIT)):  # NaN fails too
+        raise ValueError(f"tau must be finite and non-negative, at most {_TAU_LIMIT:.3e}")
     f = np.sin(2.0 * t) ** 2 / 2.0
     return float(f) if f.ndim == 0 else f
 
@@ -154,14 +158,15 @@ def bell_spectrum_to_density(lam) -> np.ndarray:
 def bell_spectrum_of(rho):
     """Bell-basis diagonal of a two-qubit state and the off-diagonal residual.
 
-    Returns (lam, residual) where residual is the max-abs off-diagonal
-    element in the Bell basis. A residual above BELL_RESIDUAL_TOL means
-    the state is not Bell-diagonal; the diagonal is still returned, never
-    silently truncated into a state.
+    Returns (lam, residual). lam is the diagonal clipped at 0, renormalized
+    and checked by `validate_spectrum`, so it is a spectrum for every valid
+    state. residual is the max-abs off-diagonal element in the Bell basis:
+    lam describes the state only when residual < BELL_RESIDUAL_TOL, which
+    callers must check.
     """
     a = check_two_qubit_state(rho, "bell_spectrum_of")
     m = BELL_VECTORS.conj().T @ a @ BELL_VECTORS
-    lam = np.real(np.diag(m)).copy()
+    lam = np.clip(np.real(np.diag(m)), 0.0, None)
     off = m - np.diag(np.diag(m))
     residual = float(np.max(np.abs(off)))
-    return lam, residual
+    return validate_spectrum(lam / lam.sum()), residual

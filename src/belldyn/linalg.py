@@ -31,13 +31,13 @@ def _as_square(m, name="matrix"):
     return a
 
 
-def check_hermitian(m, tol=HERMITICITY_TOL, name="matrix"):
-    """Validate Hermiticity within tol and return the array as complex."""
+def check_hermitian(m, name="matrix"):
+    """Validate Hermiticity within HERMITICITY_TOL and return the array as complex."""
     a = _as_square(m, name)
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} has non-finite entries")
     dev = float(np.max(np.abs(a - a.conj().T)))
-    if dev > tol:
+    if dev > HERMITICITY_TOL:
         raise ValueError(f"{name} is not Hermitian (max deviation {dev:.3e})")
     return a
 

@@ -217,6 +217,9 @@ BAD_INPUTS = [
     ["evolve", "--steps", "abc"],
     ["verify", "--n", "1", "--format", "csv"],
     ["composition", "0", "1", "--seed", "3"],
+    ["composition", "0", "1e308"],
+    ["evolve", "--tau-max", "1e308", "--steps", "2"],
+    ["figure3", "--tau-max", "1e308", "--steps", "2"],
 ]
 
 
@@ -269,6 +272,22 @@ def test_overflowing_initial_gives_one_stderr_line():
     assert cp.returncode == 2
     assert cp.stdout == ""
     assert cp.stderr.startswith("error: ") and cp.stderr.count("\n") == 1
+
+
+def test_overflowing_tau_gives_one_stderr_line():
+    # a subprocess, because capsys does not see a RuntimeWarning of sin(2 tau)
+    cp = subprocess.run(
+        [sys.executable, "-m", "belldyn", "composition", "0", "1e308"],
+        capture_output=True, text=True,
+    )
+    assert cp.returncode == 2
+    assert cp.stdout == ""
+    assert cp.stderr.startswith("error: ") and cp.stderr.count("\n") == 1
+
+
+def test_composition_equal_times_is_zero(capsys):
+    assert main(["composition", "0.5", "0.5"]) == 0
+    assert json.loads(capsys.readouterr().out)["trace_distance"] == 0.0
 
 
 def test_composition_mixed_state_is_zero(tmp_path):

@@ -13,7 +13,6 @@ from belldyn.correlations import (
     correlation_c_vector,
     negativity,
     quantifier_report,
-    spectrum_of_c_vector,
 )
 from belldyn.dynamics import (
     BELL_VECTORS,
@@ -71,7 +70,6 @@ def test_c_vector_spectrum_round_trip():
     for _ in range(50):
         lam = rng.dirichlet(np.ones(4))
         c = c_vector_of_spectrum(lam)
-        assert np.max(np.abs(spectrum_of_c_vector(c) - lam)) < 1e-12
         assert np.max(np.abs(correlation_c_vector(bell_spectrum_to_density(lam)) - c)) < 1e-12
 
 

@@ -20,9 +20,12 @@ from belldyn.dynamics import (  # noqa: E402
     bell_spectrum_to_density,
     evolve_bell_spectrum,
     two_qubit_map,
+    validate_spectrum,
 )
+from belldyn.linalg import trace_distance  # noqa: E402
 from belldyn.nonmarkov import (  # noqa: E402
     CONVENTIONS,
+    composition_violation,
     detect_switching_times,
     nonmarkovianity_measure,
 )
@@ -101,6 +104,23 @@ def test_grid_evolution_is_the_bell_diagonal_of_the_channel(lam0, tau_list):
         lam, residual = bell_spectrum_of(two_qubit_map(rho0, tau))
         assert residual < 1e-12
         assert np.max(np.abs(evolved[k] - lam)) < 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(spectra, taus, taus)
+def test_composition_witness_is_the_trace_distance_of_the_two_states(lam0, t1, t2):
+    t1, t2 = sorted((t1, t2))
+    direct = evolve_bell_spectrum(lam0, t2)
+    restarted = evolve_bell_spectrum(evolve_bell_spectrum(lam0, t1), t2 - t1)
+    want = trace_distance(bell_spectrum_to_density(direct), bell_spectrum_to_density(restarted))
+    assert abs(composition_violation(lam0, t1, t2) - want) < 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(states)
+def test_bell_spectrum_of_returns_a_checked_spectrum(rho):
+    lam, _ = bell_spectrum_of(rho)
+    assert np.array_equal(validate_spectrum(lam), lam)
 
 
 @PROPERTY_SETTINGS
