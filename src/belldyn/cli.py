@@ -8,6 +8,7 @@ not Bell-diagonal), 4 certification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -36,6 +37,8 @@ DEFAULT_INITIAL = "0.9,0.1,0,0"
 VERIFY_TOL_BITS = 1e-3
 # states certified per lockstep batch, so memory does not grow with --n
 _VERIFY_CHUNK = 32
+# grid intervals of one trajectory command, so a typo cannot allocate gigabytes
+_MAX_STEPS = 10**6
 
 #: CLI names for the accumulation conventions of the non-Markovianity
 #: quantifier; "rhp" selects increase counting.
@@ -173,8 +176,8 @@ def _grid(args) -> np.ndarray:
     # written so that NaN fails too
     if not 0.0 < args.tau_max < math.inf:
         raise InputError("--tau-max must be positive and finite")
-    if args.steps < 2:
-        raise InputError("--steps must be at least 2")
+    if not 2 <= args.steps <= _MAX_STEPS:
+        raise InputError(f"--steps must be between 2 and {_MAX_STEPS}")
     # steps counts intervals, so the grid has steps+1 points and the
     # defaults land exactly on tau = pi/4, pi/2, ...
     return np.linspace(0.0, args.tau_max, args.steps + 1)
@@ -183,6 +186,8 @@ def _grid(args) -> np.ndarray:
 def _trajectory_columns(lam0: np.ndarray, grid: np.ndarray, g: float) -> dict:
     if not 0.0 < g < math.inf:
         raise InputError("--g must be positive and finite")
+    if not math.isfinite(float(grid[-1]) / g):
+        raise InputError("--g is so small that --tau-max / --g overflows")
     try:
         lam = evolve_bell_spectrum(lam0, grid)
     except ValueError as exc:
@@ -210,7 +215,10 @@ def cmd_trajectory(args) -> int:
 
 
 def cmd_nonmarkov(args) -> int:
-    trace = nonmarkovianity_measure(_grid(args), CONVENTION_BY_FLAG[args.convention])
+    try:
+        trace = nonmarkovianity_measure(_grid(args), CONVENTION_BY_FLAG[args.convention])
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     _write_table({"tau": trace.tau_grid, "E_anc": trace.e_anc, "I_E": trace.i_e}, args)
     return 0
 
@@ -336,6 +344,7 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="belldyn",
@@ -346,23 +355,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     trajectory = ("--g", "--tau-max", "--steps", "--output", "--format")
-    # (command, help, the options it reads, fixed arguments), built per call so
-    # that each command runs the module's current binding of its function
+    # (command, help, the options it reads, fixed arguments); func names the
+    # command function, which `main` looks up when it runs, so the parser is
+    # built once and each command still runs the module's current binding
     for name, help_text, options, fixed in (
         ("evolve", "trajectory of the Bell spectrum and all quantifiers",
-         ("--initial",) + trajectory, dict(func=cmd_trajectory, ancilla=False)),
+         ("--initial",) + trajectory, dict(func="cmd_trajectory", ancilla=False)),
         ("figure2", "frozen/oscillating correlation trajectory for the (0.9, 0.1, 0, 0) state",
-         trajectory, dict(func=cmd_trajectory, initial=DEFAULT_INITIAL, ancilla=False)),
+         trajectory, dict(func="cmd_trajectory", initial=DEFAULT_INITIAL, ancilla=False)),
         ("figure3", "same trajectory plus ancilla entanglement and the non-Markovianity "
          "quantifier", trajectory + ("--convention",),
-         dict(func=cmd_trajectory, initial=DEFAULT_INITIAL, ancilla=True)),
+         dict(func="cmd_trajectory", initial=DEFAULT_INITIAL, ancilla=True)),
         ("verify", "certify the analytic closest states against the brute-force oracles",
-         ("--initial", "--n", "--seed", "--output"), dict(func=cmd_verify)),
+         ("--initial", "--n", "--seed", "--output"), dict(func="cmd_verify")),
         ("nonmarkov", "ancilla entanglement and accumulated non-Markovianity",
          ("--tau-max", "--steps", "--convention", "--output", "--format"),
-         dict(func=cmd_nonmarkov)),
+         dict(func="cmd_nonmarkov")),
         ("composition", "two-step composition-law violation witness",
-         ("tau1", "tau2", "--initial", "--output"), dict(func=cmd_composition)),
+         ("tau1", "tau2", "--initial", "--output"), dict(func="cmd_composition")),
     ):
         p = sub.add_parser(name, help=help_text)
         # an option in a group skips argparse's trial help line (1/4 of the build)
@@ -376,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        return globals()[args.func](args)
     except (InputError, AnalyticPathError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, AnalyticPathError) else 2

@@ -67,16 +67,21 @@ def validate_spectrum(lam) -> np.ndarray:
     return np.clip(a, 0.0, None)
 
 
+def _checked_tau(tau) -> np.ndarray:
+    # the one tau rule of the library: tau in [0, _TAU_LIMIT]
+    t = np.asarray(tau, dtype=float)
+    if not np.all((t >= 0.0) & (t <= _TAU_LIMIT)):  # NaN fails too
+        raise ValueError(f"tau must be finite and non-negative, at most {_TAU_LIMIT:.3e}")
+    return t
+
+
 def mixing_fraction(tau):
     """Branch mixing fraction f = sin^2(2 tau) / 2, in [0, 1/2].
 
     tau must lie in [0, max float / 2], so that 2 tau does not overflow.
     A scalar tau gives a float, an array of tau an array of the same shape.
     """
-    t = np.asarray(tau, dtype=float)
-    if not np.all((t >= 0.0) & (t <= _TAU_LIMIT)):  # NaN fails too
-        raise ValueError(f"tau must be finite and non-negative, at most {_TAU_LIMIT:.3e}")
-    f = np.sin(2.0 * t) ** 2 / 2.0
+    f = np.sin(2.0 * _checked_tau(tau)) ** 2 / 2.0
     return float(f) if f.ndim == 0 else f
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlations import bell_quantifiers
-from .dynamics import evolve_bell_spectrum, validate_spectrum
+from .dynamics import _checked_tau, evolve_bell_spectrum, validate_spectrum
 
 CONVENTIONS = ("increase_counting", "literal")
 FROZEN_TOL = 1e-6
@@ -33,11 +33,10 @@ def ancilla_entanglement(tau):
     The evolved ancilla pair is cos^2(tau) |2+><2+| + sin^2(tau) |1-><1-|,
     so E is `bell_quantifiers`' E of the spectrum (0, sin^2, cos^2, 0):
     1 - h(max(cos^2 tau, sin^2 tau)) when the max exceeds 1/2 and 0
-    otherwise. Accepts scalars or arrays.
+    otherwise. Accepts scalars or arrays; tau obeys `mixing_fraction`'s
+    bound, [0, max float / 2].
     """
-    t = np.asarray(tau, dtype=float)
-    if not np.all((t >= 0.0) & (t < math.inf)):
-        raise ValueError("tau must be finite and non-negative")
+    t = _checked_tau(tau)
     zero = np.zeros_like(t)
     e = bell_quantifiers(np.stack([zero, np.sin(t) ** 2, np.cos(t) ** 2, zero], axis=-1))[3]
     return float(e) if e.ndim == 0 else e

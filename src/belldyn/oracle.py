@@ -11,7 +11,9 @@ Three families are covered:
 * classical states (diagonal in some product basis): for a fixed basis
   the optimal diagonal is the dephased diagonal of rho, so the search
   space is exactly the four local Bloch angles; u and -u define the same
-  basis, so the grid holds one hemisphere of directions per qubit;
+  basis, so the grid holds one hemisphere of directions per qubit, and the
+  refinement steps each phi by arc length (width / max(|sin theta|,
+  width)), so that a search near a pole still moves by its width;
 * separable Bell-diagonal states (all coefficients <= 1/2), searched on
   the simplex grid;
 * product states, parametrized by two Bloch vectors of norm <= 1.
@@ -70,11 +72,13 @@ def _offsets(dim: int, axes_only: bool = False) -> np.ndarray:
     return np.array(rows)
 
 
-def _refine(starts, evaluate, offsets, project=None, *, owner):
+def _refine(starts, evaluate, offsets, project=None, *, owner, steps_of=None):
     """Shrinking pattern search from each (x0, value0, width0) start.
 
     Start i searches state owner[i]. Each search moves to its best candidate
-    whenever that improves, and otherwise shrinks its pattern width. All
+    x + offset * step whenever that improves, and otherwise shrinks its
+    pattern width; the (search, coordinate) steps are steps_of(x, width) of
+    the running searches, by default the width in every coordinate. All
     searches run in lockstep, one `evaluate(cand, owner)` call per step on
     the (search, offset, coordinate) stack of those still running and the
     state of each; the objectives are row-independent, so each search ends
@@ -93,7 +97,8 @@ def _refine(starts, evaluate, offsets, project=None, *, owner):
         active = np.flatnonzero(width >= _MIN_WIDTH)
         if not len(active):
             break
-        cand = x[active, None, :] + width[active, None, None] * offsets
+        step = width[active, None] if steps_of is None else steps_of(x[active], width[active])
+        cand = x[active, None, :] + step[:, None, :] * offsets
         if project is not None:
             cand = project(cand)
         vals = evaluate(cand, owner[active])
@@ -157,6 +162,15 @@ def _dephased_entropy(alpha, beta, kappa):
     for s, t in _SIGNS:
         h = h - _xlog2(np.clip((1.0 + s * alpha + t * beta + s * t * kappa) / 4.0, 0.0, 1.0))
     return h
+
+
+def _arc_length_steps(quads, width):
+    # steps of (theta_a, phi_a, theta_b, phi_b): a phi step of
+    # w / max(|sin theta|, w) turns the direction by about w on the sphere,
+    # so searches near a pole keep moving by the pattern width
+    step = np.repeat(width[:, None], 4, axis=1)
+    step[:, 1::2] = step[:, 1::2] / np.maximum(np.abs(np.sin(quads[:, 0::2])), step[:, 1::2])
+    return step
 
 
 @functools.cache
@@ -233,7 +247,8 @@ def oracle_closest_classical_batch(rhos, seed: int = 0) -> list[OracleResult]:
         starts.append((np.array([th[ia], ph[ia], th[ib], ph[ib]]), float(grid[ia, ib]), width0))
         starts += [(x, float(v), math.pi / 4.0) for x, v in zip(restarts, restart_values[k])]
 
-    found = _refine(starts, evaluate, _offsets(4), owner=np.repeat(everyone, 3))
+    found = _refine(starts, evaluate, _offsets(4), owner=np.repeat(everyone, 3),
+                    steps_of=_arc_length_steps)
     return [
         OracleResult(
             minimizer=dephase_in_basis(a, x),

@@ -220,6 +220,11 @@ BAD_INPUTS = [
     ["composition", "0", "1e308"],
     ["evolve", "--tau-max", "1e308", "--steps", "2"],
     ["figure3", "--tau-max", "1e308", "--steps", "2"],
+    ["nonmarkov", "--tau-max", "1e308", "--steps", "2"],
+    ["evolve", "--g", "1e-320", "--steps", "2", "--tau-max", "1"],
+    # rejected before any grid is allocated
+    ["evolve", "--steps", "2000000000"],
+    ["nonmarkov", "--steps", "1000001"],
 ]
 
 
@@ -438,6 +443,47 @@ def test_verify_refines_each_chunk_in_one_lockstep_loop(capsys, monkeypatch):
     chunks = -(-8 // cli._VERIFY_CHUNK)
     assert 0 < len(calls) <= chunks * (oracle.REFINEMENT_ITERATIONS + 1)
     capsys.readouterr()
+
+
+def test_verify_classical_searches_stop_near_the_poles(capsys, monkeypatch):
+    # restarts that walk to theta = 0 or pi used to keep the lockstep loop
+    # running to the step cap: 201 calls for this chunk
+    from belldyn import oracle
+
+    calls = []
+    real = oracle._classical_values_quads
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(oracle, "_classical_values_quads", counted)
+    assert main(["verify", "--n", "32", "--seed", "0"]) == 0
+    assert len(calls) <= 150
+    capsys.readouterr()
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys, monkeypatch):
+    import belldyn.cli as cli
+
+    build_parser()
+    built = build_parser.cache_info().misses
+    # figure3 sets --g and the ancilla columns; evolve after it must see
+    # neither, and each run matches a parse by a freshly built parser
+    runs = [["figure3", "--steps", "4", "--g", "2", "--convention", "literal"],
+            ["evolve", "--steps", "4"],
+            ["verify", "--n", "1", "--seed", "5"],
+            ["nonmarkov", "--steps", "4"]]
+    for argv in runs:
+        assert vars(build_parser().parse_args(argv)) == vars(
+            build_parser.__wrapped__().parse_args(argv))
+        assert main(argv + ["--output", str(tmp_path / argv[0])]) == 0
+    assert build_parser.cache_info().misses == built
+    names, _ = read_csv(tmp_path / "evolve")
+    assert "t" not in names and "E_anc" not in names
+    # the command runs the module's binding at call time
+    monkeypatch.setattr(cli, "cmd_nonmarkov", lambda args: 7)
+    assert main(["nonmarkov"]) == 7
 
 
 #: sha256 of stdout at the default settings, captured before the ancilla

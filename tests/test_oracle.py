@@ -16,12 +16,14 @@ from belldyn.oracle import (
     _classical_values_grid,
     _dephased_entropy,
     _direction_grid,
+    _arc_length_steps,
     _offsets,
     _pauli_data,
     _product_grid,
     _refine,
     _simplex_grid,
     oracle_closest_classical,
+    oracle_closest_classical_batch,
     oracle_closest_product,
     oracle_closest_separable_bd,
 )
@@ -243,7 +245,7 @@ def test_separable_oracle_value_matches_matrix_route():
         assert abs(res.value - direct) < 1e-9
 
 
-def _sequential_refine(starts, evaluate, offsets, project=None):
+def _sequential_refine(starts, evaluate, offsets, project=None, steps_of=None):
     # one search after the other, as `_refine` ran before its lockstep form;
     # also returns the number of steps each start took
     best_x, best = starts[0][0], starts[0][1]
@@ -253,7 +255,8 @@ def _sequential_refine(starts, evaluate, offsets, project=None):
         trace.append(value)
         n = 0
         while n < REFINEMENT_ITERATIONS and width >= _MIN_WIDTH:
-            cand = x[None, :] + width * offsets
+            step = width if steps_of is None else steps_of(x[None], np.array([width]))[0]
+            cand = x[None, :] + step * offsets
             if project is not None:
                 cand = project(cand)
             vals = evaluate(cand)
@@ -300,22 +303,32 @@ def test_lockstep_refine_matches_one_search_after_another():
         "tie": [start([2.0, 2.5], 0.5), start([0.25, -0.25], 0.25),
                 start([-0.75, 0.75], 0.25)],
     }
-    steps_seen = {}
+    def stretched(x, width):
+        # a per-coordinate step that depends on the point, as the classical
+        # search's arc-length phi step does
+        w = width[:, None]
+        return w / np.maximum(np.abs(np.sin(x)), w)
+
+    steps_seen, stretched_seen = {}, {}
     for name, starts in scenarios.items():
         for project in (None, lambda c: np.clip(c, -1.0, 1.5)):
-            want = _sequential_refine(starts, evaluate, _offsets(2), project)
-            [got] = _refine(starts, rows, _offsets(2), project, owner=[0] * len(starts))
-            assert np.array_equal(got[0], want[0]), name
-            assert got[1] == want[1] and got[2] == want[2], name
-            assert np.array_equal(got[3], want[3]), name
-            if project is None:
-                steps_seen[name] = want
+            for steps_of in (None, stretched):
+                want = _sequential_refine(starts, evaluate, _offsets(2), project, steps_of)
+                [got] = _refine(starts, rows, _offsets(2), project, owner=[0] * len(starts),
+                                steps_of=steps_of)
+                assert np.array_equal(got[0], want[0]), name
+                assert got[1] == want[1] and got[2] == want[2], name
+                assert np.array_equal(got[3], want[3]), name
+                if project is None:
+                    (stretched_seen if steps_of else steps_seen)[name] = want
     # the scenarios exercise what their names say
     assert len(set(steps_seen["different_steps"][4])) == 2
     assert REFINEMENT_ITERATIONS in steps_seen["iteration_cap"][4]
     assert steps_seen["never_improves"][1] == -1.0
     tie = steps_seen["tie"]
     assert tie[1] == 0.0 and np.array_equal(tie[0], wells[0])
+    # the step hook changes the searches
+    assert any(stretched_seen[name][2] != steps_seen[name][2] for name in scenarios)
 
 
 def test_lockstep_refine_of_many_states_matches_each_state_alone():
@@ -379,3 +392,31 @@ def test_grid_caches_are_built_lazily():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[0, 0, 0]"
+
+
+def test_arc_length_phi_step_turns_a_direction_by_about_the_width():
+    # a pure phi step turns the direction by 2 sin(theta) sin(dphi / 2): with
+    # dphi = w / sin(theta) that is w to within 4%, next to a pole as well
+    w = 1e-3
+    for theta in (2e-3, 0.05, 1.0, math.pi / 2, math.pi - 2e-3):
+        quads = np.array([[theta, 0.3, math.pi - theta, 5.0]])
+        step = _arc_length_steps(quads, np.array([w]))[0]
+        assert step[0] == step[2] == w
+        for k in (1, 3):
+            turn = 2.0 * math.sin(quads[0, k - 1]) * math.sin(step[k] / 2.0)
+            assert 0.95 * w < turn <= w, (theta, k)
+    # on the pole itself a phi step cannot turn the direction: it is capped at 1
+    assert np.array_equal(_arc_length_steps(np.zeros((1, 4)), np.array([w])),
+                          [[w, 1.0, w, 1.0]])
+
+
+def test_classical_oracle_reaches_d_on_near_mixed_states():
+    # near the maximally mixed state the objective is nearly flat, so a stop
+    # rule with a fixed decrease constant would end short of D; the pattern
+    # search must still reach it
+    rng = np.random.default_rng(31)
+    spectra = [(1.0 - p) / 4.0 + p * rng.dirichlet(np.ones(4))
+               for p in (0.03, 0.01) for _ in range(16)]
+    found = oracle_closest_classical_batch([bell_spectrum_to_density(lam) for lam in spectra])
+    d = bell_quantifiers(np.array(spectra))[1]
+    assert np.max(np.abs(np.array([r.value for r in found]) - d)) < 1e-14
