@@ -37,7 +37,7 @@ DEFAULT_INITIAL = "0.9,0.1,0,0"
 VERIFY_TOL_BITS = 1e-3
 # states certified per lockstep batch, so memory does not grow with --n
 _VERIFY_CHUNK = 32
-# grid intervals of one trajectory command, so a typo cannot allocate gigabytes
+# largest --steps, so that a typo cannot allocate a grid of gigabytes
 _MAX_STEPS = 10**6
 
 #: CLI names for the accumulation conventions of the non-Markovianity
