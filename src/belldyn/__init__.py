@@ -12,7 +12,6 @@ from .correlations import (
     closest_separable_bd,
     closest_separable_spectrum,
     correlation_c_vector,
-    negativity,
     quantifier_report,
 )
 from .dynamics import (

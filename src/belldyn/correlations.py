@@ -5,10 +5,7 @@ entanglement E are relative-entropy distances to the closest product,
 classical and separable states. For Bell-diagonal states all four closest
 states are known in closed form and the quantifiers depend on the Bell
 spectrum alone: `bell_quantifiers` evaluates them on whole stacks of
-spectra. `quantifier_report` is the general matrix route: it builds the
-closest states, and falls back to the brute-force search of
-`belldyn.oracle` for states that are not Bell-diagonal (where E is only
-witnessed via the partial transpose).
+spectra. `quantifier_report` is the matrix route for one such state.
 """
 
 from __future__ import annotations
@@ -19,21 +16,21 @@ import numpy as np
 
 from .dynamics import (
     BELL_RESIDUAL_TOL,
-    bell_spectrum_of,
+    _bell_density,
+    _bell_diagonal,
     bell_spectrum_to_density,
     validate_spectrum,
 )
 from .linalg import (
     PAULI,
     _clamp_residue,
+    _entropy,
+    _marginal,
     _relative_entropy_stack,
     _xlog2,
     check_two_qubit_state,
-    partial_trace,
     tensor,
-    von_neumann_entropy,
 )
-from .oracle import oracle_closest_classical
 
 #: c-vector of each Bell basis state, rows ordered (1+, 1-, 2+, 2-).
 BELL_C_VECTORS = np.array([
@@ -43,11 +40,14 @@ BELL_C_VECTORS = np.array([
     [-1.0, 1.0, 1.0],
 ])
 
+#: the correlators sigma_k x sigma_k, k = 1, 2, 3
+_CORRELATORS = np.array([tensor(p, p) for p in PAULI])
+
 
 def correlation_c_vector(rho) -> np.ndarray:
     """(c1, c2, c3) with c_k = Tr[rho (sigma_k x sigma_k)]."""
     a = check_two_qubit_state(rho, "correlation_c_vector")
-    return np.array([float(np.trace(a @ tensor(p, p)).real) for p in PAULI])
+    return np.array([float(np.trace(a @ s).real) for s in _CORRELATORS])
 
 
 def _c_vectors(a):
@@ -64,8 +64,13 @@ def c_vector_of_spectrum(lam) -> np.ndarray:
 def closest_product(rho) -> np.ndarray:
     """Tensor product of the two marginals, the relative-entropy-closest
     product state. Equals I/4 for every Bell-diagonal input."""
-    a = check_two_qubit_state(rho, "closest_product")
-    return tensor(partial_trace(a, "A"), partial_trace(a, "B"))
+    return _product_state(check_two_qubit_state(rho, "closest_product"))
+
+
+def _product_state(a) -> np.ndarray:
+    # closest_product of a checked state; the broadcast product has np.kron's bits
+    x, y = _marginal(a, "A"), _marginal(a, "B")
+    return (x[:, None, :, None] * y[None, :, None, :]).reshape(4, 4)
 
 
 def closest_classical_bd(lam) -> np.ndarray:
@@ -75,10 +80,13 @@ def closest_classical_bd(lam) -> np.ndarray:
     chi = (I + c_m sigma_m x sigma_m) / 4 with m = argmax_k |c_k|, ties
     broken toward the smallest index (D and C depend only on |c_m|).
     """
-    c = c_vector_of_spectrum(lam).reshape(3)
+    return _classical_state(c_vector_of_spectrum(lam).reshape(3))
+
+
+def _classical_state(c) -> np.ndarray:
+    # closest_classical_bd from the c-vector of a checked spectrum
     m = int(np.argmax(np.abs(c)))
-    p = PAULI[m]
-    return (np.eye(4, dtype=complex) + c[m] * tensor(p, p)) / 4.0
+    return (np.eye(4, dtype=complex) + c[m] * _CORRELATORS[m]) / 4.0
 
 
 def closest_separable_spectrum(lam) -> np.ndarray:
@@ -90,7 +98,11 @@ def closest_separable_spectrum(lam) -> np.ndarray:
     the rescaling is degenerate and the spare half is put on the lowest
     non-dominant slot; the distance does not depend on that choice.
     """
-    a = validate_spectrum(lam).reshape(4)
+    return _separable_spectrum(validate_spectrum(lam).reshape(4))
+
+
+def _separable_spectrum(a) -> np.ndarray:
+    # closest_separable_spectrum of a checked spectrum of shape (4,)
     m = int(np.argmax(a))
     lmax = float(a[m])
     if lmax <= 0.5 + 1e-12:
@@ -98,13 +110,12 @@ def closest_separable_spectrum(lam) -> np.ndarray:
     # summed, not 1 - lmax: the cancellation in 1 - lmax would break the
     # 1e-12 normalization of the result for nearly pure inputs
     rest = float(np.sum(np.delete(a, m)))
-    out = np.zeros(4)
     if rest < 1e-15:
-        out[m] = 0.5
+        out = np.zeros(4)
         out[0 if m != 0 else 1] = 0.5
     else:
         out = a / (2.0 * rest)
-        out[m] = 0.5
+    out[m] = 0.5
     return out
 
 
@@ -138,59 +149,36 @@ def bell_quantifiers(lam):
     return t, _clamp_residue(d), c, _clamp_residue(e)
 
 
-def negativity(rho) -> float:
-    """Sum of |negative eigenvalues| of the partial transpose; a PPT
-    entanglement witness valid for any two-qubit state."""
-    a = check_two_qubit_state(rho, "negativity")
-    pt = a.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
-    w = np.linalg.eigvalsh(pt)
-    return float(-w[w < 0].sum())
-
-
 @dataclass(frozen=True)
 class CorrelationReport:
-    """Correlation quantifiers of a two-qubit state, in bits.
-
-    E and separable_state are None when the input is not Bell-diagonal;
-    in that case entanglement is only witnessed by `negativity`.
-    """
+    """T, D, C and E of a Bell-diagonal state in bits, and its closest states."""
 
     T: float
     D: float
     C: float
-    E: float | None
+    E: float
     product_state: np.ndarray
     classical_state: np.ndarray
-    separable_state: np.ndarray | None
-    bell_diagonal: bool
-    negativity: float
+    separable_state: np.ndarray
 
 
 def quantifier_report(rho) -> CorrelationReport:
     """Compute T, D, C, E and the closest-state certificates.
 
     T = S(pi) - S(rho), D = S(chi) - S(rho), C = S(pi_chi) - S(chi) and
-    E = S(rho || sigma). Bell-diagonal inputs (Bell-basis residual below
-    BELL_RESIDUAL_TOL) use the closed-form closest states; anything else
-    gets chi from the brute-force classical search, no E value, and the
-    PPT witness.
+    E = S(rho || sigma), with the closed-form closest states of the Bell
+    spectrum. rho is checked once and must be Bell-diagonal: Bell-basis
+    residual below BELL_RESIDUAL_TOL.
     """
     a = check_two_qubit_state(rho, "quantifier_report")
-    lam, residual = bell_spectrum_of(a)
-    s_rho = von_neumann_entropy(a)
-    pi = closest_product(a)
-    t = von_neumann_entropy(pi) - s_rho
-    neg = negativity(a)
-
-    bell_diagonal = residual < BELL_RESIDUAL_TOL
-    e = sig = None
-    if bell_diagonal:
-        chi = closest_classical_bd(lam)
-        sig = closest_separable_bd(lam)
-        e = float(_relative_entropy_stack(a, sig[None], s_rho)[0])
-    else:
-        chi = oracle_closest_classical(a).minimizer
-    s_chi = von_neumann_entropy(chi)
-    d = s_chi - s_rho
-    c = von_neumann_entropy(closest_product(chi)) - s_chi
-    return CorrelationReport(t, d, c, e, pi, chi, sig, bell_diagonal, neg)
+    lam, off = _bell_diagonal(a)
+    if off >= BELL_RESIDUAL_TOL:
+        raise ValueError(f"quantifier_report expects a Bell-diagonal state, residual {off:.3e}")
+    s_rho = _entropy(a)
+    pi = _product_state(a)
+    chi = _classical_state(_c_vectors(lam))
+    sig = _bell_density(_separable_spectrum(lam))
+    e = float(_relative_entropy_stack(a, sig[None], s_rho)[0])
+    s_chi = _entropy(chi)
+    c = _entropy(_product_state(chi)) - s_chi
+    return CorrelationReport(_entropy(pi) - s_rho, s_chi - s_rho, c, e, pi, chi, sig)

@@ -156,7 +156,11 @@ def evolve_bell_spectrum(lam, tau) -> np.ndarray:
 
 def bell_spectrum_to_density(lam) -> np.ndarray:
     """Assemble the Bell-diagonal density matrix with the given spectrum."""
-    a = validate_spectrum(lam).reshape(4)
+    return _bell_density(validate_spectrum(lam).reshape(4))
+
+
+def _bell_density(a) -> np.ndarray:
+    # bell_spectrum_to_density of a checked spectrum of shape (4,)
     return (BELL_VECTORS * a) @ BELL_VECTORS.conj().T
 
 
@@ -169,9 +173,12 @@ def bell_spectrum_of(rho):
     lam describes the state only when residual < BELL_RESIDUAL_TOL, which
     callers must check.
     """
-    a = check_two_qubit_state(rho, "bell_spectrum_of")
+    return _bell_diagonal(check_two_qubit_state(rho, "bell_spectrum_of"))
+
+
+def _bell_diagonal(a):
+    # bell_spectrum_of of a checked 4x4 complex array
     m = BELL_VECTORS.conj().T @ a @ BELL_VECTORS
     lam = np.clip(np.real(np.diag(m)), 0.0, None)
-    off = m - np.diag(np.diag(m))
-    residual = float(np.max(np.abs(off)))
+    residual = float(np.max(np.abs(m - np.diag(np.diag(m)))))
     return validate_spectrum(lam / lam.sum()), residual

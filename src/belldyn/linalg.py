@@ -81,11 +81,15 @@ def von_neumann_entropy(rho) -> float:
     tr = float(np.trace(a).real)
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"state trace is {tr!r}, expected 1")
+    return _entropy(a)
+
+
+def _entropy(a) -> float:
+    # von_neumann_entropy of a Hermitian unit-trace array checked or built by the caller
     w = np.linalg.eigvalsh(a)
     if float(w.min()) < -1e-8:
         raise ValueError(f"state has negative eigenvalue {w.min():.3e}")
-    w = np.clip(w, 0.0, None)
-    return float(-np.sum(_xlog2(w)))
+    return float(-np.sum(_xlog2(np.clip(w, 0.0, None))))
 
 
 def _clamp_residue(x):
@@ -123,7 +127,7 @@ def relative_entropy(rho, sigma) -> float:
     s = check_density(sigma, name="sigma")
     if r.shape != s.shape:
         raise ValueError(f"dimension mismatch: {r.shape} vs {s.shape}")
-    return float(_relative_entropy_stack(r, s[None], von_neumann_entropy(r))[0])
+    return float(_relative_entropy_stack(r, s[None], _entropy(r))[0])
 
 
 def tensor(a, b) -> np.ndarray:
@@ -135,15 +139,17 @@ def tensor(a, b) -> np.ndarray:
     return np.kron(x, y)
 
 
+def _marginal(a, keep) -> np.ndarray:
+    # partial_trace of a checked 4x4 complex array
+    return np.einsum("abcb->ac" if keep == "A" else "abad->bd", a.reshape(2, 2, 2, 2))
+
+
 def partial_trace(rho, keep) -> np.ndarray:
     """Reduce a two-qubit state to the marginal of subsystem 'A' or 'B'."""
     a = check_two_qubit_state(rho, "partial_trace")
-    t = a.reshape(2, 2, 2, 2)
-    if keep == "A":
-        return np.einsum("abcb->ac", t)
-    if keep == "B":
-        return np.einsum("abad->bd", t)
-    raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
+    if keep not in ("A", "B"):
+        raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
+    return _marginal(a, keep)
 
 
 def local_basis(theta, phi) -> np.ndarray:

@@ -8,7 +8,7 @@ PUBLIC_NAMES = {
     # correlations
     "CorrelationReport", "bell_quantifiers", "c_vector_of_spectrum", "closest_classical_bd",
     "closest_product", "closest_separable_bd", "closest_separable_spectrum",
-    "correlation_c_vector", "negativity", "quantifier_report",
+    "correlation_c_vector", "quantifier_report",
     # dynamics
     "BELL_RESIDUAL_TOL", "BELL_VECTORS", "ancilla_evolve", "bell_spectrum_of",
     "bell_spectrum_to_density", "branch_unitary", "evolve_bell_spectrum", "mixing_fraction",

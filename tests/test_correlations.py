@@ -12,10 +12,10 @@ from belldyn.correlations import (
     closest_separable_bd,
     closest_separable_spectrum,
     correlation_c_vector,
-    negativity,
     quantifier_report,
 )
 from belldyn.dynamics import (
+    BELL_RESIDUAL_TOL,
     BELL_VECTORS,
     bell_spectrum_of,
     bell_spectrum_to_density,
@@ -23,6 +23,7 @@ from belldyn.dynamics import (
     two_qubit_map,
 )
 from belldyn.linalg import relative_entropy, tensor, trace_distance, von_neumann_entropy
+from belldyn.oracle import oracle_closest_classical
 
 LAM_FIG = np.array([0.9, 0.1, 0.0, 0.0])
 H09 = 0.4689955935892812
@@ -181,7 +182,6 @@ def test_report_fig_initial_values():
     assert abs(rep.D - (1 - H09)) < 1e-12
     assert abs(rep.C - 1.0) < 1e-12
     assert abs(rep.E - (1 - H09)) < 1e-10
-    assert rep.bell_diagonal
     assert np.allclose(rep.product_state, np.eye(4) / 4)
 
 
@@ -189,7 +189,6 @@ def test_report_maximally_mixed():
     rep = quantifier_report(np.eye(4) / 4)
     for v in (rep.T, rep.D, rep.C, rep.E):
         assert abs(v) < 1e-12
-    assert rep.negativity == 0.0
 
 
 def test_report_discord_zero_state():
@@ -267,14 +266,6 @@ def test_classical_state_commutation_breaks_at_the_switch():
     assert abs(d_new - (1 + h(0.9) - von_neumann_entropy(rho_t))) < 1e-12
 
 
-def test_negativity_examples():
-    rho01 = np.zeros((4, 4), dtype=complex)
-    rho01[1, 1] = 1.0
-    assert negativity(rho01) == 0.0
-    assert abs(negativity(bell_projector(2)) - 0.5) < 1e-12
-    assert negativity(bell_spectrum_to_density([0.45, 0.05, 0.05, 0.45])) < 1e-12
-
-
 def test_report_total_correlation_local_unitary_invariance():
     rng = np.random.default_rng(7)
     for _ in range(10):
@@ -288,26 +279,35 @@ def test_report_total_correlation_local_unitary_invariance():
         t_direct = von_neumann_entropy(closest_product(rho)) - von_neumann_entropy(rho)
         t_rot = von_neumann_entropy(closest_product(rot)) - von_neumann_entropy(rot)
         assert abs(t_direct - t_rot) < 1e-10
-        assert abs(negativity(rho) - negativity(rot)) < 1e-10
 
 
-def test_report_oracle_path_for_rotated_states():
-    # local rotations leave D and C invariant; the rotated state leaves
-    # the Bell-diagonal class, so the report falls back to the search
-    rng = np.random.default_rng(8)
-    lam = np.array([0.6, 0.25, 0.1, 0.05])
-    rho = bell_spectrum_to_density(lam)
-    analytic = quantifier_report(rho)
+def _rotated(rho, seed):
+    rng = np.random.default_rng(seed)
     ua, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
     ub, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
     u = tensor(ua, ub)
-    rep = quantifier_report(u @ rho @ u.conj().T)
-    assert not rep.bell_diagonal
-    assert rep.E is None and rep.separable_state is None
-    assert abs(rep.D - analytic.D) < 2e-3
-    assert abs(rep.C - analytic.C) < 2e-3
-    assert abs(rep.T - analytic.T) < 1e-9
-    assert abs(rep.negativity - analytic.negativity) < 1e-10
+    return u @ rho @ u.conj().T
+
+
+def test_report_oracle_path_for_rotated_states():
+    # local rotations leave T, D and C invariant; the rotated state leaves
+    # the Bell-diagonal class, so its D and C come from the classical search
+    lam = np.array([0.6, 0.25, 0.1, 0.05])
+    rho = bell_spectrum_to_density(lam)
+    analytic = quantifier_report(rho)
+    rot = _rotated(rho, 8)
+    chi = oracle_closest_classical(rot).minimizer
+    s_rot, s_chi = von_neumann_entropy(rot), von_neumann_entropy(chi)
+    assert abs((s_chi - s_rot) - analytic.D) < 2e-3
+    assert abs((von_neumann_entropy(closest_product(chi)) - s_chi) - analytic.C) < 2e-3
+    assert abs((von_neumann_entropy(closest_product(rot)) - s_rot) - analytic.T) < 1e-9
+
+
+def test_report_rejects_a_rotated_state():
+    rot = _rotated(bell_spectrum_to_density([0.6, 0.25, 0.1, 0.05]), 8)
+    assert bell_spectrum_of(rot)[1] >= BELL_RESIDUAL_TOL
+    with pytest.raises(ValueError, match="^quantifier_report expects a Bell-diagonal state"):
+        quantifier_report(rot)
 
 
 #: spectra with tied coefficients or tied |c_k|: I/4, a rank-2 edge state,
@@ -344,3 +344,21 @@ def test_report_bits_are_pinned():
         for m in (rep.product_state, rep.classical_state, rep.separable_state):
             digest.update(m.tobytes())
     assert digest.hexdigest() == REPORT_SHA256
+
+
+def test_report_checks_its_input_once(monkeypatch):
+    # the report validates rho once and builds the rest itself: two
+    # eigensolves for rho (check and entropy), one each for pi, sigma, chi
+    # and chi's marginal product, where the per-function route made 15
+    calls = []
+
+    def counted(solver):
+        def wrapper(*args, **kwargs):
+            calls.append(solver.__name__)
+            return solver(*args, **kwargs)
+        return wrapper
+
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+    quantifier_report(bell_spectrum_to_density(evolve_bell_spectrum(LAM_FIG, 0.3)))
+    assert len(calls) <= 6, calls

@@ -6,7 +6,6 @@ import pytest
 from belldyn.correlations import (
     closest_product,
     correlation_c_vector,
-    negativity,
     quantifier_report,
 )
 from belldyn.dynamics import bell_spectrum_of
@@ -168,7 +167,6 @@ TWO_QUBIT_ENTRY_POINTS = {
     "bell_spectrum_of": bell_spectrum_of,
     "correlation_c_vector": correlation_c_vector,
     "closest_product": closest_product,
-    "negativity": negativity,
     "quantifier_report": quantifier_report,
     "oracle_closest_classical": lambda rho: oracle_closest_classical_batch([rho]),
     "oracle_closest_product": lambda rho: oracle_closest_product_batch([rho]),

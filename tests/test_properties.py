@@ -134,6 +134,23 @@ def test_total_is_discord_plus_classical_and_entanglement_is_below_discord(lam0,
 
 
 @PROPERTY_SETTINGS
+@given(spectra, st.floats(0.1, 4.0 * math.pi), st.integers(2, 200))
+def test_classical_correlations_are_frozen_wherever_c2_dominates(lam0, tau_max, n):
+    # the c-vector evolves as ((1 - 2f) c1, c2, (1 - 2f) c3), so wherever |c2|
+    # is the largest entry C = 1 - h((1 + |c2|) / 2) takes one value.
+    # detect_frozen_intervals is not held to report each such run inside one
+    # interval: its greedy scan can start one point early and then drop the
+    # run's first point (lam0 = (0.0996, 0.2737, 0.2988, 0.3279),
+    # tau_max = 3.0946, n = 165 loses point 20 of the run 20..64).
+    lam = evolve_bell_spectrum(lam0, np.linspace(0.0, tau_max, n + 1))
+    c = np.abs(c_vector_of_spectrum(lam))
+    assert np.max(np.abs(c[:, 1] - c[0, 1])) < 1e-14
+    dominant = c[:, 1] >= np.maximum(c[:, 0], c[:, 2])
+    if np.any(dominant):
+        assert np.ptp(bell_quantifiers(lam)[2][dominant]) < 1e-12
+
+
+@PROPERTY_SETTINGS
 @given(st.lists(st.floats(1e-3, 0.5), min_size=1, max_size=80), st.sampled_from(CONVENTIONS))
 def test_accumulated_non_markovianity_never_decreases(steps, convention):
     grid = np.concatenate([[0.0], np.cumsum(steps)])
