@@ -1,7 +1,8 @@
 """Correlation dynamics of two noninteracting qubits driven by local
 classical random external fields: closed-form Bell-diagonal evolution,
 correlation quantifiers in bits, brute-force certification oracles and
-non-Markovianity diagnostics."""
+non-Markovianity diagnostics. The generic matrix helpers stay in
+`belldyn.linalg` and the Bell-basis internals in `belldyn.dynamics`."""
 
 from .correlations import (
     CorrelationReport,
@@ -16,7 +17,6 @@ from .correlations import (
 )
 from .dynamics import (
     BELL_RESIDUAL_TOL,
-    BELL_VECTORS,
     ancilla_evolve,
     bell_spectrum_of,
     bell_spectrum_to_density,
@@ -25,15 +25,6 @@ from .dynamics import (
     mixing_fraction,
     single_qubit_map,
     two_qubit_map,
-    validate_spectrum,
-)
-from .linalg import (
-    dephase_in_basis,
-    partial_trace,
-    relative_entropy,
-    tensor,
-    trace_distance,
-    von_neumann_entropy,
 )
 from .nonmarkov import (
     NonMarkovTrace,

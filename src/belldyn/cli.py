@@ -26,7 +26,7 @@ from .dynamics import (
     validate_spectrum,
 )
 from .linalg import check_density
-from .nonmarkov import _composition, nonmarkovianity_measure
+from .nonmarkov import CONVENTIONS, _composition, nonmarkovianity_measure
 from .oracle import (
     oracle_closest_classical_batch,
     oracle_closest_product_batch,
@@ -39,10 +39,6 @@ VERIFY_TOL_BITS = 1e-3
 _VERIFY_CHUNK = 32
 # largest --steps, so that a typo cannot allocate a grid of gigabytes
 _MAX_STEPS = 10**6
-
-#: CLI names for the accumulation conventions of the non-Markovianity
-#: quantifier; "rhp" selects increase counting.
-CONVENTION_BY_FLAG = {"rhp": "increase_counting", "literal": "literal"}
 
 
 class InputError(Exception):
@@ -208,7 +204,7 @@ def cmd_trajectory(args) -> int:
     grid = _grid(args)
     cols = _trajectory_columns(load_initial(args.initial), grid, args.g)
     if args.ancilla:
-        trace = nonmarkovianity_measure(grid, CONVENTION_BY_FLAG[args.convention])
+        trace = nonmarkovianity_measure(grid, args.convention)
         cols.update(E_anc=trace.e_anc, I_E=trace.i_e)
     _write_table(cols, args)
     return 0
@@ -216,7 +212,7 @@ def cmd_trajectory(args) -> int:
 
 def cmd_nonmarkov(args) -> int:
     try:
-        trace = nonmarkovianity_measure(_grid(args), CONVENTION_BY_FLAG[args.convention])
+        trace = nonmarkovianity_measure(_grid(args), args.convention)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     _write_table({"tau": trace.tau_grid, "E_anc": trace.e_anc, "I_E": trace.i_e}, args)
@@ -322,7 +318,7 @@ _OPTIONS = {
     "--steps": dict(type=int, default=2000,
                     help="number of grid intervals; the grid has steps+1 points "
                          "(default 2000)"),
-    "--convention": dict(choices=sorted(CONVENTION_BY_FLAG), default="rhp",
+    "--convention": dict(choices=sorted(CONVENTIONS), default="rhp",
                          help="accumulation convention for the non-Markovianity "
                               "quantifier: rhp counts entanglement increases only, "
                               "literal applies the integral-minus-variation formula "

@@ -152,36 +152,27 @@ def partial_trace(rho, keep) -> np.ndarray:
     return _marginal(a, keep)
 
 
-def local_basis(theta, phi) -> np.ndarray:
-    """Orthonormal single-qubit basis from Bloch angles, as columns.
-
-    Column 0 points along (sin t cos p, sin t sin p, cos t); column 1 is
-    its orthogonal partner.
-    """
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    e = complex(math.cos(phi), math.sin(phi))
-    return np.array([[c, -s], [e * s, e * c]], dtype=complex)
-
-
-def product_basis(angles) -> np.ndarray:
-    """4x4 matrix whose columns are the product basis |a_i b_j> from
-    local angles (thetaA, phiA, thetaB, phiB)."""
-    ta, pa, tb, pb = (float(x) for x in angles)
-    return np.kron(local_basis(ta, pa), local_basis(tb, pb))
-
-
 def dephase_in_basis(rho, angles) -> np.ndarray:
-    """Zero all off-diagonal elements of rho in the given product basis."""
+    """Zero all off-diagonal elements of rho in the product basis |a_i b_j>
+    of local Bloch angles (thetaA, phiA, thetaB, phiB). On each qubit, basis
+    vector 0 points along (sin t cos p, sin t sin p, cos t) and vector 1 is
+    its orthogonal partner."""
     a = check_two_qubit_state(rho, "dephase_in_basis")
-    b = product_basis(angles)
+    ta, pa, tb, pb = (float(x) for x in angles)
+    local = []
+    for theta, phi in ((ta, pa), (tb, pb)):
+        c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+        e = complex(math.cos(phi), math.sin(phi))
+        local.append(np.array([[c, -s], [e * s, e * c]], dtype=complex))
+    b = np.kron(*local)
     p = np.clip(np.real(np.einsum("ik,ij,jk->k", b.conj(), a, b)), 0.0, None)
     return (b * p) @ b.conj().T
 
 
 def trace_distance(rho, sigma) -> float:
-    """(1/2) sum of |eigenvalues| of rho - sigma."""
-    r = _as_square(rho, "rho")
-    s = _as_square(sigma, "sigma")
+    """(1/2) sum of |eigenvalues| of rho - sigma, for Hermitian rho and sigma."""
+    r = check_hermitian(rho, "rho")
+    s = check_hermitian(sigma, "sigma")
     if r.shape != s.shape:
         raise ValueError(f"dimension mismatch: {r.shape} vs {s.shape}")
     w = np.linalg.eigvalsh(r - s)

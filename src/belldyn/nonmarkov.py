@@ -2,10 +2,12 @@
 
 The memory quantifier accumulates changes of the entanglement between the
 evolving qubit and a noise-isolated ancilla prepared with it in a
-maximally entangled state. Two accumulation conventions are provided:
+maximally entangled state. Two accumulation conventions are provided,
+named as the CLI's ``--convention`` names them:
 
-* ``increase_counting`` (default): each grid step adds 2*max(dE, 0), so
-  only entanglement revivals count and purely decaying segments give 0;
+* ``rhp`` (default): the increase-counting form of Rivas, Huelga and
+  Plenio; each grid step adds 2*max(dE, 0), so only entanglement
+  revivals count and purely decaying segments give 0;
 * ``literal``: each step adds |dE| - dE, the integral-minus-variation
   form taken verbatim, which instead accumulates during decay.
 
@@ -22,7 +24,7 @@ import numpy as np
 from .correlations import bell_quantifiers
 from .dynamics import _checked_tau, evolve_bell_spectrum, validate_spectrum
 
-CONVENTIONS = ("increase_counting", "literal")
+CONVENTIONS = ("rhp", "literal")
 FROZEN_TOL = 1e-6
 DEATH_THRESHOLD = 1e-12
 
@@ -52,7 +54,7 @@ class NonMarkovTrace:
     convention: str
 
 
-def nonmarkovianity_measure(tau_grid, convention: str = "increase_counting") -> NonMarkovTrace:
+def nonmarkovianity_measure(tau_grid, convention: str = "rhp") -> NonMarkovTrace:
     """Accumulate the non-Markovianity quantifier along an ascending grid
     starting at tau = 0. See the module docstring for the two conventions."""
     if convention not in CONVENTIONS:
@@ -66,7 +68,7 @@ def nonmarkovianity_measure(tau_grid, convention: str = "increase_counting") -> 
         raise ValueError("tau grid must be strictly ascending")
     e = ancilla_entanglement(g)
     d = np.diff(e)
-    if convention == "increase_counting":
+    if convention == "rhp":
         inc = 2.0 * np.clip(d, 0.0, None)
     else:
         inc = np.abs(d) - d
@@ -106,9 +108,15 @@ def _check_uniform(grid):
 
 
 def detect_frozen_intervals(tau_grid, values):
-    """Maximal intervals where the series stays within FROZEN_TOL of its
-    interval mean at every grid point. Intervals shorter than 3 grid points are
-    discarded. Returns a list of (start_tau, end_tau) pairs."""
+    """Disjoint intervals where the series stays within FROZEN_TOL of its
+    interval mean at every grid point, found by a greedy left-to-right scan.
+
+    A scan starts at a grid point and takes the following points while all
+    points taken stay within FROZEN_TOL of their mean; the first point that
+    breaks this starts the next scan. Scans of fewer than 3 grid points are
+    discarded, and their points are not revisited, so an interval need not
+    be maximal: a frozen run can lose its first point to a discarded scan.
+    Returns a list of (start_tau, end_tau) pairs in ascending order."""
     g = _check_uniform(tau_grid)
     v = np.asarray(values, dtype=float).reshape(-1)
     if v.size != g.size:

@@ -31,6 +31,20 @@ def test_module_help_runs():
     assert "evolve" in cp.stdout and "verify" in cp.stdout
 
 
+def test_module_entry_point_behaves_as_main(capsys):
+    argv = ["nonmarkov", "--steps", "4"]
+    cp = subprocess.run([sys.executable, "-m", "belldyn", *argv], capture_output=True)
+    assert cp.returncode == 0, cp.stderr
+    assert main(argv) == 0
+    assert cp.stdout == capsys.readouterr().out.encode("utf-8")
+
+    cp = subprocess.run([sys.executable, "-m", "belldyn", "evolve", "--steps", "1"],
+                        capture_output=True, text=True)
+    assert cp.returncode == 2
+    assert cp.stdout == ""
+    assert cp.stderr.startswith("error: ") and cp.stderr.count("\n") == 1
+
+
 def test_evolve_default_columns_and_values(tmp_path):
     out = tmp_path / "traj.csv"
     assert main(["evolve", "--output", str(out)]) == 0

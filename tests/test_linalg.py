@@ -159,6 +159,18 @@ def test_trace_distance_examples():
     assert abs(trace_distance(a, b) - 0.5) < 1e-12
 
 
+@pytest.mark.parametrize("rho, sigma, message", [
+    # eigvalsh alone returns 0.0 for a NaN entry and raises LinAlgError for inf
+    (np.array([[math.nan, 0.0], [0.0, 1.0]]), np.eye(2) / 2, "rho has non-finite entries"),
+    (np.eye(2) / 2, np.array([[math.inf, 0.0], [0.0, 1.0]]), "sigma has non-finite entries"),
+    # eigvalsh reads the lower triangle only: 0.0 here, 5.0 for the transpose
+    (np.array([[1.0, 5.0], [0.0, 0.0]]), np.diag([1.0, 0.0]), "rho is not Hermitian"),
+], ids=["nan", "inf", "non-hermitian"])
+def test_trace_distance_rejects_bad_matrices(rho, sigma, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        trace_distance(rho, sigma)
+
+
 
 #: every public entry point that takes one two-qubit state
 TWO_QUBIT_ENTRY_POINTS = {

@@ -47,7 +47,7 @@ def test_measure_literal():
 
 def test_measure_monotone_and_zero_start():
     grid = np.linspace(0, 2.2, 2201)
-    for convention in ("increase_counting", "literal"):
+    for convention in ("rhp", "literal"):
         tr = nonmarkovianity_measure(grid, convention)
         assert tr.i_e[0] == 0.0
         assert np.all(np.diff(tr.i_e) >= 0.0)

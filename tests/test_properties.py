@@ -25,7 +25,9 @@ from belldyn.dynamics import (  # noqa: E402
 from belldyn.linalg import trace_distance  # noqa: E402
 from belldyn.nonmarkov import (  # noqa: E402
     CONVENTIONS,
+    FROZEN_TOL,
     composition_violation,
+    detect_frozen_intervals,
     detect_switching_times,
     nonmarkovianity_measure,
 )
@@ -148,6 +150,35 @@ def test_classical_correlations_are_frozen_wherever_c2_dominates(lam0, tau_max, 
     dominant = c[:, 1] >= np.maximum(c[:, 0], c[:, 2])
     if np.any(dominant):
         assert np.ptp(bell_quantifiers(lam)[2][dominant]) < 1e-12
+
+
+def _quantifier_column(lam0, tau_max, n, k):
+    return bell_quantifiers(evolve_bell_spectrum(lam0, np.linspace(0.0, tau_max, n + 1)))[k]
+
+
+# series with plateaus and jumps at the scale of FROZEN_TOL, and the T, D, C
+# and E columns of trajectories
+frozen_series = st.one_of(
+    st.lists(st.one_of(st.floats(0.0, 3e-6), st.floats(-1.0, 1.0)), min_size=2, max_size=80),
+    st.builds(_quantifier_column, spectra, st.floats(0.1, 4.0 * math.pi), st.integers(2, 200),
+              st.integers(0, 3)),
+)
+
+
+@PROPERTY_SETTINGS
+@given(frozen_series)
+def test_frozen_intervals_are_ordered_disjoint_and_frozen(values):
+    # what the greedy scan guarantees; it does not guarantee maximal intervals
+    v = np.asarray(values, dtype=float)
+    grid = np.linspace(0.0, 1.0, v.size)
+    last = -1
+    for start, end in detect_frozen_intervals(grid, v):
+        i, j = np.searchsorted(grid, [start, end])
+        assert (grid[i], grid[j]) == (start, end)
+        assert last < i and j - i + 1 >= 3
+        run = v[i:j + 1]
+        assert np.max(np.abs(run - np.mean(run))) <= FROZEN_TOL + 1e-12
+        last = j
 
 
 @PROPERTY_SETTINGS
