@@ -10,7 +10,6 @@ from .correlations import (
     c_vector_of_spectrum,
     closest_classical_bd,
     closest_product,
-    closest_separable_bd,
     closest_separable_spectrum,
     correlation_c_vector,
     quantifier_report,

@@ -27,11 +27,7 @@ from .dynamics import (
 )
 from .linalg import check_density
 from .nonmarkov import CONVENTIONS, _composition, nonmarkovianity_measure
-from .oracle import (
-    oracle_closest_classical_batch,
-    oracle_closest_product_batch,
-    oracle_closest_separable_bd_batch,
-)
+from .oracle import oracle_closest_classical, oracle_closest_product, oracle_closest_separable_bd
 
 DEFAULT_INITIAL = "0.9,0.1,0,0"
 VERIFY_TOL_BITS = 1e-3
@@ -265,9 +261,9 @@ def cmd_verify(args) -> int:
         # family's closest-state distance is D, E or T
         t, d, _, e = bell_quantifiers(np.array(states))
         checks = {
-            "classical": (d, oracle_closest_classical_batch(rhos, seed=args.seed)),
-            "separable": (e, oracle_closest_separable_bd_batch(states)),
-            "product": (t, oracle_closest_product_batch(rhos)),
+            "classical": (d, oracle_closest_classical(rhos, seed=args.seed)),
+            "separable": (e, oracle_closest_separable_bd(states)),
+            "product": (t, oracle_closest_product(rhos)),
         }
         for name, (analytic, found) in checks.items():
             for lam, value, res in zip(states, analytic, found):

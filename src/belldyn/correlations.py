@@ -18,7 +18,6 @@ from .dynamics import (
     BELL_RESIDUAL_TOL,
     _bell_density,
     _bell_diagonal,
-    bell_spectrum_to_density,
     validate_spectrum,
 )
 from .linalg import (
@@ -117,11 +116,6 @@ def _separable_spectrum(a) -> np.ndarray:
         out = a / (2.0 * rest)
     out[m] = 0.5
     return out
-
-
-def closest_separable_bd(lam) -> np.ndarray:
-    """Closest separable state to a Bell-diagonal state, as a matrix."""
-    return bell_spectrum_to_density(closest_separable_spectrum(lam))
 
 
 def bell_quantifiers(lam):

@@ -100,10 +100,12 @@ def branch_unitary(phase, tau) -> np.ndarray:
         [[cos tau, -e^{-i phase} sin tau],
          [e^{i phase} sin tau, cos tau]]
 
-    Only the two model phases 0 and pi are accepted.
+    Only the two model phases 0 and pi are accepted, and tau obeys
+    `mixing_fraction`'s bound, [0, max float / 2].
     """
     e = _phase_sign(phase)
-    c, s = math.cos(float(tau)), math.sin(float(tau))
+    t = float(_checked_tau(tau))
+    c, s = math.cos(t), math.sin(t)
     return np.array([[c, -e * s], [e * s, c]], dtype=complex)
 
 

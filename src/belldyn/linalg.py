@@ -140,16 +140,8 @@ def tensor(a, b) -> np.ndarray:
 
 
 def _marginal(a, keep) -> np.ndarray:
-    # partial_trace of a checked 4x4 complex array
+    # the marginal of subsystem keep, "A" or "B", of a checked 4x4 complex array
     return np.einsum("abcb->ac" if keep == "A" else "abad->bd", a.reshape(2, 2, 2, 2))
-
-
-def partial_trace(rho, keep) -> np.ndarray:
-    """Reduce a two-qubit state to the marginal of subsystem 'A' or 'B'."""
-    a = check_two_qubit_state(rho, "partial_trace")
-    if keep not in ("A", "B"):
-        raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
-    return _marginal(a, keep)
 
 
 def dephase_in_basis(rho, angles) -> np.ndarray:

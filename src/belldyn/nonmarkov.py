@@ -95,16 +95,24 @@ def _composition(lam0, tau1, tau2):
     return direct, restarted, 0.5 * float(np.sum(np.abs(direct - restarted)))
 
 
-def _check_uniform(grid):
-    g = np.asarray(grid, dtype=float).reshape(-1)
+def _checked_series(tau_grid, values):
+    # the input rule of the sampled-series detectors: a uniform, strictly
+    # ascending grid and as many finite values; the step comparisons are
+    # written so that NaN fails too
+    g = np.asarray(tau_grid, dtype=float).reshape(-1)
+    v = np.asarray(values, dtype=float).reshape(-1)
     if g.size < 2:
         raise ValueError("grid needs at least 2 points")
     steps = np.diff(g)
-    if np.any(steps <= 0):
+    if not np.all(steps > 0):
         raise ValueError("grid must be strictly ascending")
-    if np.max(np.abs(steps - steps[0])) > 1e-9 * steps[0]:
+    if not np.max(np.abs(steps - steps[0])) <= 1e-9 * steps[0]:
         raise ValueError("grid must be uniform")
-    return g
+    if v.size != g.size:
+        raise ValueError("values and tau grid must have equal length")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("values must be finite")
+    return g, v
 
 
 def detect_frozen_intervals(tau_grid, values):
@@ -117,10 +125,7 @@ def detect_frozen_intervals(tau_grid, values):
     discarded, and their points are not revisited, so an interval need not
     be maximal: a frozen run can lose its first point to a discarded scan.
     Returns a list of (start_tau, end_tau) pairs in ascending order."""
-    g = _check_uniform(tau_grid)
-    v = np.asarray(values, dtype=float).reshape(-1)
-    if v.size != g.size:
-        raise ValueError("values and tau grid must have equal length")
+    g, v = _checked_series(tau_grid, values)
     out = []
     i = 0
     n = v.size
@@ -140,7 +145,7 @@ def detect_frozen_intervals(tau_grid, values):
                 break
         if j - i >= 3:
             out.append((float(g[i]), float(g[j - 1])))
-        i = max(j, i + 1)
+        i = j
     return out
 
 
@@ -179,10 +184,7 @@ def detect_death_revival(tau_grid, e_values, refine=None):
     If `refine` is a callable E(tau), interior boundaries are sharpened by
     bisection between the bracketing grid points. Returns a list of
     (start_tau, end_tau) pairs."""
-    g = _check_uniform(tau_grid)
-    e = np.asarray(e_values, dtype=float).reshape(-1)
-    if e.size != g.size:
-        raise ValueError("values and tau grid must have equal length")
+    g, e = _checked_series(tau_grid, e_values)
     dead = e <= DEATH_THRESHOLD
     out = []
     i = 0

@@ -18,8 +18,9 @@ Three families are covered:
   the simplex grid;
 * product states, parametrized by two Bloch vectors of norm <= 1.
 
-Each family's `*_batch` function searches a list of states with all their
-refinements in lockstep; the one-state functions call it with one state.
+Each oracle takes a list of states and returns one `OracleResult` per
+state; all the states' refinements run in lockstep, and each state's
+result is the one it would get alone.
 """
 
 from __future__ import annotations
@@ -35,12 +36,12 @@ from .dynamics import bell_spectrum_to_density, validate_spectrum
 from .linalg import (
     PAULI,
     _clamp_residue,
+    _entropy,
     _relative_entropy_stack,
     _relative_entropy_tail,
     _xlog2,
     check_two_qubit_state,
     dephase_in_basis,
-    von_neumann_entropy,
 )
 
 # Search resolution: grids of ~1e-3 bits, which the refinement then
@@ -209,25 +210,21 @@ def _classical_values_quads(a_vec, b_vec, corr, quads, s_rho):
     return _dephased_entropy(alpha, beta, kappa) - s_rho
 
 
-def oracle_closest_classical(rho, seed: int = 0) -> OracleResult:
-    """Minimize S(rho || chi) over classical states chi.
+def oracle_closest_classical(rhos, seed: int = 0) -> list[OracleResult]:
+    """Minimize S(rho || chi) over classical states chi, for each state rho
+    of `rhos`; returns one result per state.
 
     For each product basis the optimal classical diagonal equals the
     dephased diagonal of rho, so only the four local angles are searched:
     a full coarse grid, then pattern refinement from the best cell and
-    from two random restarts drawn from `seed`.
+    from two random restarts drawn from `seed`. Every state gets the same
+    restarts, and all refinements run in lockstep.
     """
-    return oracle_closest_classical_batch([rho], seed)[0]
-
-
-def oracle_closest_classical_batch(rhos, seed: int = 0) -> list[OracleResult]:
-    """`oracle_closest_classical` of each state, every state with the same
-    restarts from `seed`; all refinements run in lockstep."""
     states = [check_two_qubit_state(rho, "oracle_closest_classical") for rho in rhos]
     if not states:
         return []
     a_vec, b_vec, corr = (np.array(x) for x in zip(*map(_pauli_data, states)))
-    s_rho = np.array([von_neumann_entropy(a) for a in states])
+    s_rho = np.array([_entropy(a) for a in states])
 
     def evaluate(quads, owner):
         return _classical_values_quads(a_vec[owner], b_vec[owner], corr[owner], quads,
@@ -294,16 +291,12 @@ def _simplex_grid():
     return _frozen(q3, np.flatnonzero(feasible), log_q[feasible])
 
 
-def oracle_closest_separable_bd(lam) -> OracleResult:
+def oracle_closest_separable_bd(lams) -> list[OracleResult]:
     """Minimize S(rho || sigma) over Bell-diagonal sigma with all
-    coefficients <= 1/2 (the separable slice of the Bell simplex), by
-    simplex-grid enumeration plus pattern refinement."""
-    return oracle_closest_separable_bd_batch([lam])[0]
-
-
-def oracle_closest_separable_bd_batch(lams) -> list[OracleResult]:
-    """`oracle_closest_separable_bd` of each spectrum; all refinements run
-    in lockstep."""
+    coefficients <= 1/2 (the separable slice of the Bell simplex), for the
+    Bell-diagonal rho of each spectrum of `lams`, by simplex-grid
+    enumeration plus pattern refinement; returns one result per spectrum.
+    All refinements run in lockstep."""
     lam = np.array([validate_spectrum(x).reshape(4) for x in lams])
 
     # only the separable rows are scored: the others are +inf, and the row
@@ -365,23 +358,19 @@ def _product_grid():
     return _frozen(pts, *np.linalg.eigh(_product_states(pts)))
 
 
-def oracle_closest_product(rho) -> OracleResult:
-    """Minimize S(rho || pA x pB) over product states.
+def oracle_closest_product(rhos) -> list[OracleResult]:
+    """Minimize S(rho || pA x pB) over product states, for each state rho
+    of `rhos`; returns one result per state.
 
     The six Bloch components are gridded on a coarse Cartesian lattice
     restricted to the unit balls (the full per-angle resolution would be
     astronomically large in six dimensions), then refined with an
-    axis-aligned pattern search projected back into the balls.
+    axis-aligned pattern search projected back into the balls. All
+    refinements run in lockstep.
     """
-    return oracle_closest_product_batch([rho])[0]
-
-
-def oracle_closest_product_batch(rhos) -> list[OracleResult]:
-    """`oracle_closest_product` of each state; all refinements run in
-    lockstep."""
     states = [check_two_qubit_state(rho, "oracle_closest_product") for rho in rhos]
     rho = np.array(states)
-    s_rho = np.array([von_neumann_entropy(a) for a in states])
+    s_rho = np.array([_entropy(a) for a in states])
 
     def evaluate(cand, owner):
         return _relative_entropy_stack(rho[owner, None], _product_states(cand), s_rho[owner, None])

@@ -265,7 +265,7 @@ def test_criterion_9_oracle_certification(tmp_path):
             if lam.max() <= 0.5 + 1e-12:
                 continue
             checked += 1
-            found = oracle_closest_separable_bd(lam).value
+            found = oracle_closest_separable_bd([lam])[0].value
             p = float(lam.max())
             h = -(p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p))
             assert abs(found - (1.0 - h)) < 1e-3

@@ -239,6 +239,20 @@ BAD_INPUTS = [
     # rejected before any grid is allocated
     ["evolve", "--steps", "2000000000"],
     ["nonmarkov", "--steps", "1000001"],
+    # each initial-state rule of the parser
+    ["evolve", "--initial", '{"bell": [0.5, 0.5]}'],
+    ["evolve", "--initial", '{"matrix": [[1, 2]]}'],
+    ["evolve", "--initial", '{"matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]}'],
+    ["evolve", "--initial", '{"matrix": [[[1.1, 0], [0, 0], [0, 0], [0, 0]],'
+                            ' [[0, 0], [-0.1, 0], [0, 0], [0, 0]],'
+                            ' [[0, 0], [0, 0], [0, 0], [0, 0]],'
+                            ' [[0, 0], [0, 0], [0, 0], [0, 0]]]}'],
+    ["evolve", "--initial", '{"foo": 1}'],
+    ["evolve", "--initial", "0.5,0.5,-1e-10,0"],
+    ["evolve", "--initial", "{"],
+    ["evolve", "--initial", "a,b,c,d"],
+    ["evolve", "--initial", "0.5,0.5"],
+    ["verify", "--n", "0"],
 ]
 
 
@@ -251,6 +265,23 @@ def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("content, message", [
+    ("[0.9, 0.1, 0, 0]", "error: initial-state JSON must be an object\n"),
+    ('{"bell": ', "error: bad initial-state file "),
+    (None, "error: cannot read initial-state file: "),
+], ids=["list", "broken-json", "directory"])
+def test_bad_initial_state_file_exits_2_with_one_line(content, message, tmp_path, capsys):
+    path = tmp_path / "initial"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_text(content, encoding="utf-8")
+    assert main(["evolve", "--initial", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message) and captured.err.count("\n") == 1
 
 
 #: the options each subcommand reads, and no others
@@ -367,13 +398,13 @@ def test_verify_failure_exits_4(tmp_path, monkeypatch, capsys):
     import belldyn.cli as cli
     from belldyn.oracle import OracleResult
 
-    real = cli.oracle_closest_classical_batch
+    real = cli.oracle_closest_classical
 
     def broken(rhos, seed):
         return [OracleResult(res.minimizer, res.value + 0.01, res.evaluations, res.history)
                 for res in real(rhos, seed)]
 
-    monkeypatch.setattr(cli, "oracle_closest_classical_batch", broken)
+    monkeypatch.setattr(cli, "oracle_closest_classical", broken)
     out = tmp_path / "verify.json"
     assert main(["verify", "--initial", "0.9,0.1,0,0", "--output", str(out)]) == 4
     data = json.loads(out.read_text(encoding="utf-8"))

@@ -9,7 +9,6 @@ from belldyn.correlations import (
     c_vector_of_spectrum,
     closest_classical_bd,
     closest_product,
-    closest_separable_bd,
     closest_separable_spectrum,
     correlation_c_vector,
     quantifier_report,
@@ -100,7 +99,7 @@ def test_closest_separable_examples():
     assert np.allclose(closest_separable_spectrum(lam), lam)
     assert np.allclose(closest_separable_spectrum(LAM_FIG), [0.5, 0.5, 0, 0])
     assert np.allclose(closest_separable_spectrum([1.0, 0, 0, 0]), [0.5, 0.5, 0, 0])
-    sig = closest_separable_bd(LAM_FIG)
+    sig = bell_spectrum_to_density(closest_separable_spectrum(LAM_FIG))
     lam_sig, residual = bell_spectrum_of(sig)
     assert residual < 1e-14 and np.allclose(lam_sig, [0.5, 0.5, 0, 0])
 
@@ -158,7 +157,7 @@ def test_entanglement_threshold():
     for _ in range(100):
         lam = rng.dirichlet(np.ones(4))
         rho = bell_spectrum_to_density(lam)
-        e = relative_entropy(rho, closest_separable_bd(lam))
+        e = relative_entropy(rho, bell_spectrum_to_density(closest_separable_spectrum(lam)))
         if lam.max() > 0.5 + 1e-12:
             assert e > 0.0
         else:
@@ -171,7 +170,8 @@ def test_entanglement_closed_form_two_ways():
         lam = rng.dirichlet(np.ones(4))
         if lam.max() <= 0.5:
             continue
-        via_rel = relative_entropy(bell_spectrum_to_density(lam), closest_separable_bd(lam))
+        sig = bell_spectrum_to_density(closest_separable_spectrum(lam))
+        via_rel = relative_entropy(bell_spectrum_to_density(lam), sig)
         closed = 1.0 - h(float(lam.max()))
         assert abs(via_rel - closed) < 1e-10
 
@@ -296,7 +296,7 @@ def test_report_oracle_path_for_rotated_states():
     rho = bell_spectrum_to_density(lam)
     analytic = quantifier_report(rho)
     rot = _rotated(rho, 8)
-    chi = oracle_closest_classical(rot).minimizer
+    chi = oracle_closest_classical([rot])[0].minimizer
     s_rot, s_chi = von_neumann_entropy(rot), von_neumann_entropy(chi)
     assert abs((s_chi - s_rot) - analytic.D) < 2e-3
     assert abs((von_neumann_entropy(closest_product(chi)) - s_chi) - analytic.C) < 2e-3

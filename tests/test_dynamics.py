@@ -218,6 +218,28 @@ def test_ancilla_evolve_examples():
     assert np.allclose(ancilla_evolve(rho, 0.0), rho)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: two_qubit_map(np.eye(4) / 4, math.nan),
+    lambda: single_qubit_map(np.eye(2) / 2, math.nan),
+    lambda: branch_unitary(0.0, math.nan),
+    lambda: ancilla_evolve(np.eye(4) / 4, math.inf),
+    lambda: two_qubit_map(np.eye(4) / 4, -1.0),
+], ids=["two-qubit-nan", "single-qubit-nan", "branch-nan", "ancilla-inf", "two-qubit-negative"])
+def test_channels_obey_the_tau_rule(call):
+    # the branch unitaries take mixing_fraction's tau rule, so no channel
+    # returns NaN or accepts a negative tau
+    with pytest.raises(ValueError, match="^tau must be finite and non-negative"):
+        call()
+
+
+def test_channels_reject_a_state_of_the_wrong_size():
+    with pytest.raises(ValueError, match="^single_qubit_map expects a 2x2 state$"):
+        single_qubit_map(np.eye(4) / 4, 0.3)
+    for name, channel in (("two_qubit_map", two_qubit_map), ("ancilla_evolve", ancilla_evolve)):
+        with pytest.raises(ValueError, match=f"^{name} expects a 4x4 state$"):
+            channel(np.eye(2) / 2, 0.3)
+
+
 def test_validate_spectrum():
     with pytest.raises(ValueError):
         validate_spectrum([0.5, 0.5, 0.1, -0.1])

@@ -13,13 +13,12 @@ from belldyn.linalg import (
     check_density,
     check_hermitian,
     dephase_in_basis,
-    partial_trace,
     relative_entropy,
     tensor,
     trace_distance,
     von_neumann_entropy,
 )
-from belldyn.oracle import oracle_closest_classical_batch, oracle_closest_product_batch
+from belldyn.oracle import oracle_closest_classical, oracle_closest_product
 
 BELL_2P = np.zeros((4, 4), dtype=complex)
 BELL_2P[np.ix_([0, 3], [0, 3])] = 0.5  # (|00>+|11>)/sqrt(2) projector
@@ -43,6 +42,15 @@ def test_check_hermitian_rejects_bad_matrices():
             check_density(m)
     with pytest.raises(ValueError):
         check_hermitian(np.eye(3))
+
+
+def test_state_checks_reject_bad_traces_and_eigenvalues():
+    with pytest.raises(ValueError, match="^state trace is 2.0, expected 1$"):
+        check_density(np.eye(2))
+    with pytest.raises(ValueError, match="^state has negative eigenvalue -5.000e-01$"):
+        check_density(np.diag([1.5, -0.5]))
+    with pytest.raises(ValueError, match="^state trace is 2.0, expected 1$"):
+        von_neumann_entropy(np.eye(2))
 
 
 def test_entropy_pure_and_mixed():
@@ -106,21 +114,12 @@ def test_tensor_rejects_wrong_dims():
         tensor(np.eye(4), np.eye(2))
 
 
-def test_partial_trace_examples():
-    assert np.allclose(partial_trace(BELL_2P, "A"), np.eye(2) / 2)
-    rho01 = np.zeros((4, 4), dtype=complex)
-    rho01[1, 1] = 1.0
-    assert np.allclose(partial_trace(rho01, "A"), np.diag([1.0, 0.0]))
-    assert np.allclose(partial_trace(rho01, "B"), np.diag([0.0, 1.0]))
-
-
-def test_partial_trace_inverts_tensor():
+def test_closest_product_returns_product_states_unchanged():
+    # the product of the two marginals inverts the tensor product
     rng = np.random.default_rng(13)
     for _ in range(20):
-        a = random_density(rng, 2)
-        b = random_density(rng, 2)
-        assert np.max(np.abs(partial_trace(tensor(a, b), "A") - a)) < 1e-12
-        assert np.max(np.abs(partial_trace(tensor(a, b), "B") - b)) < 1e-12
+        rho = tensor(random_density(rng, 2), random_density(rng, 2))
+        assert np.max(np.abs(closest_product(rho) - rho)) < 1e-12
 
 
 def test_dephase_examples():
@@ -159,6 +158,11 @@ def test_trace_distance_examples():
     assert abs(trace_distance(a, b) - 0.5) < 1e-12
 
 
+def test_trace_distance_rejects_a_dimension_mismatch():
+    with pytest.raises(ValueError, match=r"^dimension mismatch: \(2, 2\) vs \(4, 4\)$"):
+        trace_distance(np.eye(2) / 2, np.eye(4) / 4)
+
+
 @pytest.mark.parametrize("rho, sigma, message", [
     # eigvalsh alone returns 0.0 for a NaN entry and raises LinAlgError for inf
     (np.array([[math.nan, 0.0], [0.0, 1.0]]), np.eye(2) / 2, "rho has non-finite entries"),
@@ -174,14 +178,13 @@ def test_trace_distance_rejects_bad_matrices(rho, sigma, message):
 
 #: every public entry point that takes one two-qubit state
 TWO_QUBIT_ENTRY_POINTS = {
-    "partial_trace": lambda rho: partial_trace(rho, "A"),
     "dephase_in_basis": lambda rho: dephase_in_basis(rho, (0.0, 0.0, 0.0, 0.0)),
     "bell_spectrum_of": bell_spectrum_of,
     "correlation_c_vector": correlation_c_vector,
     "closest_product": closest_product,
     "quantifier_report": quantifier_report,
-    "oracle_closest_classical": lambda rho: oracle_closest_classical_batch([rho]),
-    "oracle_closest_product": lambda rho: oracle_closest_product_batch([rho]),
+    "oracle_closest_classical": lambda rho: oracle_closest_classical([rho]),
+    "oracle_closest_product": lambda rho: oracle_closest_product([rho]),
 }
 
 

@@ -182,3 +182,28 @@ def test_death_revival_zero_series():
     grid = np.linspace(0, 2, 201)
     out = detect_death_revival(grid, np.zeros(201))
     assert out == [(0.0, 2.0)]
+
+
+DETECTORS = {"frozen": detect_frozen_intervals, "death_revival": detect_death_revival}
+
+
+@pytest.mark.parametrize("grid, values, message", [
+    ([0.0], [0.0], "grid needs at least 2 points"),
+    ([0.0, 2.0, 1.0], [0.0] * 3, "grid must be strictly ascending"),
+    ([0.0, 1.0, 3.0], [0.0] * 3, "grid must be uniform"),
+    ([0.0, 1.0, 2.0], [0.0] * 2, "values and tau grid must have equal length"),
+    ([0.0, 1.0, 2.0], [0.0, math.inf, 0.0], "values must be finite"),
+    # NaN fails every step comparison of the grid, wherever it sits
+    ([0.0, math.nan, 2.0, 3.0], [0.0] * 4, "grid must be strictly ascending"),
+    ([math.nan] * 4, [0.0] * 4, "grid must be strictly ascending"),
+    ([0.0, 1.0, 2.0, math.nan], [0.0] * 4, "grid must be strictly ascending"),
+    ([0.0, 1.0, 2.0, 3.0], [math.nan] * 4, "values must be finite"),
+    # a NaN would split an E series' death window or warn in the frozen scan
+    ([0.0, 1.0, 2.0, 3.0], [0.0, 0.0, math.nan, 0.0], "values must be finite"),
+    ([0.0, 1.0, 2.0, 3.0], [0.5, 0.5, math.nan, 0.5], "values must be finite"),
+], ids=["one-point", "descending", "non-uniform", "length", "inf-value", "nan-in-grid",
+        "all-nan-grid", "nan-last", "all-nan-values", "nan-in-e", "nan-in-frozen"])
+@pytest.mark.parametrize("detector", sorted(DETECTORS))
+def test_series_detectors_share_one_input_rule(detector, grid, values, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        DETECTORS[detector](grid, values)

@@ -23,7 +23,6 @@ from belldyn.oracle import (
     _refine,
     _simplex_grid,
     oracle_closest_classical,
-    oracle_closest_classical_batch,
     oracle_closest_product,
     oracle_closest_separable_bd,
 )
@@ -40,54 +39,60 @@ def analytic_values(lam):
 
 def test_classical_on_classical_input():
     chi = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
-    assert oracle_closest_classical(chi).value < 1e-9
+    assert oracle_closest_classical([chi])[0].value < 1e-9
 
 
 def test_classical_on_fig_state():
-    res = oracle_closest_classical(bell_spectrum_to_density(LAM_FIG))
+    res = oracle_closest_classical([bell_spectrum_to_density(LAM_FIG)])[0]
     assert abs(res.value - (1 - H09)) < GRID_TOL
     assert trace_distance(res.minimizer, np.diag([0, 0.5, 0.5, 0])) < 1e-6
 
 
 def test_classical_on_maximally_mixed():
-    assert oracle_closest_classical(np.eye(4) / 4).value < 1e-9
+    assert oracle_closest_classical([np.eye(4) / 4])[0].value < 1e-9
 
 
 def test_separable_examples():
-    res = oracle_closest_separable_bd([0.4, 0.3, 0.2, 0.1])
+    res = oracle_closest_separable_bd([[0.4, 0.3, 0.2, 0.1]])[0]
     assert res.value < 1e-9
-    res = oracle_closest_separable_bd(LAM_FIG)
+    res = oracle_closest_separable_bd([LAM_FIG])[0]
     assert abs(res.value - (1 - H09)) < GRID_TOL
-    res = oracle_closest_separable_bd([1.0, 0.0, 0.0, 0.0])
+    res = oracle_closest_separable_bd([[1.0, 0.0, 0.0, 0.0]])[0]
     assert abs(res.value - 1.0) < GRID_TOL
 
 
 def test_product_examples():
     rho01 = np.zeros((4, 4), dtype=complex)
     rho01[1, 1] = 1.0
-    assert oracle_closest_product(rho01).value < 1e-9
+    assert oracle_closest_product([rho01])[0].value < 1e-9
 
-    res = oracle_closest_product(bell_spectrum_to_density(LAM_FIG))
+    res = oracle_closest_product([bell_spectrum_to_density(LAM_FIG)])[0]
     assert abs(res.value - (2 - H09)) < GRID_TOL
     assert trace_distance(res.minimizer, np.eye(4) / 4) < 1e-2
 
     bell = bell_spectrum_to_density([0, 0, 1, 0])
-    assert abs(oracle_closest_product(bell).value - 2.0) < GRID_TOL
+    assert abs(oracle_closest_product([bell])[0].value - 2.0) < GRID_TOL
 
 
 def test_product_on_mixed_product_state():
     a = np.diag([0.75, 0.25]).astype(complex)
     b = np.diag([0.4, 0.6]).astype(complex)
-    res = oracle_closest_product(np.kron(a, b))
+    res = oracle_closest_product([np.kron(a, b)])[0]
     assert res.value < 1e-9
+
+
+def test_each_oracle_of_no_states_is_empty():
+    assert oracle_closest_classical([]) == []
+    assert oracle_closest_separable_bd([]) == []
+    assert oracle_closest_product([]) == []
 
 
 def test_deterministic_given_seed():
     rho = bell_spectrum_to_density([0.55, 0.3, 0.1, 0.05])
     for call in (
-        lambda: oracle_closest_classical(rho, seed=42),
-        lambda: oracle_closest_separable_bd(np.array([0.55, 0.3, 0.1, 0.05])),
-        lambda: oracle_closest_product(rho),
+        lambda: oracle_closest_classical([rho], seed=42)[0],
+        lambda: oracle_closest_separable_bd([np.array([0.55, 0.3, 0.1, 0.05])])[0],
+        lambda: oracle_closest_product([rho])[0],
     ):
         r1, r2 = call(), call()
         assert r1.value == r2.value
@@ -99,9 +104,9 @@ def test_deterministic_given_seed():
 def test_history_is_monotone():
     rho = bell_spectrum_to_density([0.7, 0.2, 0.06, 0.04])
     for res in (
-        oracle_closest_classical(rho),
-        oracle_closest_separable_bd([0.7, 0.2, 0.06, 0.04]),
-        oracle_closest_product(rho),
+        oracle_closest_classical([rho])[0],
+        oracle_closest_separable_bd([[0.7, 0.2, 0.06, 0.04]])[0],
+        oracle_closest_product([rho])[0],
     ):
         assert np.all(np.diff(res.history) <= 0.0)
         assert res.value <= res.history[0]
@@ -114,9 +119,9 @@ def test_two_sided_certification_on_random_states():
         lam = rng.dirichlet(np.ones(4))
         rho = bell_spectrum_to_density(lam)
         d, e, t = analytic_values(lam)
-        oc = oracle_closest_classical(rho).value
-        os_ = oracle_closest_separable_bd(lam).value
-        op = oracle_closest_product(rho).value
+        oc = oracle_closest_classical([rho])[0].value
+        os_ = oracle_closest_separable_bd([lam])[0].value
+        op = oracle_closest_product([rho])[0].value
         # the search may only match or beat the analytic candidate...
         assert oc <= d + 1e-9 and os_ <= e + 1e-9 and op <= t + 1e-9
         # ...and the analytic candidate must survive the grid resolution
@@ -218,7 +223,7 @@ def test_classical_evaluations_count_the_hemisphere_grid():
     # 265^2 grid pairs, the two restarts and one pattern per refinement step;
     # the history holds the lead value, each start's value and one per step
     for rho in (bell_spectrum_to_density(LAM_FIG), _general_state(np.random.default_rng(5), 4)):
-        res = oracle_closest_classical(rho, seed=3)
+        res = oracle_closest_classical([rho], seed=3)[0]
         steps = len(res.history) - 4
         assert steps > 0
         assert res.evaluations == 265 ** 2 + 2 + steps * len(_offsets(4))
@@ -230,7 +235,7 @@ def test_oracle_confirms_fresh_classical_construction_after_switch():
     tau = 0.5 * math.asin(math.sqrt(0.4))  # f = 0.2
     lam_t = evolve_bell_spectrum(LAM_FIG, tau)
     rho_t = bell_spectrum_to_density(lam_t)
-    res = oracle_closest_classical(rho_t)
+    res = oracle_closest_classical([rho_t])[0]
     d_fresh = relative_entropy(rho_t, closest_classical_bd(lam_t))
     assert abs(res.value - d_fresh) < GRID_TOL
     assert res.value < (1 - H09) - 0.2  # well below the evolved-chi distance
@@ -240,7 +245,7 @@ def test_separable_oracle_value_matches_matrix_route():
     rng = np.random.default_rng(9)
     for _ in range(5):
         lam = rng.dirichlet(np.ones(4))
-        res = oracle_closest_separable_bd(lam)
+        res = oracle_closest_separable_bd([lam])[0]
         direct = relative_entropy(bell_spectrum_to_density(lam), res.minimizer)
         assert abs(res.value - direct) < 1e-9
 
@@ -372,9 +377,9 @@ def test_cached_grids_are_read_only():
     # the maximally mixed state scores 0 at its grid start, so the separable
     # and product searches never move and hand a cached row back as their
     # best point
-    oracle_closest_classical(np.eye(4) / 4)
-    oracle_closest_separable_bd([0.25, 0.25, 0.25, 0.25])
-    oracle_closest_product(np.eye(4) / 4)
+    oracle_closest_classical([np.eye(4) / 4])
+    oracle_closest_separable_bd([[0.25, 0.25, 0.25, 0.25]])
+    oracle_closest_product([np.eye(4) / 4])
     for build in (_direction_grid, _simplex_grid, _product_grid):
         assert build.cache_info().currsize == 1
         for arr in build():
@@ -417,6 +422,6 @@ def test_classical_oracle_reaches_d_on_near_mixed_states():
     rng = np.random.default_rng(31)
     spectra = [(1.0 - p) / 4.0 + p * rng.dirichlet(np.ones(4))
                for p in (0.03, 0.01) for _ in range(16)]
-    found = oracle_closest_classical_batch([bell_spectrum_to_density(lam) for lam in spectra])
+    found = oracle_closest_classical([bell_spectrum_to_density(lam) for lam in spectra])
     d = bell_quantifiers(np.array(spectra))[1]
     assert np.max(np.abs(np.array([r.value for r in found]) - d)) < 1e-14

@@ -29,11 +29,8 @@ import numpy as np
 from belldyn.dynamics import bell_spectrum_to_density
 from belldyn.oracle import (
     oracle_closest_classical,
-    oracle_closest_classical_batch,
     oracle_closest_product,
-    oracle_closest_product_batch,
     oracle_closest_separable_bd,
-    oracle_closest_separable_bd_batch,
 )
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "oracle_golden.json"
@@ -69,10 +66,10 @@ def _cases():
     for name, (rho, lam) in states.items():
         for seed in (0, 3):
             yield (f"{name}/classical/seed{seed}",
-                   partial(oracle_closest_classical, rho, seed=seed))
+                   partial(oracle_closest_classical, [rho], seed=seed))
         if lam is not None:
-            yield f"{name}/separable", partial(oracle_closest_separable_bd, lam)
-        yield f"{name}/product", partial(oracle_closest_product, rho)
+            yield f"{name}/separable", partial(oracle_closest_separable_bd, [lam])
+        yield f"{name}/product", partial(oracle_closest_product, [rho])
 
 
 def _digest(res) -> str:
@@ -87,7 +84,7 @@ def _digest(res) -> str:
 
 
 def _digests() -> dict:
-    return {name: _digest(run()) for name, run in _cases()}
+    return {name: _digest(run()[0]) for name, run in _cases()}
 
 
 def test_oracle_results_are_bit_identical_to_the_golden_capture():
@@ -100,16 +97,16 @@ def test_oracle_results_are_bit_identical_to_the_golden_capture():
 
 
 def _batched_digests(names, states, spectra) -> dict:
-    # one call of each batched entry point on the named states, in order
+    # one call of each oracle on all the named states, in order
     rhos = [states[name] for name in names]
     bd = [name for name in names if name in spectra]
     got = {}
     for seed in (0, 3):
-        results = oracle_closest_classical_batch(rhos, seed=seed)
+        results = oracle_closest_classical(rhos, seed=seed)
         got.update({f"{name}/classical/seed{seed}": _digest(r) for name, r in zip(names, results)})
-    results = oracle_closest_separable_bd_batch([spectra[name] for name in bd])
+    results = oracle_closest_separable_bd([spectra[name] for name in bd])
     got.update({f"{name}/separable": _digest(r) for name, r in zip(bd, results)})
-    results = oracle_closest_product_batch(rhos)
+    results = oracle_closest_product(rhos)
     got.update({f"{name}/product": _digest(r) for name, r in zip(names, results)})
     return got
 
