@@ -546,3 +546,20 @@ def test_trajectory_stdout_is_pinned(command, capsys):
     assert main([command]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
     assert digest == TRAJECTORY_SHA256[command]
+
+
+#: sha256 of stdout of the writer's other outputs at the default settings,
+#: captured while each value was formatted by its own call
+WRITER_SHA256 = {
+    "evolve --format json": "98f1513e4be62552b3271b90fa1287904e5ead7a17f5b0ff979c33fdb67fd7b8",
+    "nonmarkov": "af9bd2b034da735602fae7613635ce89fe08ba52cd1da0cc72e68b576daf5d47",
+    "nonmarkov --format json": "0373b885374db32594767b85e0df7d378f6b9fedcb5ae6915ccefb16b79cfa31",
+    "composition 0.3 1.1": "d4145845b1961ae613d560f7b4e68fa81f22a39e2d5fbbe9f376f0ad3955bad4",
+}
+
+
+@pytest.mark.parametrize("command", sorted(WRITER_SHA256))
+def test_writer_stdout_is_pinned(command, capsys):
+    assert main(command.split()) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == WRITER_SHA256[command]
