@@ -35,6 +35,8 @@ VERIFY_TOL_BITS = 1e-3
 _VERIFY_CHUNK = 32
 # largest --steps, so that a typo cannot allocate a grid of gigabytes
 _MAX_STEPS = 10**6
+# the one number rule of every output: 12 significant digits
+_NUMBER = "%.12g"
 
 
 class InputError(Exception):
@@ -133,8 +135,8 @@ def load_initial(arg: str | None):
 # ---------------------------------------------------------------------------
 # output
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
+def _rounded(values) -> list:
+    return list(map(float, (",".join([_NUMBER] * len(values)) % tuple(values)).split(",")))
 
 
 def _write_text(path: str, text: str) -> None:
@@ -150,15 +152,13 @@ def _write_text(path: str, text: str) -> None:
 
 def _write_table(columns: dict, args) -> None:
     """Write equal-length columns (arrays or lists) as CSV or JSON."""
-    names = list(columns)
     values = [np.asarray(v, dtype=float).tolist() for v in columns.values()]
     if args.format == "csv":
-        lines = [",".join(names)]
-        lines.extend(",".join(map(_fmt, row)) for row in zip(*values))
-        _write_text(args.output, "\n".join(lines) + "\n")
+        row = ",".join([_NUMBER] * len(values))
+        text = "\n".join([",".join(columns), *map(row.__mod__, zip(*values)), ""])
     else:
-        data = {name: [float(_fmt(v)) for v in vals] for name, vals in zip(names, values)}
-        _write_text(args.output, json.dumps(data) + "\n")
+        text = json.dumps({name: _rounded(vals) for name, vals in zip(columns, values)}) + "\n"
+    _write_text(args.output, text)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +172,10 @@ def _grid(args) -> np.ndarray:
         raise InputError(f"--steps must be between 2 and {_MAX_STEPS}")
     # steps counts intervals, so the grid has steps+1 points and the
     # defaults land exactly on tau = pi/4, pi/2, ...
-    return np.linspace(0.0, args.tau_max, args.steps + 1)
+    grid = np.linspace(0.0, args.tau_max, args.steps + 1)
+    if not np.all(np.diff(grid) > 0):  # --tau-max / --steps underflowed
+        raise InputError("tau grid must be strictly ascending")
+    return grid
 
 
 def _trajectory_columns(lam0: np.ndarray, grid: np.ndarray, g: float) -> dict:
@@ -224,10 +227,10 @@ def cmd_composition(args) -> int:
     report = {
         "tau1": args.tau1,
         "tau2": args.tau2,
-        "initial": [float(_fmt(v)) for v in lam0],
-        "direct": [float(_fmt(v)) for v in direct],
-        "restarted": [float(_fmt(v)) for v in restarted],
-        "trace_distance": float(_fmt(dist)),
+        "initial": _rounded(lam0),
+        "direct": _rounded(direct),
+        "restarted": _rounded(restarted),
+        "trace_distance": _rounded([dist])[0],
     }
     _write_text(args.output, json.dumps(report) + "\n")
     return 0
@@ -286,12 +289,9 @@ def cmd_verify(args) -> int:
     if not passed:
         for name, fam in families.items():
             if fam["max_discrepancy_bits"] >= VERIFY_TOL_BITS:
-                print(
-                    f"certification failed for the {name} family: "
-                    f"discrepancy {fam['max_discrepancy_bits']:.3e} bits "
-                    f"on state {fam['worst_state']}",
-                    file=sys.stderr,
-                )
+                print(f"certification failed for the {name} family: discrepancy "
+                      f"{fam['max_discrepancy_bits']:.3e} bits on state {fam['worst_state']}",
+                      file=sys.stderr)
         return 4
     return 0
 

@@ -63,12 +63,11 @@ def check_two_qubit_state(rho, name):
 
 
 def _xlog2(p):
-    """Elementwise p log2 p with 0 log 0 := 0 (also for p < 0 and NaN); the
-    one entropy kernel of the package. Callers clip and sum themselves."""
+    """Elementwise p log2 p with 0 log 0 := 0, and +0.0 for p < 0 and NaN too,
+    as q = 1 there; the one entropy kernel. Callers clip and sum themselves."""
     p = np.asarray(p, dtype=float)
-    pos = p > 0
-    q = np.where(pos, p, 1.0)
-    return np.where(pos, q * np.log2(q), 0.0)
+    q = np.where(p > 0, p, 1.0)
+    return q * np.log2(q)
 
 
 def von_neumann_entropy(rho) -> float:

@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
 import pathlib
@@ -8,8 +10,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from belldyn.cli import build_parser, main
+from belldyn.cli import _write_table, build_parser, main
 from belldyn.correlations import bell_quantifiers, quantifier_report
 from belldyn.dynamics import bell_spectrum_to_density
 
@@ -236,6 +240,10 @@ BAD_INPUTS = [
     ["figure3", "--tau-max", "1e308", "--steps", "2"],
     ["nonmarkov", "--tau-max", "1e308", "--steps", "2"],
     ["evolve", "--g", "1e-320", "--steps", "2", "--tau-max", "1"],
+    # --tau-max / --steps underflows, so the grid repeats points
+    ["evolve", "--steps", "4", "--tau-max", "1e-323"],
+    ["figure2", "--steps", "4", "--tau-max", "1e-323"],
+    ["figure3", "--steps", "4", "--tau-max", "1e-323"],
     # rejected before any grid is allocated
     ["evolve", "--steps", "2000000000"],
     ["nonmarkov", "--steps", "1000001"],
@@ -563,3 +571,35 @@ def test_writer_stdout_is_pinned(command, capsys):
     assert main(command.split()) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
     assert digest == WRITER_SHA256[command]
+
+
+#: finite floats, weighted towards the values where the 12-digit rule is
+#: easy to get wrong: signed zeros, subnormals, the range [1e12, 1e16) where
+#: %g and repr switch to exponent notation at different points, and 1e308
+WRITER_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e12, 1e16 - 2, 1e308, -1e308]),
+    st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308),
+    st.floats(min_value=1e12, max_value=1e16, exclude_max=True),
+    st.floats(min_value=-1e16, max_value=-1e12, exclude_min=True),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_writer_formats_each_value_by_the_12_digit_rule(data):
+    k = data.draw(st.integers(1, 15), label="columns")
+    n = data.draw(st.integers(1, 60), label="rows")
+    columns = {f"c{j}": data.draw(st.lists(WRITER_FLOATS, min_size=n, max_size=n))
+               for j in range(k)}
+    expected = {
+        "csv": "\n".join([",".join(columns)] + [",".join(f"{x:.12g}" for x in row)
+                                               for row in zip(*columns.values())]) + "\n",
+        "json": json.dumps({name: [float(f"{x:.12g}") for x in vals]
+                            for name, vals in columns.items()}) + "\n",
+    }
+    for fmt, text in expected.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            _write_table(columns, argparse.Namespace(format=fmt, output="-"))
+        assert out.getvalue() == text
