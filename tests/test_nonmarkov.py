@@ -207,3 +207,43 @@ DETECTORS = {"frozen": detect_frozen_intervals, "death_revival": detect_death_re
 def test_series_detectors_share_one_input_rule(detector, grid, values, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         DETECTORS[detector](grid, values)
+
+
+#: float.hex of each detector's intervals on the figure trajectory (the
+#: figure3 grid, 2,001 points over [0, pi]); frozen D and C are the greedy
+#: scan, E is the death detector refined through quantifier_report
+DETECTOR_PIN = {
+    "D": [("0x0.0p+0", "0x1.d8e5ccfa424a6p-3"),
+          ("0x1.860f6596b1743p-1", "0x1.87ab2bf21a2b5p-1"),
+          ("0x1.88790f1fce86ep-1", "0x1.8ee8288d71635p-1"),
+          ("0x1.8fb60bbb25beep-1", "0x1.9af8783b02c0ap-1"),
+          ("0x1.9bc65b68b71c3p-1", "0x1.9d6221c41fd35p-1"),
+          ("0x1.5702fba4fa884p+0", "0x1.cd3c6ee38b1adp+0"),
+          ("0x1.2a93b407cdc5dp+1", "0x1.2afaa59ea7f39p+1"),
+          ("0x1.2b2e1e6a150a8p+1", "0x1.2cc9e4c57dc19p+1"),
+          ("0x1.2cfd5d90ead88p+1", "0x1.2fcdf8b0e218fp+1"),
+          ("0x1.3001717c4f2fdp+1", "0x1.30686313295d9p+1"),
+          ("0x1.749158749eacep+1", "0x1.921fb54442d18p+1")],
+    "C": [("0x1.dc1d59b113b89p-3", "0x1.569c0a0e205a7p+0"),
+          ("0x1.cda3607a6548ap+0", "0x1.745ddfa931960p+1")],
+    "E": [("0x1.3b20051f6c1e6p-1", "0x1.e91f65691984ap-1"),
+          ("0x1.17d7dbe9098e8p+1", "0x1.4357b3fd3b4e6p+1")],
+}
+
+
+def test_detector_bits_are_pinned():
+    from belldyn.correlations import bell_quantifiers
+    from belldyn.dynamics import evolve_bell_spectrum
+
+    grid = np.linspace(0.0, math.pi, 2001)
+    _, d, c, e = bell_quantifiers(evolve_bell_spectrum(LAM_FIG, grid))
+
+    def e_of_tau(tau):
+        return quantifier_report(bell_spectrum_to_density(evolve_bell_spectrum(LAM_FIG, tau))).E
+
+    found = {
+        "D": detect_frozen_intervals(grid, d),
+        "C": detect_frozen_intervals(grid, c),
+        "E": detect_death_revival(grid, e, refine=e_of_tau),
+    }
+    assert {k: [(a.hex(), b.hex()) for a, b in v] for k, v in found.items()} == DETECTOR_PIN
