@@ -18,6 +18,7 @@ import numpy as np
 
 from .correlations import bell_quantifiers, c_vector_of_spectrum
 from .dynamics import (
+    _TAU_LIMIT,
     BELL_RESIDUAL_TOL,
     bell_spectrum_of,
     bell_spectrum_to_density,
@@ -165,9 +166,9 @@ def _write_table(columns: dict, args) -> None:
 # commands
 
 def _grid(args) -> np.ndarray:
-    # written so that NaN fails too
-    if not 0.0 < args.tau_max < math.inf:
-        raise InputError("--tau-max must be positive and finite")
+    # NaN fails too; the library's tau bound keeps np.linspace from overflowing
+    if not 0.0 < args.tau_max <= _TAU_LIMIT:
+        raise InputError(f"--tau-max must be positive and finite, at most {_TAU_LIMIT:.3e}")
     if not 2 <= args.steps <= _MAX_STEPS:
         raise InputError(f"--steps must be between 2 and {_MAX_STEPS}")
     # steps counts intervals, so the grid has steps+1 points and the

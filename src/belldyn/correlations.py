@@ -108,7 +108,7 @@ def _separable_spectrum(a) -> np.ndarray:
         return a.copy()
     # summed, not 1 - lmax: the cancellation in 1 - lmax would break the
     # 1e-12 normalization of the result for nearly pure inputs
-    rest = float(np.sum(np.delete(a, m)))
+    rest = float(a[np.arange(4) != m].sum())
     if rest < 1e-15:
         out = np.zeros(4)
         out[0 if m != 0 else 1] = 0.5
@@ -168,11 +168,9 @@ def quantifier_report(rho) -> CorrelationReport:
     lam, off = _bell_diagonal(a)
     if off >= BELL_RESIDUAL_TOL:
         raise ValueError(f"quantifier_report expects a Bell-diagonal state, residual {off:.3e}")
-    s_rho = _entropy(a)
     pi = _product_state(a)
     chi = _classical_state(_c_vectors(lam))
     sig = _bell_density(_separable_spectrum(lam))
+    s_rho, s_pi, s_chi, s_pi_chi = _entropy(np.stack([a, pi, chi, _product_state(chi)]))
     e = float(_relative_entropy_stack(a, sig[None], s_rho)[0])
-    s_chi = _entropy(chi)
-    c = _entropy(_product_state(chi)) - s_chi
-    return CorrelationReport(_entropy(pi) - s_rho, s_chi - s_rho, c, e, pi, chi, sig)
+    return CorrelationReport(s_pi - s_rho, s_chi - s_rho, s_pi_chi - s_chi, e, pi, chi, sig)

@@ -32,6 +32,7 @@ BELL_VECTORS = np.array([
     [_S, -_S, 0, 0],
     [0, 0, _S, -_S],
 ], dtype=complex)
+_BELL_DAGGER = BELL_VECTORS.conj().T  # built once, the same Fortran-ordered view
 
 BELL_RESIDUAL_TOL = 1e-8
 
@@ -56,21 +57,21 @@ def validate_spectrum(lam) -> np.ndarray:
         a = a.reshape(-1)
     if a.shape[-1] != 4:
         raise ValueError(f"Bell spectrum needs 4 entries, got {a.shape[-1]}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("Bell spectrum has non-finite entries")
-    if float(a.min()) < -1e-12:
+    if a.min() < -1e-12:
         raise ValueError(f"Bell spectrum has negative entry {a.min():.3e}")
     total = np.asarray(a.sum(axis=-1))
-    off = np.abs(total - 1.0) > 1e-12
-    if np.any(off):
+    off = abs(total - 1.0) > 1e-12
+    if off.any():
         raise ValueError(f"Bell spectrum sums to {float(total[off][0])!r}, expected 1")
-    return np.clip(a, 0.0, None)
+    return a.clip(0.0, None)
 
 
 def _checked_tau(tau) -> np.ndarray:
     # the one tau rule of the library: tau in [0, _TAU_LIMIT]
     t = np.asarray(tau, dtype=float)
-    if not np.all((t >= 0.0) & (t <= _TAU_LIMIT)):  # NaN fails too
+    if not ((t >= 0.0) & (t <= _TAU_LIMIT)).all():  # NaN fails too
         raise ValueError(f"tau must be finite and non-negative, at most {_TAU_LIMIT:.3e}")
     return t
 
@@ -163,7 +164,7 @@ def bell_spectrum_to_density(lam) -> np.ndarray:
 
 def _bell_density(a) -> np.ndarray:
     # bell_spectrum_to_density of a checked spectrum of shape (4,)
-    return (BELL_VECTORS * a) @ BELL_VECTORS.conj().T
+    return (BELL_VECTORS * a) @ _BELL_DAGGER
 
 
 def bell_spectrum_of(rho):
@@ -180,7 +181,8 @@ def bell_spectrum_of(rho):
 
 def _bell_diagonal(a):
     # bell_spectrum_of of a checked 4x4 complex array
-    m = BELL_VECTORS.conj().T @ a @ BELL_VECTORS
-    lam = np.clip(np.real(np.diag(m)), 0.0, None)
-    residual = float(np.max(np.abs(m - np.diag(np.diag(m)))))
+    m = _BELL_DAGGER @ a @ BELL_VECTORS
+    diag = m.diagonal()
+    lam = diag.real.clip(0.0, None)
+    residual = float(np.abs(m - np.diag(diag)).max())
     return validate_spectrum(lam / lam.sum()), residual

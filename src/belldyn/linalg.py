@@ -34,9 +34,9 @@ def _as_square(m, name="matrix"):
 def check_hermitian(m, name="matrix"):
     """Validate Hermiticity within HERMITICITY_TOL and return the array as complex."""
     a = _as_square(m, name)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} has non-finite entries")
-    dev = float(np.max(np.abs(a - a.conj().T)))
+    dev = float(np.abs(a - a.conj().T).max())
     if dev > HERMITICITY_TOL:
         raise ValueError(f"{name} is not Hermitian (max deviation {dev:.3e})")
     return a
@@ -83,12 +83,13 @@ def von_neumann_entropy(rho) -> float:
     return _entropy(a)
 
 
-def _entropy(a) -> float:
-    # von_neumann_entropy of a Hermitian unit-trace array checked or built by the caller
+def _entropy(a):
+    # von_neumann_entropy of checked or built Hermitian unit-trace arrays: a float
+    # for one, a list for a stack; one eigvalsh runs LAPACK on each matrix alike
     w = np.linalg.eigvalsh(a)
     if float(w.min()) < -1e-8:
         raise ValueError(f"state has negative eigenvalue {w.min():.3e}")
-    return float(-np.sum(_xlog2(np.clip(w, 0.0, None))))
+    return (-np.sum(_xlog2(w.clip(0.0, None)), axis=-1)).tolist()
 
 
 def _clamp_residue(x):

@@ -126,9 +126,10 @@ def detect_frozen_intervals(tau_grid, values):
     be maximal: a frozen run can lose its first point to a discarded scan.
     Returns a list of (start_tau, end_tau) pairs in ascending order."""
     g, v = _checked_series(tau_grid, values)
+    v = v.tolist()  # Python floats: the same IEEE arithmetic, without numpy scalars
     out = []
     i = 0
-    n = v.size
+    n = len(v)
     while i < n:
         total = v[i]
         lo = hi = v[i]

@@ -285,10 +285,11 @@ def _simplex_log_q(q3):
 @functools.cache
 def _simplex_grid():
     # the simplex grid over (q1, q2, q3), its separable rows and their log2 q
+    # as a contiguous (4, rows) array, one row per coefficient
     axis = np.linspace(0.0, 0.5, int(round(0.5 / SIMPLEX_GRID_STEP)) + 1)
     q3 = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
     log_q, feasible = _simplex_log_q(q3)
-    return _frozen(q3, np.flatnonzero(feasible), log_q[feasible])
+    return _frozen(q3, np.flatnonzero(feasible), np.ascontiguousarray(log_q[feasible].T))
 
 
 def oracle_closest_separable_bd(lams) -> list[OracleResult]:
@@ -304,7 +305,12 @@ def oracle_closest_separable_bd(lams) -> list[OracleResult]:
     q3, rows, log_q = _simplex_grid()
     starts = []
     for a in lam:
-        vals = _clamp_residue(_separable_values(a, log_q))
+        # _separable_values' terms with lam_i > 0, in its order and with its bits
+        log_a = np.log2(np.where(a > 0.0, a, 1.0))
+        vals = np.zeros(log_q.shape[1])
+        for i in np.flatnonzero(a > 0.0):
+            vals = vals + a[i] * (log_a[i] - log_q[i])
+        vals = _clamp_residue(vals)
         k = int(np.argmin(vals))
         starts.append((q3[rows[k]], float(vals[k]), SIMPLEX_GRID_STEP))
 

@@ -239,6 +239,9 @@ BAD_INPUTS = [
     ["evolve", "--tau-max", "1e308", "--steps", "2"],
     ["figure3", "--tau-max", "1e308", "--steps", "2"],
     ["nonmarkov", "--tau-max", "1e308", "--steps", "2"],
+    # the largest float: np.linspace would overflow at 3 and 7 steps
+    *([cmd, "--tau-max", "1.7976931348623157e308", "--steps", steps]
+      for cmd in ("evolve", "nonmarkov", "figure3") for steps in ("3", "7")),
     ["evolve", "--g", "1e-320", "--steps", "2", "--tau-max", "1"],
     # --tau-max / --steps underflows, so the grid repeats points
     ["evolve", "--steps", "4", "--tau-max", "1e-323"],

@@ -259,6 +259,18 @@ def test_validate_spectrum():
         bell_spectrum_to_density(np.full((4, 4), 0.25))
 
 
+@pytest.mark.parametrize("lam", [
+    np.array([0.4, 0.3, 0.2, 0.1]),
+    np.array([[0.4, 0.3, 0.2, 0.1], [0.25, 0.25, 0.25, 0.25]]),
+], ids=["one", "stack"])
+def test_validate_spectrum_returns_a_new_array(lam):
+    before = lam.copy()
+    out = validate_spectrum(lam)
+    assert np.array_equal(out, lam)
+    out[...] = 7.0
+    assert np.array_equal(lam, before)
+
+
 def test_evolution_on_a_grid_matches_pointwise_evolution():
     rng = np.random.default_rng(9)
     lam0 = rng.dirichlet(np.ones(4))
