@@ -158,8 +158,18 @@ def _write_table(columns: dict, args) -> None:
         row = ",".join([_NUMBER] * len(values))
         text = "\n".join([",".join(columns), *map(row.__mod__, zip(*values)), ""])
     else:
-        text = json.dumps({name: _rounded(vals) for name, vals in zip(columns, values)}) + "\n"
+        text = "{%s}\n" % ", ".join(f"{json.dumps(name)}: [{_json_numbers(vals)}]"
+                                    for name, vals in zip(columns, values))
     _write_text(args.output, text)
+
+
+def _json_numbers(values) -> str:
+    # json.dumps of _rounded(values) without the float round trip: a
+    # fixed-point %.12g token is already repr(float(token)), an integer one
+    # lacks ".0", and exponent forms, nan and inf take the float route
+    return ", ".join([t if "." in t and "e" not in t else t + ".0" if t.lstrip("-").isdigit()
+                      else json.dumps(float(t))
+                      for t in (",".join([_NUMBER] * len(values)) % tuple(values)).split(",")])
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from .dynamics import (
 )
 from .linalg import (
     PAULI,
+    _check_density,
     _clamp_residue,
     _entropy,
     _marginal,
@@ -164,13 +165,14 @@ def quantifier_report(rho) -> CorrelationReport:
     spectrum. rho is checked once and must be Bell-diagonal: Bell-basis
     residual below BELL_RESIDUAL_TOL.
     """
-    a = check_two_qubit_state(rho, "quantifier_report")
+    a, w = _check_density(rho, caller="quantifier_report")
     lam, off = _bell_diagonal(a)
     if off >= BELL_RESIDUAL_TOL:
         raise ValueError(f"quantifier_report expects a Bell-diagonal state, residual {off:.3e}")
     pi = _product_state(a)
     chi = _classical_state(_c_vectors(lam))
     sig = _bell_density(_separable_spectrum(lam))
-    s_rho, s_pi, s_chi, s_pi_chi = _entropy(np.stack([a, pi, chi, _product_state(chi)]))
+    s_rho = -float(np.sum(_xlog2(w.clip(0.0, None))))  # the check's eigenvalues of rho
+    s_pi, s_chi, s_pi_chi = _entropy(np.stack([pi, chi, _product_state(chi)]))
     e = float(_relative_entropy_stack(a, sig[None], s_rho)[0])
     return CorrelationReport(s_pi - s_rho, s_chi - s_rho, s_pi_chi - s_chi, e, pi, chi, sig)

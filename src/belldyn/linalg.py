@@ -42,8 +42,9 @@ def check_hermitian(m, name="matrix"):
     return a
 
 
-def check_density(rho, name="state"):
-    """Validate a density matrix: Hermitian, unit trace, positive semidefinite."""
+def _check_density(rho, name="state", caller=None):
+    # check_density, also returning the eigenvalues of rho; with a caller,
+    # rho must be 4x4 as well, and the shape error names the caller
     a = check_hermitian(rho, name=name)
     tr = float(np.trace(a).real)
     if abs(tr - 1.0) > TRACE_TOL:
@@ -51,15 +52,19 @@ def check_density(rho, name="state"):
     w = np.linalg.eigvalsh(a)
     if float(w.min()) < -EIGENVALUE_TOL:
         raise ValueError(f"{name} has negative eigenvalue {w.min():.3e}")
-    return a
+    if caller is not None and a.shape != (4, 4):
+        raise ValueError(f"{caller} expects a 4x4 state")
+    return a, w
+
+
+def check_density(rho, name="state"):
+    """Validate a density matrix: Hermitian, unit trace, positive semidefinite."""
+    return _check_density(rho, name)[0]
 
 
 def check_two_qubit_state(rho, name):
     """check_density of a 4x4 state; the shape error names the caller `name`."""
-    a = check_density(rho)
-    if a.shape != (4, 4):
-        raise ValueError(f"{name} expects a 4x4 state")
-    return a
+    return _check_density(rho, caller=name)[0]
 
 
 def _xlog2(p):

@@ -606,3 +606,16 @@ def test_writer_formats_each_value_by_the_12_digit_rule(data):
         with contextlib.redirect_stdout(out):
             _write_table(columns, argparse.Namespace(format=fmt, output="-"))
         assert out.getvalue() == text
+
+
+def test_json_writer_keeps_the_float_route_for_tokens_that_are_no_repr():
+    # -0 and 1e+12-style tokens need ".0", exponent forms keep repr's
+    # exponent, and nan and inf contain neither "." nor "e" but must stay
+    # JSON's NaN and Infinity, not "nan.0"
+    vals = [-0.0, 5e-324, 1.5e12, 123456789012.5, math.nan, math.inf, -math.inf, 1.0, 0.25]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _write_table({"x": vals}, argparse.Namespace(format="json", output="-"))
+    assert out.getvalue() == json.dumps({"x": [float(f"{x:.12g}") for x in vals]}) + "\n"
+    assert out.getvalue() == ('{"x": [-0.0, 5e-324, 1500000000000.0, 123456789012.0, NaN, '
+                              'Infinity, -Infinity, 1.0, 0.25]}\n')
