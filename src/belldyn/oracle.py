@@ -13,7 +13,8 @@ Three families are covered:
   space is exactly the four local Bloch angles; u and -u define the same
   basis, so the grid holds one hemisphere of directions per qubit, and the
   refinement steps each phi by arc length (width / max(|sin theta|,
-  width)), so that a search near a pole still moves by its width;
+  width)), so that a search near a pole still moves by its width, and
+  scores its 80 offsets on the 9 + 9 directions they take per qubit;
 * separable Bell-diagonal states (all coefficients <= 1/2), searched on
   the simplex grid;
 * product states, parametrized by two Bloch vectors of norm <= 1.
@@ -186,28 +187,27 @@ def _direction_grid():
     return _frozen(th[keep], ph[keep], _directions(th[keep], ph[keep]))
 
 
-def _classical_values_grid(a_vec, b_vec, corr, u, s_rho):
-    # all pairs of grid directions, in row blocks whose temporaries fit in cache
-    alpha = u @ a_vec
-    beta = u @ b_vec
-    kappa = u @ corr @ u.T
+def _classical_values(a_vec, b_vec, corr, ua, ub, s_rho):
+    # the one classical objective of the grid, restarts and refinement: all
+    # (..., m, n) pairs of A directions ua (..., m, 3) and B directions ub
+    # (..., n, 3), with one state's data per leading index
+    alpha = np.matmul(ua, a_vec[..., None])
+    beta = np.swapaxes(np.matmul(ub, b_vec[..., None]), -1, -2)
+    kappa = ua @ corr @ np.swapaxes(ub, -1, -2)
     out = np.empty_like(kappa)
-    for r in range(0, len(u), GRID_POINTS_PER_ANGLE):
+    for r in range(0, ua.shape[-2], GRID_POINTS_PER_ANGLE):  # temporaries that fit in cache
         rows = slice(r, r + GRID_POINTS_PER_ANGLE)
-        out[rows] = _dephased_entropy(alpha[rows, None], beta[None, :], kappa[rows]) - s_rho
+        out[..., rows, :] = _dephased_entropy(alpha[..., rows, :], beta, kappa[..., rows, :]) - s_rho
     return out
 
 
-def _classical_values_quads(a_vec, b_vec, corr, quads, s_rho):
-    # quads (..., n, 4) with one state's data per leading index. alpha and
-    # beta use matmul, the BLAS kernel of the grid's `u @ a_vec`: an einsum
-    # rounds differently once a_vec != 0
-    ua = _directions(quads[..., 0], quads[..., 1])
-    ub = _directions(quads[..., 2], quads[..., 3])
-    alpha = np.matmul(ua, a_vec[..., None])[..., 0]
-    beta = np.matmul(ub, b_vec[..., None])[..., 0]
-    kappa = np.einsum("...ni,...ij,...nj->...n", ua, corr, ub)
-    return _dephased_entropy(alpha, beta, kappa) - s_rho
+@functools.cache
+def _stencil():
+    # _offsets(4) moves each qubit's angles in 9 ways: offset k pairs A move
+    # ia[k] with B move ib[k], and offset ka[i] (kb[i]) makes A (B) move i
+    off = (_offsets(4) + 1.0).astype(int)
+    ia, ib = 3 * off[:, 0] + off[:, 1], 3 * off[:, 2] + off[:, 3]
+    return _frozen(ia, ib, np.unique(ia, return_index=True)[1], np.unique(ib, return_index=True)[1])
 
 
 def oracle_closest_classical(rhos, seed: int = 0) -> list[OracleResult]:
@@ -227,8 +227,12 @@ def oracle_closest_classical(rhos, seed: int = 0) -> list[OracleResult]:
     s_rho = np.array([_entropy(a) for a in states])
 
     def evaluate(quads, owner):
-        return _classical_values_quads(a_vec[owner], b_vec[owner], corr[owner], quads,
-                                       s_rho[owner, None])
+        # the (search, 80, 4) stencil, scored on 9 A and 9 B directions
+        ia, ib, ka, kb = _stencil()
+        ua = _directions(quads[:, ka, 0], quads[:, ka, 1])
+        ub = _directions(quads[:, kb, 2], quads[:, kb, 3])
+        return _classical_values(a_vec[owner], b_vec[owner], corr[owner], ua, ub,
+                                 s_rho[owner, None, None])[:, ia, ib]
 
     th, ph, u = _direction_grid()
     width0 = max(math.pi / (GRID_POINTS_PER_ANGLE - 1), 2.0 * math.pi / GRID_POINTS_PER_ANGLE)
@@ -236,10 +240,12 @@ def oracle_closest_classical(rhos, seed: int = 0) -> list[OracleResult]:
     spans = (math.pi, 2.0 * math.pi, math.pi, 2.0 * math.pi)
     restarts = np.array([[rng.uniform(0.0, hi) for hi in spans] for _ in range(2)])
     everyone = np.arange(len(states))
-    restart_values = evaluate(np.broadcast_to(restarts, (len(states),) + restarts.shape), everyone)
+    ur = _directions(restarts[:, 0::2], restarts[:, 1::2])  # (restart, qubit, 3)
+    restart_values = np.diagonal(_classical_values(a_vec, b_vec, corr, ur[:, 0], ur[:, 1],
+                                                   s_rho[:, None, None]), axis1=1, axis2=2)
     starts = []
     for k in everyone:
-        grid = _classical_values_grid(a_vec[k], b_vec[k], corr[k], u, s_rho[k])
+        grid = _classical_values(a_vec[k], b_vec[k], corr[k], u, u, s_rho[k])
         ia, ib = np.unravel_index(int(np.argmin(grid)), grid.shape)
         starts.append((np.array([th[ia], ph[ia], th[ib], ph[ib]]), float(grid[ia, ib]), width0))
         starts += [(x, float(v), math.pi / 4.0) for x, v in zip(restarts, restart_values[k])]

@@ -482,22 +482,23 @@ def test_verify_certifies_the_printed_kernel(chunk, capsys, monkeypatch):
 
 def test_verify_refines_each_chunk_in_one_lockstep_loop(capsys, monkeypatch):
     # one classical objective call for the restarts and one per lockstep
-    # step of a chunk; refining state after state takes about 100 calls
-    # per state (825 for these 8)
+    # step of a chunk, besides one grid call per state; refining state after
+    # state takes about 100 calls per state (825 for these 8)
     import belldyn.cli as cli
     from belldyn import oracle
 
     calls = []
-    real = oracle._classical_values_quads
+    real = oracle._classical_values
 
-    def counted(*args):
-        calls.append(1)
-        return real(*args)
+    def counted(a_vec, *args):
+        calls.append(a_vec.ndim)  # 1: one state's grid, 2: a chunk's searches
+        return real(a_vec, *args)
 
-    monkeypatch.setattr(oracle, "_classical_values_quads", counted)
+    monkeypatch.setattr(oracle, "_classical_values", counted)
     assert main(["verify", "--n", "8"]) == 0
     chunks = -(-8 // cli._VERIFY_CHUNK)
-    assert 0 < len(calls) <= chunks * (oracle.REFINEMENT_ITERATIONS + 1)
+    assert calls.count(1) == 8
+    assert 0 < calls.count(2) <= chunks * (oracle.REFINEMENT_ITERATIONS + 1)
     capsys.readouterr()
 
 
@@ -507,15 +508,15 @@ def test_verify_classical_searches_stop_near_the_poles(capsys, monkeypatch):
     from belldyn import oracle
 
     calls = []
-    real = oracle._classical_values_quads
+    real = oracle._classical_values
 
-    def counted(*args):
-        calls.append(1)
-        return real(*args)
+    def counted(a_vec, *args):
+        calls.append(a_vec.ndim)  # 1: one state's grid, 2: the chunk's searches
+        return real(a_vec, *args)
 
-    monkeypatch.setattr(oracle, "_classical_values_quads", counted)
+    monkeypatch.setattr(oracle, "_classical_values", counted)
     assert main(["verify", "--n", "32", "--seed", "0"]) == 0
-    assert len(calls) <= 150
+    assert calls.count(2) <= 150
     capsys.readouterr()
 
 

@@ -13,15 +13,17 @@ from belldyn.oracle import (
     GRID_POINTS_PER_ANGLE,
     REFINEMENT_ITERATIONS,
     REFINEMENT_SHRINK,
-    _classical_values_grid,
+    _classical_values,
     _dephased_entropy,
     _direction_grid,
+    _directions,
     _arc_length_steps,
     _offsets,
     _pauli_data,
     _product_grid,
     _refine,
     _simplex_grid,
+    _stencil,
     oracle_closest_classical,
     oracle_closest_product,
     oracle_closest_separable_bd,
@@ -131,8 +133,6 @@ def test_two_sided_certification_on_random_states():
 def test_classical_objective_matches_matrix_route():
     # the fast Bloch-form objective must equal S(rho || dephase(rho, basis))
     rng = np.random.default_rng(7)
-    from belldyn.oracle import _classical_values_quads
-
     for _ in range(20):
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         rho = g @ g.conj().T
@@ -142,10 +142,50 @@ def test_classical_objective_matches_matrix_route():
             rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi),
         ])
         a_vec, b_vec, corr = _pauli_data(rho)
-        fast = _classical_values_quads(a_vec, b_vec, corr, quad[None, :],
-                                       von_neumann_entropy(rho))[0]
+        fast = _classical_values(a_vec, b_vec, corr, _directions(quad[None, 0], quad[None, 1]),
+                                 _directions(quad[None, 2], quad[None, 3]),
+                                 von_neumann_entropy(rho))[0, 0]
         slow = relative_entropy(rho, dephase_in_basis(rho, quad))
         assert abs(fast - slow) < 1e-10
+
+
+def test_stencil_objective_matches_matrix_route_on_every_offset(monkeypatch):
+    # the refinement scores its 80 offsets on 9 A and 9 B directions per
+    # search; each gathered value must be S(rho || dephase(rho, candidate)),
+    # also for general states (a_vec != 0) and for a search on a pole
+    from belldyn import oracle
+
+    rng = np.random.default_rng(19)
+    states = [_general_state(rng, 4) for _ in range(3)]
+    assert min(np.linalg.norm(_pauli_data(rho)[0]) for rho in states) > 0.05
+    real, seen = oracle._refine, []
+
+    def spy(starts, evaluate, *args, **kwargs):
+        seen.append(evaluate)
+        return real(starts, evaluate, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_refine", spy)
+    oracle_closest_classical(states)
+    [evaluate] = seen
+    x = np.array([[0.0, 1.3, 2.0, 4.0], [0.7, 0.2, 0.0, 0.0], [2.9, 5.9, 1.1, 3.3]])
+    quads = x[:, None, :] + _arc_length_steps(x, np.array([0.3, 1e-3, 0.05]))[:, None, :] * _offsets(4)
+    got = evaluate(quads, np.arange(3))
+    assert got.shape == (3, 80)
+    for rho, row, vals in zip(states, quads, got):
+        for quad, val in zip(row, vals):
+            assert abs(val - relative_entropy(rho, dephase_in_basis(rho, quad))) < 1e-10
+
+
+def test_stencil_maps_pair_the_9_moves_of_each_qubit():
+    # offset k is the pair (A move ia[k], B move ib[k]); ka and kb pick one
+    # offset per move of each qubit
+    ia, ib, ka, kb = _stencil()
+    off = _offsets(4)
+    assert sorted(zip(ia, ib)) == [(i, j) for i in range(9) for j in range(9) if (i, j) != (4, 4)]
+    for i in range(9):
+        assert ia[ka[i]] == ib[kb[i]] == i
+        assert np.all(off[ia == i, :2] == off[ka[i], :2])
+        assert np.all(off[ib == i, 2:] == off[kb[i], 2:])
 
 
 N = GRID_POINTS_PER_ANGLE
@@ -215,7 +255,7 @@ def test_hemisphere_grid_minimum_equals_the_full_grid_minimum():
         s_rho = von_neumann_entropy(rho)
         full = _dephased_entropy((full_u @ a_vec)[:, None], (full_u @ b_vec)[None, :],
                                  full_u @ corr @ full_u.T) - s_rho
-        hemi = _classical_values_grid(a_vec, b_vec, corr, u, s_rho)
+        hemi = _classical_values(a_vec, b_vec, corr, u, u, s_rho)
         assert abs(hemi.min() - full.min()) < 1e-15
 
 
@@ -380,7 +420,7 @@ def test_cached_grids_are_read_only():
     oracle_closest_classical([np.eye(4) / 4])
     oracle_closest_separable_bd([[0.25, 0.25, 0.25, 0.25]])
     oracle_closest_product([np.eye(4) / 4])
-    for build in (_direction_grid, _simplex_grid, _product_grid):
+    for build in (_direction_grid, _stencil, _simplex_grid, _product_grid):
         assert build.cache_info().currsize == 1
         for arr in build():
             with pytest.raises(ValueError):
@@ -392,11 +432,11 @@ def test_grid_caches_are_built_lazily():
         "import belldyn.cli\n"
         "from belldyn import oracle\n"
         "print([f.cache_info().currsize for f in "
-        "(oracle._direction_grid, oracle._simplex_grid, oracle._product_grid)])\n"
+        "(oracle._direction_grid, oracle._stencil, oracle._simplex_grid, oracle._product_grid)])\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
-    assert out.stdout.strip() == "[0, 0, 0]"
+    assert out.stdout.strip() == "[0, 0, 0, 0]"
 
 
 def test_arc_length_phi_step_turns_a_direction_by_about_the_width():
