@@ -13,7 +13,13 @@ began to step each phi by arc length, width / max(|sin theta|, width):
 searches near a pole now stop early, 36 of the 38 entries moved (the
 maximally mixed state's two did not), no value rose by more than 4.4e-16
 bits, and the summed `evaluations` fell from 3,490,066 to 3,261,026; the
-separable and product entries again kept their bytes. Any change to the
+separable and product entries again kept their bytes. They were
+re-captured a third time when the refinement began to score its 80
+offsets on 9 + 9 directions per step, with kappa from one 9 x 9 matrix
+product instead of an einsum per offset: 15 of the 38 entries moved, 4
+values moved, none by more than 4.4e-16 bits, and the summed
+`evaluations` went from 3,261,026 to 3,260,706; the separable and product
+entries kept their bytes. Any change to the
 search order, the grids or the relative-entropy kernel that moves a single
 bit fails here. `python tests/test_oracle_golden.py` prints the digests of
 the current code as JSON.
