@@ -27,6 +27,7 @@ from .linalg import (
     _entropy,
     _marginal,
     _relative_entropy_stack,
+    _spectral_entropy,
     _xlog2,
     check_two_qubit_state,
     tensor,
@@ -172,7 +173,7 @@ def quantifier_report(rho) -> CorrelationReport:
     pi = _product_state(a)
     chi = _classical_state(_c_vectors(lam))
     sig = _bell_density(_separable_spectrum(lam))
-    s_rho = -float(np.sum(_xlog2(w.clip(0.0, None))))  # the check's eigenvalues of rho
+    s_rho = float(_spectral_entropy(w))  # the check's eigenvalues of rho
     s_pi, s_chi, s_pi_chi = _entropy(np.stack([pi, chi, _product_state(chi)]))
     e = float(_relative_entropy_stack(a, sig[None], s_rho)[0])
     return CorrelationReport(s_pi - s_rho, s_chi - s_rho, s_pi_chi - s_chi, e, pi, chi, sig)

@@ -94,7 +94,12 @@ def _entropy(a):
     w = np.linalg.eigvalsh(a)
     if float(w.min()) < -1e-8:
         raise ValueError(f"state has negative eigenvalue {w.min():.3e}")
-    return (-np.sum(_xlog2(w.clip(0.0, None)), axis=-1)).tolist()
+    return _spectral_entropy(w).tolist()
+
+
+def _spectral_entropy(w):
+    # -sum w log2 w over the last axis of eigenvalues w, clipped at 0
+    return -np.sum(_xlog2(w.clip(0.0, None)), axis=-1)
 
 
 def _clamp_residue(x):
@@ -108,11 +113,6 @@ def _relative_entropy_stack(rho, sigmas, s_rho):
     axes. Inputs are not validated. +inf where sigma's support misses rho
     (see `relative_entropy`)."""
     w, v = np.linalg.eigh(sigmas)
-    return _relative_entropy_tail(rho, w, v, s_rho)
-
-
-def _relative_entropy_tail(rho, w, v, s_rho):
-    """`_relative_entropy_stack` given the sigmas' eigendecompositions (w, v)."""
     overlap = np.clip(np.real(np.einsum("...ik,...ij,...jk->...k", v.conj(), rho, v)), 0.0, None)
     small = w < SUPPORT_CUTOFF
     bad = np.any(small & (overlap > SUPPORT_OVERLAP_TOL), axis=-1)

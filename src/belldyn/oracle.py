@@ -36,12 +36,12 @@ import numpy as np
 from .dynamics import bell_spectrum_to_density, validate_spectrum
 from .linalg import (
     PAULI,
+    SUPPORT_CUTOFF,
+    SUPPORT_OVERLAP_TOL,
+    _check_density,
     _clamp_residue,
-    _entropy,
-    _relative_entropy_stack,
-    _relative_entropy_tail,
+    _spectral_entropy,
     _xlog2,
-    check_two_qubit_state,
     dephase_in_basis,
 )
 
@@ -137,6 +137,12 @@ def _frozen(*arrays):
 # ---------------------------------------------------------------------------
 # closest classical state
 
+def _checked(rhos, caller):
+    # each state checked once; S(rho) from the check's eigenvalues
+    checked = [_check_density(rho, caller=caller) for rho in rhos]
+    return [a for a, _ in checked], np.array([_spectral_entropy(w) for _, w in checked])
+
+
 def _pauli_data(rho):
     # Bloch representation rho = (I x I + aA.sigma x I + I x aB.sigma
     # + sum_kl C_kl sigma_k x sigma_l) / 4; the dephased diagonal in any
@@ -220,11 +226,10 @@ def oracle_closest_classical(rhos, seed: int = 0) -> list[OracleResult]:
     from two random restarts drawn from `seed`. Every state gets the same
     restarts, and all refinements run in lockstep.
     """
-    states = [check_two_qubit_state(rho, "oracle_closest_classical") for rho in rhos]
+    states, s_rho = _checked(rhos, "oracle_closest_classical")
     if not states:
         return []
     a_vec, b_vec, corr = (np.array(x) for x in zip(*map(_pauli_data, states)))
-    s_rho = np.array([_entropy(a) for a in states])
 
     def evaluate(quads, owner):
         # the (search, 80, 4) stencil, scored on 9 A and 9 B directions
@@ -343,31 +348,49 @@ def oracle_closest_separable_bd(lams) -> list[OracleResult]:
 # ---------------------------------------------------------------------------
 # closest product state
 
-def _bloch_states(vecs):
-    # (N, 3) Bloch vectors -> stack of (I + v.sigma) / 2
-    n = len(vecs)
-    out = np.broadcast_to(np.eye(2, dtype=complex), (n, 2, 2)).copy()
-    out += np.einsum("nk,kij->nij", vecs, PAULI)
-    return out / 2.0
-
-
 def _product_states(params):
-    # (..., 6) parameters -> (..., 4, 4) product states
-    flat = params.reshape(-1, 6)
-    qa = _bloch_states(flat[:, :3])
-    qb = _bloch_states(flat[:, 3:])
-    return np.einsum("nab,ncd->nacbd", qa, qb).reshape(params.shape[:-1] + (4, 4))
+    # (..., 6) Bloch vectors of pA and pB -> (..., 4, 4) product states
+    q = np.eye(2, dtype=complex) + np.einsum("nk,kij->nij", params.reshape(-1, 3), PAULI)
+    q = q.reshape(-1, 2, 2, 2) / 2.0
+    return np.einsum("nab,ncd->nacbd", q[:, 0], q[:, 1]).reshape(params.shape[:-1] + (4, 4))
+
+
+def _dot3(x, y):
+    # x . y over a last axis of 3 as elementwise sums, the same bits for a lone
+    # state as for a stack, which a stacked matmul need not give
+    return x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1] + x[..., 2] * y[..., 2]
+
+
+def _product_values(a_vec, b_vec, corr, params, s_rho):
+    # S(rho || pA x pB) for (..., 6) Bloch vectors of pA and pB, rho's Bloch
+    # data broadcast against their leading axes: sigma's eigenvalues
+    # (1 + s rA)(1 + t rB) / 4 have the projectors (I + s nA.sigma) / 2 x
+    # (I + t nB.sigma) / 2, on which rho weighs (1 + s nA.a + t nB.b
+    # + s t nA.C.nB) / 4, n = 0 where r = 0. The support rule is
+    # _relative_entropy_stack's
+    va, vb = params[..., :3], params[..., 3:]
+    ra, rb = np.sqrt(_dot3(va, va)), np.sqrt(_dot3(vb, vb))
+    na = va / np.where(ra > 0.0, ra, 1.0)[..., None]
+    nb = vb / np.where(rb > 0.0, rb, 1.0)[..., None]
+    alpha, beta = _dot3(na, a_vec), _dot3(nb, b_vec)
+    kappa = _dot3(na, _dot3(corr, nb[..., None, :]))  # nA.C.nB
+    vals, bad = 0.0, False
+    for s, t in _SIGNS:
+        w = (1.0 + s * ra) * (1.0 + t * rb) / 4.0
+        overlap = np.clip((1.0 + s * alpha + t * beta + s * t * kappa) / 4.0, 0.0, None)
+        small = w < SUPPORT_CUTOFF
+        bad = bad | (small & (overlap > SUPPORT_OVERLAP_TOL))
+        vals = vals - np.where(small, 0.0, overlap * np.log2(np.where(small, 1.0, w)))
+    return _clamp_residue(np.where(bad, math.inf, vals - s_rho))
 
 
 @functools.cache
 def _product_grid():
-    # lattice points in both Bloch balls and the eigendecompositions of their
-    # product states; a sixth of the per-angle resolution, odd so the lattice
-    # holds 0: 5 points per axis
+    # lattice points in both Bloch balls: a sixth of the per-angle
+    # resolution, odd so the lattice holds 0: 5 points per axis
     axis = np.linspace(-1.0, 1.0, GRID_POINTS_PER_ANGLE // 6 + 1)
     pts = np.stack(np.meshgrid(*([axis] * 6), indexing="ij"), axis=-1).reshape(-1, 6)
-    pts = pts[np.all(np.linalg.norm(pts.reshape(-1, 2, 3), axis=2) <= 1.0 + 1e-12, axis=1)]
-    return _frozen(pts, *np.linalg.eigh(_product_states(pts)))
+    return _frozen(pts[np.all(np.linalg.norm(pts.reshape(-1, 2, 3), axis=2) <= 1.0 + 1e-12, axis=1)])
 
 
 def oracle_closest_product(rhos) -> list[OracleResult]:
@@ -380,12 +403,13 @@ def oracle_closest_product(rhos) -> list[OracleResult]:
     axis-aligned pattern search projected back into the balls. All
     refinements run in lockstep.
     """
-    states = [check_two_qubit_state(rho, "oracle_closest_product") for rho in rhos]
-    rho = np.array(states)
-    s_rho = np.array([_entropy(a) for a in states])
+    states, s_rho = _checked(rhos, "oracle_closest_product")
+    if not states:
+        return []
+    a_vec, b_vec, corr = (np.array(x)[:, None] for x in zip(*map(_pauli_data, states)))
 
     def evaluate(cand, owner):
-        return _relative_entropy_stack(rho[owner, None], _product_states(cand), s_rho[owner, None])
+        return _product_values(a_vec[owner], b_vec[owner], corr[owner], cand, s_rho[owner, None])
 
     def project(cand):
         out = cand.copy()
@@ -395,14 +419,12 @@ def oracle_closest_product(rhos) -> list[OracleResult]:
             out[..., sl] /= scale[..., None]
         return out
 
-    pts, w, v = _product_grid()
-    starts = []
-    for a, s in zip(states, s_rho):
-        vals = _relative_entropy_tail(a, w, v, s)
-        j = int(np.argmin(vals))
-        starts.append((pts[j], float(vals[j]), 2.0 / (GRID_POINTS_PER_ANGLE // 6)))  # the lattice step
+    (pts,) = _product_grid()
+    grid = _product_values(a_vec, b_vec, corr, pts, s_rho[:, None])
+    starts = [(pts[j], float(vals[j]), 2.0 / (GRID_POINTS_PER_ANGLE // 6))  # the lattice step
+              for vals, j in zip(grid, np.argmin(grid, axis=1))]
 
-    found = _refine(starts, evaluate, _offsets(6, axes_only=True), project, owner=range(len(rho)))
+    found = _refine(starts, evaluate, _offsets(6, axes_only=True), project, owner=range(len(grid)))
     return [
         OracleResult(
             minimizer=_product_states(x[None, :])[0],

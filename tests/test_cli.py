@@ -520,6 +520,24 @@ def test_verify_classical_searches_stop_near_the_poles(capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_verify_decomposes_each_state_once_per_oracle_check(capsys, monkeypatch):
+    # verify --n 4: the classical and product oracles' checks each decompose
+    # a state once, and S(rho) comes from those eigenvalues; the classical
+    # minimizer's dephasing checks its state once more. The oracles used to
+    # decompose each state again for S(rho): 20 calls
+    calls = []
+    real = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    assert main(["verify", "--n", "4"]) == 0
+    assert calls == [(4, 4)] * 12
+    capsys.readouterr()
+
+
 def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys, monkeypatch):
     import belldyn.cli as cli
 

@@ -1,13 +1,20 @@
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from belldyn.correlations import bell_quantifiers, closest_classical_bd
 from belldyn.dynamics import bell_spectrum_to_density, evolve_bell_spectrum
-from belldyn.linalg import dephase_in_basis, relative_entropy, trace_distance, von_neumann_entropy
+from belldyn.linalg import (
+    _relative_entropy_stack,
+    dephase_in_basis,
+    relative_entropy,
+    trace_distance,
+    von_neumann_entropy,
+)
 from belldyn.oracle import (
     _MIN_WIDTH,
     GRID_POINTS_PER_ANGLE,
@@ -21,6 +28,8 @@ from belldyn.oracle import (
     _offsets,
     _pauli_data,
     _product_grid,
+    _product_states,
+    _product_values,
     _refine,
     _simplex_grid,
     _stencil,
@@ -192,6 +201,40 @@ N = GRID_POINTS_PER_ANGLE
 # the spectra at the edges of the Bell simplex that the golden file pins
 EDGE_SPECTRA = ([0.9, 0.1, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.25, 0.25, 0.25, 0.25],
                 [0.5, 0.5, 0.0, 0.0])
+
+
+def _ball_points(rng, count):
+    # count Bloch vectors each at r = 0, at r = 1 and inside the ball
+    u = rng.normal(size=(count, 3))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    return np.concatenate([0.0 * u, u, rng.uniform(0.0, 0.99, size=(count, 1)) * u])
+
+
+def test_product_objective_matches_matrix_route():
+    # the Bloch-form objective of the product grid and refinement must equal
+    # S(rho || pA x pB) from the eigendecomposition of pA x pB, with the same
+    # +inf pattern, on the lattice and on every pairing of r = 0, r = 1 and
+    # inner points of the two balls
+    rng = np.random.default_rng(29)
+    states = [_general_state(rng, rank) for rank in (4, 3, 2)]
+    states += [bell_spectrum_to_density(lam) for lam in ([0.4, 0.3, 0.2, 0.1], *EDGE_SPECTRA)]
+    va, vb = _ball_points(rng, 8), _ball_points(rng, 8)
+    pairs = np.concatenate([np.repeat(va, len(vb), axis=0), np.tile(vb, (len(va), 1))], axis=1)
+    (lattice,) = _product_grid()
+    seen_inf = seen_finite = 0
+    for rho in states:
+        a_vec, b_vec, corr = _pauli_data(rho)
+        s_rho = von_neumann_entropy(rho)
+        for cands in (lattice, pairs):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                fast = _product_values(a_vec, b_vec, corr, cands, s_rho)
+            slow = _relative_entropy_stack(rho, _product_states(cands), s_rho)
+            finite = np.isfinite(slow)
+            assert np.array_equal(np.isfinite(fast), finite)
+            assert np.max(np.abs(fast[finite] - slow[finite])) < 1e-10
+            seen_inf, seen_finite = seen_inf + np.sum(~finite), seen_finite + np.sum(finite)
+    assert seen_inf > 0 and seen_finite > 0
 
 
 def _full_direction_grid():
