@@ -447,9 +447,10 @@ def test_verify_catches_a_wrong_closed_form(tmp_path, monkeypatch, capsys):
 
 
 def test_verify_stdout_is_pinned(capsys):
-    # verify --n 10 --seed 0: the oracle values keep the bits captured before
-    # the oracles shared one refinement loop, the analytic values are those
-    # of bell_quantifiers
+    # verify --n 10 --seed 0: the classical and separable oracle values keep
+    # the bits captured before the oracles shared one refinement loop, the
+    # product values those of its Bloch-form objective, and the analytic
+    # values are those of bell_quantifiers
     pinned = pathlib.Path(__file__).parent / "data" / "verify_n10_seed0.json"
     assert main(["verify", "--n", "10"]) == 0
     assert capsys.readouterr().out == pinned.read_text(encoding="utf-8")

@@ -19,7 +19,14 @@ offsets on 9 + 9 directions per step, with kappa from one 9 x 9 matrix
 product instead of an einsum per offset: 15 of the 38 entries moved, 4
 values moved, none by more than 4.4e-16 bits, and the summed
 `evaluations` went from 3,261,026 to 3,260,706; the separable and product
-entries kept their bytes. Any change to the
+entries kept their bytes. The 19 `*/product` entries were re-captured when
+the product oracle began to score its grid and refinement candidates in
+Bloch form, from sigma's closed-form eigenpairs, instead of through a 4 x 4
+eigendecomposition per candidate: 18 of them moved (the maximally mixed
+state's did not), no value moved by more than 2.7e-15 bits (each
+Bell-diagonal value moved up to within 4.4e-16 of T), and the summed
+`evaluations` fell from 33,759 to 32,979; no classical or separable entry
+moved. Any change to the
 search order, the grids or the relative-entropy kernel that moves a single
 bit fails here. `python tests/test_oracle_golden.py` prints the digests of
 the current code as JSON.
