@@ -17,7 +17,9 @@ Three families are covered:
   scores its 80 offsets on the 9 + 9 directions they take per qubit;
 * separable Bell-diagonal states (all coefficients <= 1/2), searched on
   the simplex grid;
-* product states, parametrized by two Bloch vectors of norm <= 1.
+* product states, parametrized by two Bloch vectors of norm <= 1 and
+  scored from sigma's closed-form eigenpairs and rho's Bloch data, with no
+  4 x 4 eigensolve in the grid or the refinement.
 
 Each oracle takes a list of states and returns one `OracleResult` per
 state; all the states' refinements run in lockstep, and each state's
@@ -134,14 +136,14 @@ def _frozen(*arrays):
     return arrays
 
 
-# ---------------------------------------------------------------------------
-# closest classical state
-
 def _checked(rhos, caller):
     # each state checked once; S(rho) from the check's eigenvalues
     checked = [_check_density(rho, caller=caller) for rho in rhos]
     return [a for a, _ in checked], np.array([_spectral_entropy(w) for _, w in checked])
 
+
+# ---------------------------------------------------------------------------
+# closest classical state
 
 def _pauli_data(rho):
     # Bloch representation rho = (I x I + aA.sigma x I + I x aB.sigma
@@ -390,7 +392,8 @@ def _product_grid():
     # resolution, odd so the lattice holds 0: 5 points per axis
     axis = np.linspace(-1.0, 1.0, GRID_POINTS_PER_ANGLE // 6 + 1)
     pts = np.stack(np.meshgrid(*([axis] * 6), indexing="ij"), axis=-1).reshape(-1, 6)
-    return _frozen(pts[np.all(np.linalg.norm(pts.reshape(-1, 2, 3), axis=2) <= 1.0 + 1e-12, axis=1)])
+    pts = pts[np.all(np.linalg.norm(pts.reshape(-1, 2, 3), axis=2) <= 1.0 + 1e-12, axis=1)]
+    return _frozen(pts)
 
 
 def oracle_closest_product(rhos) -> list[OracleResult]:
