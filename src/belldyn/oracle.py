@@ -1,10 +1,10 @@
 """Brute-force relative-entropy minimizers over closest-state families.
 
 These searches are deliberately independent of the closed-form closest
-states in `belldyn.correlations`: they grid the relevant family, refine
-the best cell with a shrinking pattern search, and report the minimum
-found. They exist to certify the analytic formulas, so they never assume
-them.
+states in `belldyn.correlations`: they run a shrinking pattern search from
+the best cell of a coarse grid (classical and product) or from the centre
+of the family (separable), and report the minimum found. They exist to
+certify the analytic formulas, so they never assume them.
 
 Three families are covered:
 
@@ -15,8 +15,9 @@ Three families are covered:
   refinement steps each phi by arc length (width / max(|sin theta|,
   width)), so that a search near a pole still moves by its width, and
   scores its 80 offsets on the 9 + 9 directions they take per qubit;
-* separable Bell-diagonal states (all coefficients <= 1/2), searched on
-  the simplex grid;
+* separable Bell-diagonal states (all coefficients <= 1/2), searched from
+  the centre of that convex slice, on which S(rho || sigma) is convex, so
+  with no grid;
 * product states, parametrized by two Bloch vectors of norm <= 1 and
   scored from sigma's closed-form eigenpairs and rho's Bloch data, with no
   4 x 4 eigensolve in the grid or the refinement.
@@ -52,7 +53,6 @@ from .linalg import (
 GRID_POINTS_PER_ANGLE = 24
 REFINEMENT_ITERATIONS = 200
 REFINEMENT_SHRINK = 0.5
-SIMPLEX_GRID_STEP = 0.01
 _MIN_WIDTH = 1e-13
 
 
@@ -287,45 +287,25 @@ def _separable_values(lam, log_q):
 
 def _simplex_log_q(q3):
     # q3: (..., 3) points over the first three coefficients, the fourth fixed
-    # by normalization. Returns log2 of the clipped q, -inf where q < 1e-15
-    # (sigma misses rho's support: +inf away), and which points are separable.
+    # by normalization. Returns log2 q, -inf where q < 1e-15 (sigma misses
+    # rho's support: +inf away), and which points are separable, 0 <= q <= 1/2
     q = np.concatenate([q3, 1.0 - q3.sum(axis=-1, keepdims=True)], axis=-1)
-    feasible = np.all((q > -1e-12) & (q < 0.5 + 1e-12), axis=-1)
-    q = np.clip(q, 0.0, 0.5)
+    feasible = np.all((q >= 0.0) & (q <= 0.5), axis=-1)
     return np.where(q < 1e-15, -math.inf, np.log2(np.where(q > 0.0, q, 1.0))), feasible
-
-
-@functools.cache
-def _simplex_grid():
-    # the simplex grid over (q1, q2, q3), its separable rows and their log2 q
-    # as a contiguous (4, rows) array, one row per coefficient
-    axis = np.linspace(0.0, 0.5, int(round(0.5 / SIMPLEX_GRID_STEP)) + 1)
-    q3 = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
-    log_q, feasible = _simplex_log_q(q3)
-    return _frozen(q3, np.flatnonzero(feasible), np.ascontiguousarray(log_q[feasible].T))
 
 
 def oracle_closest_separable_bd(lams) -> list[OracleResult]:
     """Minimize S(rho || sigma) over Bell-diagonal sigma with all
     coefficients <= 1/2 (the separable slice of the Bell simplex), for the
-    Bell-diagonal rho of each spectrum of `lams`, by simplex-grid
-    enumeration plus pattern refinement; returns one result per spectrum.
-    All refinements run in lockstep."""
-    lam = np.array([validate_spectrum(x).reshape(4) for x in lams])
+    Bell-diagonal rho of each spectrum of `lams`, by pattern refinement from
+    the slice's centre; returns one result per spectrum. All refinements
+    run in lockstep.
 
-    # only the separable rows are scored: the others are +inf, and the row
-    # (1/4, 1/4, 1/4) is finite, so the first minimum lies among them
-    q3, rows, log_q = _simplex_grid()
-    starts = []
-    for a in lam:
-        # _separable_values' terms with lam_i > 0, in its order and with its bits
-        log_a = np.log2(np.where(a > 0.0, a, 1.0))
-        vals = np.zeros(log_q.shape[1])
-        for i in np.flatnonzero(a > 0.0):
-            vals = vals + a[i] * (log_a[i] - log_q[i])
-        vals = _clamp_residue(vals)
-        k = int(np.argmin(vals))
-        starts.append((q3[rows[k]], float(vals[k]), SIMPLEX_GRID_STEP))
+    S(rho || sigma) is convex in sigma and the slice is convex, so every
+    local minimum is global; the 26 moves include every edge direction of
+    the slice (+-e_i and +-(e_i - e_j)), so a search is not stuck on a facet.
+    """
+    lam = np.array([validate_spectrum(x).reshape(4) for x in lams]).reshape(-1, 4)
 
     def evaluate(cand, owner):
         log_q, feasible = _simplex_log_q(cand)
@@ -334,17 +314,20 @@ def oracle_closest_separable_bd(lams) -> list[OracleResult]:
     def project(cand):
         return np.clip(cand, 0.0, 0.5)
 
-    found = _refine(starts, evaluate, _offsets(3), project, owner=range(len(lam)))
-    out = []
-    for x, value, evals, history in found:
-        q = np.append(np.clip(x, 0.0, 0.5), max(0.0, 1.0 - float(x.sum())))
-        out.append(OracleResult(
-            minimizer=bell_spectrum_to_density(q / q.sum()),
+    # the centre q = 1/4 with width 1/4, its distance to each facet q_i = 1/2
+    everyone = np.arange(len(lam))
+    centre = evaluate(np.full((len(lam), 1, 3), 0.25), everyone)[:, 0]
+    starts = [(np.full(3, 0.25), float(v), 0.25) for v in centre]
+    found = _refine(starts, evaluate, _offsets(3), project, owner=everyone)
+    return [
+        OracleResult(
+            minimizer=bell_spectrum_to_density(np.append(x, 1.0 - x.sum())),
             value=float(_clamp_residue(value)),
-            evaluations=len(q3) + evals,
+            evaluations=1 + evals,
             history=history,
-        ))
-    return out
+        )
+        for x, value, evals, history in found
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from belldyn.oracle import (
     _product_states,
     _product_values,
     _refine,
-    _simplex_grid,
     _stencil,
     oracle_closest_classical,
     oracle_closest_product,
@@ -457,13 +456,12 @@ def test_lockstep_refine_of_many_states_matches_each_state_alone():
 
 
 def test_cached_grids_are_read_only():
-    # the maximally mixed state scores 0 at its grid start, so the separable
-    # and product searches never move and hand a cached row back as their
-    # best point
+    # the maximally mixed state scores 0 at its product grid start, so the
+    # product search never moves and hands a cached row back as its best
+    # point; the separable search builds no grid
     oracle_closest_classical([np.eye(4) / 4])
-    oracle_closest_separable_bd([[0.25, 0.25, 0.25, 0.25]])
     oracle_closest_product([np.eye(4) / 4])
-    for build in (_direction_grid, _stencil, _simplex_grid, _product_grid):
+    for build in (_direction_grid, _stencil, _product_grid):
         assert build.cache_info().currsize == 1
         for arr in build():
             with pytest.raises(ValueError):
@@ -475,11 +473,11 @@ def test_grid_caches_are_built_lazily():
         "import belldyn.cli\n"
         "from belldyn import oracle\n"
         "print([f.cache_info().currsize for f in "
-        "(oracle._direction_grid, oracle._stencil, oracle._simplex_grid, oracle._product_grid)])\n"
+        "(oracle._direction_grid, oracle._stencil, oracle._product_grid)])\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
-    assert out.stdout.strip() == "[0, 0, 0, 0]"
+    assert out.stdout.strip() == "[0, 0, 0]"
 
 
 def test_arc_length_phi_step_turns_a_direction_by_about_the_width():
@@ -508,3 +506,23 @@ def test_classical_oracle_reaches_d_on_near_mixed_states():
     found = oracle_closest_classical([bell_spectrum_to_density(lam) for lam in spectra])
     d = bell_quantifiers(np.array(spectra))[1]
     assert np.max(np.abs(np.array([r.value for r in found]) - d)) < 1e-14
+
+
+def test_separable_oracle_meets_e_from_the_centre_of_the_slice():
+    # the search starts at q = 1/4 with no grid; S(rho || sigma) is convex on
+    # the convex slice, so it reaches E = 1 - h(lam_max) (0 for lam_max <= 1/2)
+    # from there, on sparse and flat spectra, at the lam_max = 1/2 boundary,
+    # near pure states and on a spectrum whose closest q4 is 0
+    rng = np.random.default_rng(41)
+    spectra = [rng.dirichlet(np.full(4, a)) for a in (0.05, 1.0) for _ in range(150)]
+    for top in [0.5 + s * 10.0 ** -k for k in range(1, 16) for s in (1, -1)]:
+        spectra.append(np.array([top, *rng.dirichlet(np.ones(3)) * (1.0 - top)]))
+    for d in np.geomspace(1e-12, 1e-2, 20):
+        spectra.append(np.array([1.0 - d, *rng.dirichlet(np.ones(3)) * d]))
+    spectra.append(np.array([0.0002, 0.5496, 0.4502, 0.0]))
+    found = oracle_closest_separable_bd(spectra)
+    gap = np.array([r.value for r in found]) - bell_quantifiers(np.array(spectra))[3]
+    assert np.max(-gap) <= 1e-14 and np.max(gap) < 1e-12
+    for res in found:
+        assert len(res.history) - 2 < REFINEMENT_ITERATIONS  # stopped by its width
+        assert res.evaluations == 1 + (len(res.history) - 2) * len(_offsets(3)) <= 5000
