@@ -40,8 +40,11 @@ DEATH_HI = (math.pi - math.asin(math.sqrt(8.0 / 9.0))) / 2.0
 #: sha256 of the `verify --n 100 --seed 0` report, captured when the
 #: analytic side became the printed kernel `bell_quantifiers`, and again when
 #: the product oracle began to score its candidates in Bloch form (only the
-#: product family's worst state and gap moved: 2.9e-15 -> 4.4e-16 bits)
-VERIFY_N100_SHA256 = "8764385a690c69846f77cd3724b7657e7d3b262921f3e98ccce375f867483d89"
+#: product family's worst state and gap moved: 2.9e-15 -> 4.4e-16 bits), and
+#: again when the separable oracle began to search from the slice's centre
+#: with exact bounds (only the separable family's worst state and gap moved:
+#: 5.0e-16 -> 3.0e-16 bits)
+VERIFY_N100_SHA256 = "d0510dc866524202783109e74aa935ae7a7575f0d2f405daaf26bd438f26fa3d"
 
 
 def _run(number, description, body):
@@ -257,7 +260,7 @@ def test_criterion_9_oracle_certification(tmp_path):
         for family in ("classical", "separable", "product"):
             assert data["families"][family]["max_discrepancy_bits"] < 1e-3
 
-        # the simplex-grid oracle certifies the 1 - h(lam_max) closed form
+        # the separable oracle certifies the 1 - h(lam_max) closed form
         rng = np.random.default_rng(5)
         from belldyn.oracle import oracle_closest_separable_bd
 

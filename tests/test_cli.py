@@ -447,10 +447,11 @@ def test_verify_catches_a_wrong_closed_form(tmp_path, monkeypatch, capsys):
 
 
 def test_verify_stdout_is_pinned(capsys):
-    # verify --n 10 --seed 0: the classical and separable oracle values keep
-    # the bits captured before the oracles shared one refinement loop, the
-    # product values those of its Bloch-form objective, and the analytic
-    # values are those of bell_quantifiers
+    # verify --n 10 --seed 0: the classical oracle values keep the bits
+    # captured before the oracles shared one refinement loop, the product
+    # values those of its Bloch-form objective, the separable values those of
+    # its search from the slice's centre, and the analytic values are those
+    # of bell_quantifiers
     pinned = pathlib.Path(__file__).parent / "data" / "verify_n10_seed0.json"
     assert main(["verify", "--n", "10"]) == 0
     assert capsys.readouterr().out == pinned.read_text(encoding="utf-8")

@@ -26,7 +26,12 @@ eigendecomposition per candidate: 18 of them moved (the maximally mixed
 state's did not), no value moved by more than 2.7e-15 bits (each
 Bell-diagonal value moved up to within 4.4e-16 of T), and the summed
 `evaluations` fell from 33,759 to 32,979; no classical or separable entry
-moved. Any change to the
+moved. The 16 `*/separable` entries were re-captured when the separable
+oracle dropped its simplex grid, to search the convex slice from its centre
+q = 1/4 with width 1/4, and its slice check became exact (0 <= q <= 1/2, no
+1e-12 slack and no clip): all 16 moved, no value moved by more than 1.4e-16
+bits, and the summed `evaluations` fell from 2,143,840 to 24,638; no
+classical or product entry moved. Any change to the
 search order, the grids or the relative-entropy kernel that moves a single
 bit fails here. `python tests/test_oracle_golden.py` prints the digests of
 the current code as JSON.
