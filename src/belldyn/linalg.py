@@ -113,7 +113,15 @@ def _relative_entropy_stack(rho, sigmas, s_rho):
     axes. Inputs are not validated. +inf where sigma's support misses rho
     (see `relative_entropy`)."""
     w, v = np.linalg.eigh(sigmas)
-    overlap = np.clip(np.real(np.einsum("...ik,...ij,...jk->...k", v.conj(), rho, v)), 0.0, None)
+    return _support_rule(w, np.real(np.einsum("...ik,...ij,...jk->...k", v.conj(), rho, v)), s_rho)
+
+
+def _support_rule(w, overlap, s_rho):
+    # -sum_k overlap_k log2 w_k - s_rho over a last axis of sigma's
+    # eigenvalues w and rho's weights on their projectors: overlaps clipped
+    # at 0, eigenvalues below SUPPORT_CUTOFF cut, and +inf where a cut one
+    # carries more than SUPPORT_OVERLAP_TOL of rho
+    overlap = np.clip(overlap, 0.0, None)
     small = w < SUPPORT_CUTOFF
     bad = np.any(small & (overlap > SUPPORT_OVERLAP_TOL), axis=-1)
     logs = np.log2(np.where(small, 1.0, w))
@@ -154,7 +162,11 @@ def dephase_in_basis(rho, angles) -> np.ndarray:
     of local Bloch angles (thetaA, phiA, thetaB, phiB). On each qubit, basis
     vector 0 points along (sin t cos p, sin t sin p, cos t) and vector 1 is
     its orthogonal partner."""
-    a = check_two_qubit_state(rho, "dephase_in_basis")
+    return _dephase(check_two_qubit_state(rho, "dephase_in_basis"), angles)
+
+
+def _dephase(a, angles):
+    # dephase_in_basis of a checked 4x4 complex array
     ta, pa, tb, pb = (float(x) for x in angles)
     local = []
     for theta, phi in ((ta, pa), (tb, pb)):

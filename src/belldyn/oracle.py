@@ -37,16 +37,8 @@ from itertools import product as _iterproduct
 import numpy as np
 
 from .dynamics import bell_spectrum_to_density, validate_spectrum
-from .linalg import (
-    PAULI,
-    SUPPORT_CUTOFF,
-    SUPPORT_OVERLAP_TOL,
-    _check_density,
-    _clamp_residue,
-    _spectral_entropy,
-    _xlog2,
-    dephase_in_basis,
-)
+from .linalg import (PAULI, _check_density, _clamp_residue, _dephase, _spectral_entropy,
+                     _support_rule, _xlog2)
 
 # Search resolution: grids of ~1e-3 bits, which the refinement then
 # polishes to machine precision inside the located basin.
@@ -68,10 +60,7 @@ class OracleResult:
     history: np.ndarray
 
 
-def _offsets(dim: int, axes_only: bool = False) -> np.ndarray:
-    if axes_only:
-        eye = np.eye(dim)
-        return np.concatenate([eye, -eye])
+def _offsets(dim: int) -> np.ndarray:
     rows = [r for r in _iterproduct((-1.0, 0.0, 1.0), repeat=dim) if any(r)]
     return np.array(rows)
 
@@ -261,7 +250,7 @@ def oracle_closest_classical(rhos, seed: int = 0) -> list[OracleResult]:
                     steps_of=_arc_length_steps)
     return [
         OracleResult(
-            minimizer=dephase_in_basis(a, x),
+            minimizer=_dephase(a, x),
             value=float(_clamp_residue(value)),
             evaluations=len(u) ** 2 + len(restarts) + evals,
             history=history,
@@ -351,22 +340,16 @@ def _product_values(a_vec, b_vec, corr, params, s_rho):
     # data broadcast against their leading axes: sigma's eigenvalues
     # (1 + s rA)(1 + t rB) / 4 have the projectors (I + s nA.sigma) / 2 x
     # (I + t nB.sigma) / 2, on which rho weighs (1 + s nA.a + t nB.b
-    # + s t nA.C.nB) / 4, n = 0 where r = 0. The support rule is
-    # _relative_entropy_stack's
+    # + s t nA.C.nB) / 4, n = 0 where r = 0
     va, vb = params[..., :3], params[..., 3:]
     ra, rb = np.sqrt(_dot3(va, va)), np.sqrt(_dot3(vb, vb))
     na = va / np.where(ra > 0.0, ra, 1.0)[..., None]
     nb = vb / np.where(rb > 0.0, rb, 1.0)[..., None]
     alpha, beta = _dot3(na, a_vec), _dot3(nb, b_vec)
     kappa = _dot3(na, _dot3(corr, nb[..., None, :]))  # nA.C.nB
-    vals, bad = 0.0, False
-    for s, t in _SIGNS:
-        w = (1.0 + s * ra) * (1.0 + t * rb) / 4.0
-        overlap = np.clip((1.0 + s * alpha + t * beta + s * t * kappa) / 4.0, 0.0, None)
-        small = w < SUPPORT_CUTOFF
-        bad = bad | (small & (overlap > SUPPORT_OVERLAP_TOL))
-        vals = vals - np.where(small, 0.0, overlap * np.log2(np.where(small, 1.0, w)))
-    return _clamp_residue(np.where(bad, math.inf, vals - s_rho))
+    w = np.stack([(1.0 + s * ra) * (1.0 + t * rb) / 4.0 for s, t in _SIGNS], axis=-1)
+    overlap = np.stack([1.0 + s * alpha + t * beta + s * t * kappa for s, t in _SIGNS], axis=-1)
+    return _support_rule(w, overlap / 4.0, s_rho)
 
 
 @functools.cache
@@ -410,7 +393,8 @@ def oracle_closest_product(rhos) -> list[OracleResult]:
     starts = [(pts[j], float(vals[j]), 2.0 / (GRID_POINTS_PER_ANGLE // 6))  # the lattice step
               for vals, j in zip(grid, np.argmin(grid, axis=1))]
 
-    found = _refine(starts, evaluate, _offsets(6, axes_only=True), project, owner=range(len(grid)))
+    axes = np.concatenate([np.eye(6), -np.eye(6)])
+    found = _refine(starts, evaluate, axes, project, owner=range(len(grid)))
     return [
         OracleResult(
             minimizer=_product_states(x[None, :])[0],

@@ -524,9 +524,9 @@ def test_verify_classical_searches_stop_near_the_poles(capsys, monkeypatch):
 
 def test_verify_decomposes_each_state_once_per_oracle_check(capsys, monkeypatch):
     # verify --n 4: the classical and product oracles' checks each decompose
-    # a state once, and S(rho) comes from those eigenvalues; the classical
-    # minimizer's dephasing checks its state once more. The oracles used to
-    # decompose each state again for S(rho): 20 calls
+    # a state once, and S(rho) comes from those eigenvalues. The oracles used
+    # to decompose each state again for S(rho) (20 calls), and the classical
+    # minimizer's dephasing used to check its state once more (12 calls)
     calls = []
     real = np.linalg.eigvalsh
 
@@ -536,7 +536,7 @@ def test_verify_decomposes_each_state_once_per_oracle_check(capsys, monkeypatch)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     assert main(["verify", "--n", "4"]) == 0
-    assert calls == [(4, 4)] * 12
+    assert calls == [(4, 4)] * 8
     capsys.readouterr()
 
 
