@@ -131,7 +131,10 @@ def bell_quantifiers(lam):
         E = 1 - h(lam_max) if lam_max > 1/2, else 0.
 
     Rounding residues of D and E in (-1e-9, 0) are clamped to 0.
-    `quantifier_report` gives the same values through the closest states.
+    `quantifier_report` reaches them through 4 x 4 eigensolves of the
+    closest states, whose eigenvalues carry an absolute error of about
+    1e-13: it agrees to within 3.5e-11 bits over 3,000 Dirichlet(0.05)
+    spectra, the gap in E on spectra with entries near 1e-12.
     """
     a = validate_spectrum(lam)
     t = 2.0 + np.sum(_xlog2(a), axis=-1)  # 2 - H(lam)

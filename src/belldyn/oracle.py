@@ -148,18 +148,28 @@ def _pauli_data(rho):
 
 def _directions(theta, phi):
     st = np.sin(theta)
-    return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
+    out = np.empty(np.shape(st) + (3,))
+    np.multiply(st, np.cos(phi), out=out[..., 0])
+    np.multiply(st, np.sin(phi), out=out[..., 1])
+    np.cos(theta, out=out[..., 2])
+    return out
 
 
-_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+_SIGNS = np.array(((1, 1), (1, -1), (-1, 1), (-1, -1)), dtype=float)  # rows (s, t)
 
 
 def _dephased_entropy(alpha, beta, kappa):
     # Shannon entropy of the four outcome probabilities
-    # (1 + s alpha + t beta + s t kappa) / 4 of the dephased diagonal
-    h = 0.0
+    # (1 + s alpha + t beta + s t kappa) / 4 of the dephased diagonal, each
+    # formed, clipped to [0, 1] and summed in place; h starts at +0.0
+    h = np.zeros(np.broadcast_shapes(np.shape(alpha), np.shape(beta), np.shape(kappa)))
+    p = np.empty_like(h)
     for s, t in _SIGNS:
-        h = h - _xlog2(np.clip((1.0 + s * alpha + t * beta + s * t * kappa) / 4.0, 0.0, 1.0))
+        (np.add if s > 0 else np.subtract)(1.0, alpha, out=p)
+        (np.add if t > 0 else np.subtract)(p, beta, out=p)
+        (np.add if s * t > 0 else np.subtract)(p, kappa, out=p)
+        p /= 4.0
+        h -= _xlog2(np.minimum(np.maximum(p, 0.0, out=p), 1.0, out=p))
     return h
 
 
@@ -267,11 +277,9 @@ def _separable_values(lam, log_q):
     # over lam_i > 0; lam is one spectrum, or one per leading index of log_q
     pos = lam > 0.0
     log_lam = np.log2(np.where(pos, lam, 1.0))
-    vals = np.zeros(log_q.shape[:-1])
     with np.errstate(invalid="ignore"):  # 0 * inf in the dropped terms
-        for i in range(4):
-            vals = vals + np.where(pos[..., i], lam[..., i] * (log_lam[..., i] - log_q[..., i]), 0.0)
-    return vals
+        terms = np.where(pos, lam * (log_lam - log_q), 0.0)
+    return ((terms[..., 0] + terms[..., 1]) + terms[..., 2]) + terms[..., 3]
 
 
 def _simplex_log_q(q3):
@@ -347,8 +355,9 @@ def _product_values(a_vec, b_vec, corr, params, s_rho):
     nb = vb / np.where(rb > 0.0, rb, 1.0)[..., None]
     alpha, beta = _dot3(na, a_vec), _dot3(nb, b_vec)
     kappa = _dot3(na, _dot3(corr, nb[..., None, :]))  # nA.C.nB
-    w = np.stack([(1.0 + s * ra) * (1.0 + t * rb) / 4.0 for s, t in _SIGNS], axis=-1)
-    overlap = np.stack([1.0 + s * alpha + t * beta + s * t * kappa for s, t in _SIGNS], axis=-1)
+    s, t = _SIGNS.T  # the four (s, t) on a last axis
+    w = (1.0 + s * ra[..., None]) * (1.0 + t * rb[..., None]) / 4.0
+    overlap = 1.0 + s * alpha[..., None] + t * beta[..., None] + s * t * kappa[..., None]
     return _support_rule(w, overlap / 4.0, s_rho)
 
 

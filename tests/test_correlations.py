@@ -152,6 +152,19 @@ def test_bell_quantifiers_on_a_stack_match_the_report():
         bell_quantifiers(np.ones((2, 3)) / 3)
 
 
+def test_report_meets_the_closed_forms_on_sparse_spectra():
+    # the report's eigensolves carry an absolute error of about 1e-13 on the
+    # eigenvalues; on spectra with entries near 1e-12 that moves E by up to
+    # 3.5e-11 bits, which must stay well inside 1e-10
+    rng = np.random.default_rng(0)
+    extra = np.array([2.8e-13, 0.419, 4.8e-10, 0.581])
+    lams = np.vstack([rng.dirichlet(np.full(4, 0.05), size=3000), extra / extra.sum()])
+    closed = np.stack(bell_quantifiers(lams), axis=-1)
+    for lam, want in zip(lams, closed):
+        rep = quantifier_report(bell_spectrum_to_density(lam))
+        assert np.max(np.abs(np.array([rep.T, rep.D, rep.C, rep.E]) - want)) <= 1e-10, lam
+
+
 def test_entanglement_threshold():
     rng = np.random.default_rng(2)
     for _ in range(100):

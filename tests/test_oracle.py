@@ -10,6 +10,8 @@ from belldyn.correlations import bell_quantifiers, closest_classical_bd
 from belldyn.dynamics import bell_spectrum_to_density, evolve_bell_spectrum
 from belldyn.linalg import (
     _relative_entropy_stack,
+    _support_rule,
+    _xlog2,
     dephase_in_basis,
     relative_entropy,
     trace_distance,
@@ -25,6 +27,7 @@ from belldyn.oracle import (
     _direction_grid,
     _directions,
     _arc_length_steps,
+    _dot3,
     _offsets,
     _pauli_data,
     _product_grid,
@@ -526,3 +529,104 @@ def test_separable_oracle_meets_e_from_the_centre_of_the_slice():
     for res in found:
         assert len(res.history) - 2 < REFINEMENT_ITERATIONS  # stopped by its width
         assert res.evaluations == 1 + (len(res.history) - 2) * len(_offsets(3)) <= 5000
+
+
+# The three kernels as they were written before they evaluated in place,
+# with np.clip, np.stack and a list of the four (s, t) terms; the in-place
+# forms must keep every bit of them.
+_REF_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
+
+def _ref_dephased_entropy(alpha, beta, kappa):
+    h = 0.0
+    for s, t in _REF_SIGNS:
+        h = h - _xlog2(np.clip((1.0 + s * alpha + t * beta + s * t * kappa) / 4.0, 0.0, 1.0))
+    return h
+
+
+def _ref_directions(theta, phi):
+    st = np.sin(theta)
+    return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
+
+
+def _ref_product_values(a_vec, b_vec, corr, params, s_rho):
+    va, vb = params[..., :3], params[..., 3:]
+    ra, rb = np.sqrt(_dot3(va, va)), np.sqrt(_dot3(vb, vb))
+    na = va / np.where(ra > 0.0, ra, 1.0)[..., None]
+    nb = vb / np.where(rb > 0.0, rb, 1.0)[..., None]
+    alpha, beta = _dot3(na, a_vec), _dot3(nb, b_vec)
+    kappa = _dot3(na, _dot3(corr, nb[..., None, :]))
+    w = np.stack([(1.0 + s * ra) * (1.0 + t * rb) / 4.0 for s, t in _REF_SIGNS], axis=-1)
+    overlap = np.stack([1.0 + s * alpha + t * beta + s * t * kappa for s, t in _REF_SIGNS], axis=-1)
+    return _support_rule(w, overlap / 4.0, s_rho)
+
+
+def _assert_same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_dephased_entropy_keeps_every_bit_of_the_clip_form():
+    rng = np.random.default_rng(53)
+    _, _, u = _direction_grid()
+    cases = []
+    for rho in [_general_state(rng, rank) for rank in (4, 2, 1)]:
+        a_vec, b_vec, corr = _pauli_data(rho)
+        # a 24-row chunk of the grid, (24, 1) x (1, 265)
+        cases.append(((u[:N] @ a_vec)[:, None], (u @ b_vec)[None, :], u[:N] @ corr @ u.T))
+    # the stencil, (n, 9, 1) x (n, 1, 9)
+    ua, ub = (_directions(rng.uniform(0, math.pi, (12, 9)), rng.uniform(0, 2 * math.pi, (12, 9)))
+              for _ in range(2))
+    a_vec, b_vec, corr = _pauli_data(_general_state(rng, 3))
+    cases.append(((ua @ a_vec)[..., None], (ub @ b_vec)[:, None, :], ua @ corr @ np.swapaxes(ub, 1, 2)))
+    # alpha, beta and kappa a few ulps from 1, as for a pure product state
+    # seen along its own Bloch vectors: some outcomes round above 1 or below 0
+    ones = 1.0 + np.arange(-4, 5) * 2.0**-52
+    cases.append((ones[:, None], ones[None, :], ones[:, None] * ones[None, :]))
+    raw = [(1.0 + s * cases[-1][0] + t * cases[-1][1] + s * t * cases[-1][2]) / 4.0
+           for s, t in _REF_SIGNS]
+    assert min(p.min() for p in raw) < 0.0 and max(p.max() for p in raw) > 1.0
+    # 0-d scalars, and alpha = beta = kappa = 1, where every term is 0
+    cases += [(0.3, -0.2, 0.1), (np.float64(0.9), np.float64(0.8), np.float64(0.75)),
+              (1.0, 1.0, 1.0), (np.ones((2, 1)), np.ones((1, 3)), np.ones((2, 3)))]
+    for alpha, beta, kappa in cases:
+        _assert_same_bits(_dephased_entropy(alpha, beta, kappa),
+                          _ref_dephased_entropy(alpha, beta, kappa))
+    # h starts at +0.0, so 0.0 - 0.0 - ... stays +0.0
+    assert float(_dephased_entropy(1.0, 1.0, 1.0)).hex() == "0x0.0p+0"
+
+
+def test_directions_keep_every_bit_of_the_stack_form():
+    rng = np.random.default_rng(59)
+    th, ph, u = _direction_grid()
+    _assert_same_bits(u, _ref_directions(th, ph))
+    for shape in ((12, 9), (2, 2), ()):  # stencil, restarts, one scalar
+        theta, phi = rng.uniform(0, math.pi, shape), rng.uniform(0, 2 * math.pi, shape)
+        _assert_same_bits(_directions(theta, phi), _ref_directions(theta, phi))
+    _assert_same_bits(_directions(0.4, 5.0), _ref_directions(0.4, 5.0))
+
+
+def test_product_values_keep_every_bit_of_the_list_and_stack_form():
+    rng = np.random.default_rng(61)
+    states = [_general_state(rng, rank) for rank in (4, 3, 2, 1)]
+    states += [bell_spectrum_to_density(lam) for lam in EDGE_SPECTRA]
+    a_vec, b_vec, corr = (np.array(x)[:, None] for x in zip(*map(_pauli_data, states)))
+    s_rho = np.array([von_neumann_entropy(rho) for rho in states])[:, None]
+    (lattice,) = _product_grid()
+    va, vb = _ball_points(rng, 4), _ball_points(rng, 4)
+    cands = np.concatenate([np.repeat(va, len(vb), axis=0), np.tile(vb, (len(va), 1))], axis=1)
+    stencil = cands[None, :12] + 0.1 * np.concatenate([np.eye(6), -np.eye(6)])
+    stencil = np.repeat(stencil, len(states), axis=0)
+    # the grid, (n, 1) data against (m, 6) points; the refinement, one
+    # (12, 6) stencil per state; and one state's data alone
+    args = [(a_vec, b_vec, corr, lattice, s_rho), (a_vec, b_vec, corr, stencil, s_rho),
+            (a_vec[0, 0], b_vec[0, 0], corr[0, 0], cands, s_rho[0, 0])]
+    seen_inf = 0
+    for arg in args:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _product_values(*arg)
+        _assert_same_bits(got, _ref_product_values(*arg))
+        seen_inf += np.sum(np.isinf(got))
+    assert seen_inf > 0
