@@ -583,9 +583,9 @@ def test_dephased_entropy_keeps_every_bit_of_the_clip_form():
     # alpha, beta and kappa a few ulps from 1, as for a pure product state
     # seen along its own Bloch vectors: some outcomes round above 1 or below 0
     ones = 1.0 + np.arange(-4, 5) * 2.0**-52
-    cases.append((ones[:, None], ones[None, :], ones[:, None] * ones[None, :]))
-    raw = [(1.0 + s * cases[-1][0] + t * cases[-1][1] + s * t * cases[-1][2]) / 4.0
-           for s, t in _REF_SIGNS]
+    alpha, beta, kappa = ones[:, None], ones[None, :], ones[:, None] * ones[None, :]
+    cases.append((alpha, beta, kappa))
+    raw = [(1.0 + s * alpha + t * beta + s * t * kappa) / 4.0 for s, t in _REF_SIGNS]
     assert min(p.min() for p in raw) < 0.0 and max(p.max() for p in raw) > 1.0
     # 0-d scalars, and alpha = beta = kappa = 1, where every term is 0
     cases += [(0.3, -0.2, 0.1), (np.float64(0.9), np.float64(0.8), np.float64(0.75)),
