@@ -5,8 +5,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from belldyn.correlations import bell_quantifiers, closest_classical_bd
+from belldyn.correlations import BELL_C_VECTORS, bell_quantifiers, closest_classical_bd
 from belldyn.dynamics import bell_spectrum_to_density, evolve_bell_spectrum
 from belldyn.linalg import (
     _relative_entropy_stack,
@@ -17,6 +19,7 @@ from belldyn.linalg import (
     trace_distance,
     von_neumann_entropy,
 )
+from belldyn.nonmarkov import detect_switching_times
 from belldyn.oracle import (
     _MIN_WIDTH,
     GRID_POINTS_PER_ANGLE,
@@ -630,3 +633,113 @@ def test_product_values_keep_every_bit_of_the_list_and_stack_form():
         _assert_same_bits(got, _ref_product_values(*arg))
         seen_inf += np.sum(np.isinf(got))
     assert seen_inf > 0
+
+
+def _marginals(rho):
+    r = rho.reshape(2, 2, 2, 2)
+    return np.einsum("ajbj->ab", r), np.einsum("jajb->ab", r)
+
+
+def test_product_oracle_meets_mutual_information_from_the_centre():
+    # T = I(A:B) = S(rhoA) + S(rhoB) - S(rho) for every state (the closest
+    # product state is rhoA x rhoB), so general states test this oracle too
+    rng = np.random.default_rng(43)
+    states = [_general_state(rng, rank) for rank in (2, 3, 4) for _ in range(20)]
+    states += [bell_spectrum_to_density(lam) for lam in EDGE_SPECTRA]
+    found = oracle_closest_product(states)
+    for rho, res in zip(states, found):
+        rho_a, rho_b = _marginals(rho)
+        mutual = von_neumann_entropy(rho_a) + von_neumann_entropy(rho_b) - von_neumann_entropy(rho)
+        assert abs(res.value - mutual) < 1e-12
+        assert len(res.history) - 2 < REFINEMENT_ITERATIONS  # stopped by its width
+
+
+# The figure trajectory's features: each switching time, criterion 4's death
+# boundaries, tau = pi/4 and tau = k pi/2, and 1e-9 to either side of each.
+# The spectrum depends on tau only through f, of period pi/2, so one period
+# holds them all.
+DEATH_LO = 0.5 * math.asin(math.sqrt(8.0 / 9.0))
+DEATH_HI = (math.pi - math.asin(math.sqrt(8.0 / 9.0))) / 2.0
+FEATURE_TAUS = sorted(
+    tau + d
+    for tau in (0.0, math.pi / 4, math.pi / 2, DEATH_LO, DEATH_HI,
+                *detect_switching_times(LAM_FIG, math.pi / 2))
+    for d in (-1e-9, 0.0, 1e-9) if tau + d >= 0.0
+)
+
+
+def _spectrum(head, weights, order):
+    # the head entries and the rest of the unit mass split by weights, in order
+    head = np.asarray(head, dtype=float)
+    rest = np.asarray(weights, dtype=float) / np.sum(weights) * (1.0 - head.sum())
+    return np.concatenate([head, rest])[list(order)]
+
+
+def _weights(n):
+    # zeros included, so that a closest state may sit on a face q_i = 0
+    return st.lists(st.integers(0, 1000), min_size=n, max_size=n).filter(any)
+
+
+_orders = st.permutations(range(4))
+_powers = st.integers(1, 15).map(lambda k: 10.0 ** -k)
+_signs = st.sampled_from((1.0, -1.0))
+
+
+@st.composite
+def _tied_c_vectors(draw):
+    # |c_i| = |c_j| +- 10^-k, inside the octahedron sum |c_k| <= 1, which the
+    # Bell tetrahedron contains
+    a = draw(st.floats(0.0, 0.44))
+    b = a + draw(_signs) * draw(_powers) if a > 0.1 else a + draw(_powers)
+    c = np.array([a, b, draw(st.floats(0.0, 1.0)) * (1.0 - a - b)])
+    c = c[list(draw(st.permutations(range(3))))] * draw(st.tuples(_signs, _signs, _signs))
+    return (1.0 + BELL_C_VECTORS @ c) / 4.0
+
+
+@st.composite
+def _face_spectra(draw):
+    # pure, rank-2 and rank-3 spectra: the faces of the Bell simplex
+    rank = draw(st.integers(1, 3))
+    weights = draw(st.lists(st.integers(1, 1000), min_size=rank, max_size=rank))
+    return _spectrum([], weights + [0] * (4 - rank), draw(_orders))
+
+
+edge_spectra = st.one_of(
+    # sparse spectra
+    st.integers(0, 2**32 - 1).map(lambda s: np.random.default_rng(s).dirichlet(np.full(4, 0.05))),
+    # one or two entries in (0, 1e-15)
+    st.integers(1, 2).flatmap(lambda n: st.builds(
+        _spectrum, st.lists(st.floats(0.0, 1e-15, exclude_min=True), min_size=n, max_size=n),
+        _weights(4 - n), _orders)),
+    # lam_max = 1/2 +- 10^-k
+    st.builds(lambda sign, p, w, order: _spectrum([0.5 + sign * p], w, order),
+              _signs, _powers, _weights(3), _orders),
+    _tied_c_vectors(),
+    _face_spectra(),
+)
+
+
+@example([evolve_bell_spectrum(LAM_FIG, tau) for tau in FEATURE_TAUS])
+@settings(max_examples=15, deadline=None)
+@given(st.lists(edge_spectra, min_size=1, max_size=8))
+def test_each_oracle_meets_its_closed_form_on_edge_spectra(spectra):
+    # the CI gate's 1e-12 bits, on the spectra where the searches are
+    # hardest, one batch per draw. The known worst case is the separable
+    # family's where two coefficients lie in (0, 1e-15), below the smallest
+    # q its scoring admits: 6.6e-14 bits at tau = k pi/2 +- 1e-9, and
+    # 3.3e-13 at (2e-45, 1/2, 1/2, 2e-45)
+    rhos = [bell_spectrum_to_density(lam) for lam in spectra]
+    t, d, _, e = bell_quantifiers(np.array(spectra))
+    # the separable search fixes q4 by normalization, not as a coordinate,
+    # so its cheap family also meets each spectrum with every entry once in
+    # the fourth place; E does not depend on the order
+    rotated = [np.roll(lam, k) for lam in spectra for k in range(4)]
+    found = {
+        "classical": (oracle_closest_classical(rhos), spectra, d),
+        "separable": (oracle_closest_separable_bd(rotated), rotated, np.repeat(e, 4)),
+        "product": (oracle_closest_product(rhos), spectra, t),
+    }
+    for family, (results, drawn, want) in found.items():
+        gap = np.abs(np.array([r.value for r in results]) - want)
+        k = int(np.argmax(gap))
+        assert gap[k] < 1e-12, (family, drawn[k].tolist(), gap[k])
