@@ -2,8 +2,8 @@
 
 These searches are deliberately independent of the closed-form closest
 states in `belldyn.correlations`: they run a shrinking pattern search from
-the best cell of a coarse grid (classical and product) or from the centre
-of the family (separable), and report the minimum found. They exist to
+the best cell of a coarse grid (classical) or from the centre of the family
+(separable and product), and report the minimum found. They exist to
 certify the analytic formulas, so they never assume them.
 
 Three families are covered:
@@ -18,9 +18,10 @@ Three families are covered:
 * separable Bell-diagonal states (all coefficients <= 1/2), searched from
   the centre of that convex slice, on which S(rho || sigma) is convex, so
   with no grid;
-* product states, parametrized by two Bloch vectors of norm <= 1 and
-  scored from sigma's closed-form eigenpairs and rho's Bloch data, with no
-  4 x 4 eigensolve in the grid or the refinement.
+* product states, parametrized by two Bloch vectors of norm <= 1, searched
+  from the centre of both balls, on which S(rho || pA x pB) is convex, so
+  with no grid, and scored from sigma's closed-form eigenpairs and rho's
+  Bloch data, with no 4 x 4 eigensolve.
 
 Each oracle takes a list of states and returns one `OracleResult` per
 state; all the states' refinements run in lockstep, and each state's
@@ -40,7 +41,7 @@ from .dynamics import bell_spectrum_to_density, validate_spectrum
 from .linalg import (PAULI, _check_density, _clamp_residue, _dephase, _spectral_entropy,
                      _support_rule, _xlog2)
 
-# Search resolution: grids of ~1e-3 bits, which the refinement then
+# Search resolution: a classical grid of ~1e-3 bits, which the refinement then
 # polishes to machine precision inside the located basin.
 GRID_POINTS_PER_ANGLE = 24
 REFINEMENT_ITERATIONS = 200
@@ -118,8 +119,8 @@ def _refine(starts, evaluate, offsets, project=None, *, owner, steps_of=None):
 
 
 def _frozen(*arrays):
-    # state-independent grid work is cached per process; an oracle may hand
-    # a grid row back as its best point, so no caller may write to it
+    # state-independent grid work is cached per process, so no caller may
+    # write to it
     for arr in arrays:
         arr.setflags(write=False)
     return arrays
@@ -361,25 +362,15 @@ def _product_values(a_vec, b_vec, corr, params, s_rho):
     return _support_rule(w, overlap / 4.0, s_rho)
 
 
-@functools.cache
-def _product_grid():
-    # lattice points in both Bloch balls: a sixth of the per-angle
-    # resolution, odd so the lattice holds 0: 5 points per axis
-    axis = np.linspace(-1.0, 1.0, GRID_POINTS_PER_ANGLE // 6 + 1)
-    pts = np.stack(np.meshgrid(*([axis] * 6), indexing="ij"), axis=-1).reshape(-1, 6)
-    pts = pts[np.all(np.linalg.norm(pts.reshape(-1, 2, 3), axis=2) <= 1.0 + 1e-12, axis=1)]
-    return _frozen(pts)
-
-
 def oracle_closest_product(rhos) -> list[OracleResult]:
     """Minimize S(rho || pA x pB) over product states, for each state rho
     of `rhos`; returns one result per state.
 
-    The six Bloch components are gridded on a coarse Cartesian lattice
-    restricted to the unit balls (the full per-angle resolution would be
-    astronomically large in six dimensions), then refined with an
-    axis-aligned pattern search projected back into the balls. All
-    refinements run in lockstep.
+    S(rho || pA x pB) = -S(rho) - Tr rhoA log pA - Tr rhoB log pB is
+    convex in the two Bloch vectors, on a product of balls, so every local
+    minimum is global: an axis-aligned pattern search from the centre
+    rA = rB = 0 (the state I/4), projected back into the balls, needs no
+    grid. All refinements run in lockstep.
     """
     states, s_rho = _checked(rhos, "oracle_closest_product")
     if not states:
@@ -397,18 +388,18 @@ def oracle_closest_product(rhos) -> list[OracleResult]:
             out[..., sl] /= scale[..., None]
         return out
 
-    (pts,) = _product_grid()
-    grid = _product_values(a_vec, b_vec, corr, pts, s_rho[:, None])
-    starts = [(pts[j], float(vals[j]), 2.0 / (GRID_POINTS_PER_ANGLE // 6))  # the lattice step
-              for vals, j in zip(grid, np.argmin(grid, axis=1))]
-
+    # the centre rA = rB = 0 (the state I/4) with width 1, its distance to
+    # each ball's surface
+    everyone = np.arange(len(states))
+    centre = evaluate(np.zeros((len(states), 1, 6)), everyone)[:, 0]
+    starts = [(np.zeros(6), float(v), 1.0) for v in centre]
     axes = np.concatenate([np.eye(6), -np.eye(6)])
-    found = _refine(starts, evaluate, axes, project, owner=range(len(grid)))
+    found = _refine(starts, evaluate, axes, project, owner=everyone)
     return [
         OracleResult(
             minimizer=_product_states(x[None, :])[0],
             value=float(_clamp_residue(value)),
-            evaluations=len(pts) + evals,
+            evaluations=1 + evals,
             history=history,
         )
         for x, value, evals, history in found

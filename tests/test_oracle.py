@@ -33,7 +33,6 @@ from belldyn.oracle import (
     _dot3,
     _offsets,
     _pauli_data,
-    _product_grid,
     _product_states,
     _product_values,
     _refine,
@@ -216,29 +215,27 @@ def _ball_points(rng, count):
 
 
 def test_product_objective_matches_matrix_route():
-    # the Bloch-form objective of the product grid and refinement must equal
+    # the Bloch-form objective of the product search must equal
     # S(rho || pA x pB) from the eigendecomposition of pA x pB, with the same
-    # +inf pattern, on the lattice and on every pairing of r = 0, r = 1 and
-    # inner points of the two balls
+    # +inf pattern, on every pairing of r = 0, r = 1 and inner points of the
+    # two balls
     rng = np.random.default_rng(29)
     states = [_general_state(rng, rank) for rank in (4, 3, 2)]
     states += [bell_spectrum_to_density(lam) for lam in ([0.4, 0.3, 0.2, 0.1], *EDGE_SPECTRA)]
     va, vb = _ball_points(rng, 8), _ball_points(rng, 8)
     pairs = np.concatenate([np.repeat(va, len(vb), axis=0), np.tile(vb, (len(va), 1))], axis=1)
-    (lattice,) = _product_grid()
     seen_inf = seen_finite = 0
     for rho in states:
         a_vec, b_vec, corr = _pauli_data(rho)
         s_rho = von_neumann_entropy(rho)
-        for cands in (lattice, pairs):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", RuntimeWarning)
-                fast = _product_values(a_vec, b_vec, corr, cands, s_rho)
-            slow = _relative_entropy_stack(rho, _product_states(cands), s_rho)
-            finite = np.isfinite(slow)
-            assert np.array_equal(np.isfinite(fast), finite)
-            assert np.max(np.abs(fast[finite] - slow[finite])) < 1e-10
-            seen_inf, seen_finite = seen_inf + np.sum(~finite), seen_finite + np.sum(finite)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fast = _product_values(a_vec, b_vec, corr, pairs, s_rho)
+        slow = _relative_entropy_stack(rho, _product_states(pairs), s_rho)
+        finite = np.isfinite(slow)
+        assert np.array_equal(np.isfinite(fast), finite)
+        assert np.max(np.abs(fast[finite] - slow[finite])) < 1e-10
+        seen_inf, seen_finite = seen_inf + np.sum(~finite), seen_finite + np.sum(finite)
     assert seen_inf > 0 and seen_finite > 0
 
 
@@ -462,12 +459,10 @@ def test_lockstep_refine_of_many_states_matches_each_state_alone():
 
 
 def test_cached_grids_are_read_only():
-    # the maximally mixed state scores 0 at its product grid start, so the
-    # product search never moves and hands a cached row back as its best
-    # point; the separable search builds no grid
+    # only the classical search builds cached grid work; the separable and
+    # product searches start from their family's centre
     oracle_closest_classical([np.eye(4) / 4])
-    oracle_closest_product([np.eye(4) / 4])
-    for build in (_direction_grid, _stencil, _product_grid):
+    for build in (_direction_grid, _stencil):
         assert build.cache_info().currsize == 1
         for arr in build():
             with pytest.raises(ValueError):
@@ -479,11 +474,11 @@ def test_grid_caches_are_built_lazily():
         "import belldyn.cli\n"
         "from belldyn import oracle\n"
         "print([f.cache_info().currsize for f in "
-        "(oracle._direction_grid, oracle._stencil, oracle._product_grid)])\n"
+        "(oracle._direction_grid, oracle._stencil)])\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
-    assert out.stdout.strip() == "[0, 0, 0]"
+    assert out.stdout.strip() == "[0, 0]"
 
 
 def test_arc_length_phi_step_turns_a_direction_by_about_the_width():
@@ -616,14 +611,13 @@ def test_product_values_keep_every_bit_of_the_list_and_stack_form():
     states += [bell_spectrum_to_density(lam) for lam in EDGE_SPECTRA]
     a_vec, b_vec, corr = (np.array(x)[:, None] for x in zip(*map(_pauli_data, states)))
     s_rho = np.array([von_neumann_entropy(rho) for rho in states])[:, None]
-    (lattice,) = _product_grid()
     va, vb = _ball_points(rng, 4), _ball_points(rng, 4)
     cands = np.concatenate([np.repeat(va, len(vb), axis=0), np.tile(vb, (len(va), 1))], axis=1)
     stencil = cands[None, :12] + 0.1 * np.concatenate([np.eye(6), -np.eye(6)])
     stencil = np.repeat(stencil, len(states), axis=0)
-    # the grid, (n, 1) data against (m, 6) points; the refinement, one
-    # (12, 6) stencil per state; and one state's data alone
-    args = [(a_vec, b_vec, corr, lattice, s_rho), (a_vec, b_vec, corr, stencil, s_rho),
+    # (n, 1) data against (m, 6) points; the refinement, one (12, 6) stencil
+    # per state; and one state's data alone
+    args = [(a_vec, b_vec, corr, cands, s_rho), (a_vec, b_vec, corr, stencil, s_rho),
             (a_vec[0, 0], b_vec[0, 0], corr[0, 0], cands, s_rho[0, 0])]
     seen_inf = 0
     for arg in args:
@@ -651,7 +645,9 @@ def test_product_oracle_meets_mutual_information_from_the_centre():
         rho_a, rho_b = _marginals(rho)
         mutual = von_neumann_entropy(rho_a) + von_neumann_entropy(rho_b) - von_neumann_entropy(rho)
         assert abs(res.value - mutual) < 1e-12
-        assert len(res.history) - 2 < REFINEMENT_ITERATIONS  # stopped by its width
+        steps = len(res.history) - 2
+        assert steps < REFINEMENT_ITERATIONS  # stopped by its width
+        assert res.evaluations == 1 + steps * 12  # the centre, then 12 axis moves a step
 
 
 # The figure trajectory's features: each switching time, criterion 4's death
