@@ -31,10 +31,18 @@ oracle dropped its simplex grid, to search the convex slice from its centre
 q = 1/4 with width 1/4, and its slice check became exact (0 <= q <= 1/2, no
 1e-12 slack and no clip): all 16 moved, no value moved by more than 1.4e-16
 bits, and the summed `evaluations` fell from 2,143,840 to 24,638; no
-classical or product entry moved. Any change to the
-search order, the grids or the relative-entropy kernel that moves a single
-bit fails here. `python tests/test_oracle_golden.py` prints the digests of
-the current code as JSON.
+classical or product entry moved.
+
+The 19 `*/product` entries were re-captured a second time when the product
+oracle dropped its 1,089-point lattice, to search both Bloch balls from
+their centre rA = rB = 0 with width 1: all 19 moved, through `evaluations`
+and the length of `history` only; no value or minimizer moved by a single
+bit (the largest value move is 0 bits), and the summed `evaluations` fell
+from 32,979 to 12,607; no classical or separable entry moved.
+
+Any change to the search order, the grids or the relative-entropy kernel
+that moves a single bit fails here. `python tests/test_oracle_golden.py`
+prints the digests of the current code as JSON.
 """
 
 import hashlib
