@@ -629,11 +629,6 @@ def test_product_values_keep_every_bit_of_the_list_and_stack_form():
     assert seen_inf > 0
 
 
-def _marginals(rho):
-    r = rho.reshape(2, 2, 2, 2)
-    return np.einsum("ajbj->ab", r), np.einsum("jajb->ab", r)
-
-
 def test_product_oracle_meets_mutual_information_from_the_centre():
     # T = I(A:B) = S(rhoA) + S(rhoB) - S(rho) for every state (the closest
     # product state is rhoA x rhoB), so general states test this oracle too
@@ -642,7 +637,8 @@ def test_product_oracle_meets_mutual_information_from_the_centre():
     states += [bell_spectrum_to_density(lam) for lam in EDGE_SPECTRA]
     found = oracle_closest_product(states)
     for rho, res in zip(states, found):
-        rho_a, rho_b = _marginals(rho)
+        r = rho.reshape(2, 2, 2, 2)
+        rho_a, rho_b = np.einsum("ajbj->ab", r), np.einsum("jajb->ab", r)
         mutual = von_neumann_entropy(rho_a) + von_neumann_entropy(rho_b) - von_neumann_entropy(rho)
         assert abs(res.value - mutual) < 1e-12
         steps = len(res.history) - 2
