@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -231,7 +232,8 @@ DETECTOR_PIN = {
 }
 
 
-def test_detector_bits_are_pinned():
+def _detector_intervals():
+    # float.hex of each detector's intervals, in DETECTOR_PIN's layout
     from belldyn.correlations import bell_quantifiers
     from belldyn.dynamics import evolve_bell_spectrum
 
@@ -246,4 +248,13 @@ def test_detector_bits_are_pinned():
         "C": detect_frozen_intervals(grid, c),
         "E": detect_death_revival(grid, e, refine=e_of_tau),
     }
-    assert {k: [(a.hex(), b.hex()) for a, b in v] for k, v in found.items()} == DETECTOR_PIN
+    return {k: [(a.hex(), b.hex()) for a, b in v] for k, v in found.items()}
+
+
+def test_detector_bits_are_pinned():
+    assert _detector_intervals() == DETECTOR_PIN
+
+
+if __name__ == "__main__":
+    # prints the current DETECTOR_PIN, for a reviewed re-capture
+    print(json.dumps(_detector_intervals(), indent=1))
