@@ -182,9 +182,11 @@ def detect_switching_times(lam0, tau_max):
 def detect_death_revival(tau_grid, e_values, refine=None):
     """Maximal intervals where the entanglement series is <= DEATH_THRESHOLD.
 
-    If `refine` is a callable E(tau), interior boundaries are sharpened by
-    bisection between the bracketing grid points. Returns a list of
-    (start_tau, end_tau) pairs."""
+    If `refine` is a callable E(tau) with finite values, each interior
+    boundary is sharpened by a safeguarded secant between its bracketing grid
+    points: it is the midpoint of a bracket narrower than 1e-12, or one that
+    floating point cannot split, whose ends lie on opposite sides of
+    DEATH_THRESHOLD. Returns a list of (start_tau, end_tau) pairs."""
     g, e = _checked_series(tau_grid, e_values)
     dead = e <= DEATH_THRESHOLD
     out = []
@@ -200,23 +202,42 @@ def detect_death_revival(tau_grid, e_values, refine=None):
         start, end = float(g[i]), float(g[j])
         if refine is not None:
             if i > 0:
-                start = _bisect_threshold(refine, float(g[i - 1]), start, False)
+                start = _sharpen_boundary(refine, g, e, i - 1, -1)
             if j + 1 < n:
-                end = _bisect_threshold(refine, end, float(g[j + 1]), True)
+                end = _sharpen_boundary(refine, g, e, j + 1, 1)
         out.append((start, end))
         i = j + 1
     return out
 
 
-def _bisect_threshold(fn, lo, hi, rising):
-    # rising=True: fn <= DEATH_THRESHOLD at lo and > DEATH_THRESHOLD at hi.
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        below = fn(mid) <= DEATH_THRESHOLD
-        if below == rising:
-            lo = mid
+def _sharpen_boundary(fn, g, e, k, out):
+    # The crossing between the alive grid point k and the dead point k - out
+    # (Dekker's and Brent's bracketed secant). E rises quadratically from its
+    # zero, so sqrt(E) is nearly linear on the alive side: a step takes the
+    # zero of sqrt(E) - sqrt(DEATH_THRESHOLD) through the two nearest alive
+    # samples, the series' own at first. It bisects instead when that guess
+    # is not strictly inside the bracket or the bracket has not halved over
+    # the last two steps, so the bracket halves at least every third call.
+    root = math.sqrt(DEATH_THRESHOLD)
+    near = [(float(g[m]), math.sqrt(e[m]) - root) for m in (k + out, k)
+            if 0 <= m < e.size and e[m] > DEATH_THRESHOLD]
+    alive, dead = near[-1][0], float(g[k - out])
+    widths = [math.inf, math.inf, abs(alive - dead)]
+    while widths[-1] >= 1e-12:
+        x = 0.5 * (alive + dead)
+        if len(near) == 2 and widths[-1] <= 0.5 * widths[-3]:
+            (t1, s1), (t2, s2) = near
+            guess = t2 - s2 * (t2 - t1) / (s2 - s1) if s1 != s2 else x
+            if min(alive, dead) < guess < max(alive, dead):
+                x = guess
+        if x in (alive, dead):
+            break  # floating point cannot split the bracket
+        v = float(fn(x))
+        if not math.isfinite(v):
+            raise ValueError(f"refine returned {v} at tau = {x!r}; it must be finite")
+        if v > DEATH_THRESHOLD:
+            alive, near = x, [near[-1], (x, math.sqrt(v) - root)]
         else:
-            hi = mid
-        if hi - lo < 1e-12:
-            break
-    return 0.5 * (lo + hi)
+            dead = x
+        widths.append(abs(alive - dead))
+    return 0.5 * (alive + dead)

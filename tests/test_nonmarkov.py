@@ -3,10 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from belldyn.correlations import quantifier_report
-from belldyn.dynamics import BELL_VECTORS, ancilla_evolve, bell_spectrum_to_density
+from belldyn.correlations import bell_quantifiers, quantifier_report
+from belldyn.dynamics import (
+    BELL_VECTORS,
+    ancilla_evolve,
+    bell_spectrum_to_density,
+    evolve_bell_spectrum,
+)
 from belldyn.nonmarkov import (
+    DEATH_THRESHOLD,
     ancilla_entanglement,
     composition_violation,
     detect_death_revival,
@@ -183,6 +191,130 @@ def test_death_revival_zero_series():
     grid = np.linspace(0, 2, 201)
     out = detect_death_revival(grid, np.zeros(201))
     assert out == [(0.0, 2.0)]
+
+
+def _bisect_reference(fn, lo, hi, rising):
+    # the bisection that sharpened the death boundaries before the secant;
+    # rising: fn <= DEATH_THRESHOLD at lo and > DEATH_THRESHOLD at hi
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if (fn(mid) <= DEATH_THRESHOLD) == rising:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-12:
+            break
+    return 0.5 * (lo + hi)
+
+
+class _Recording:
+    """E(tau) that records each tau it is called at."""
+
+    def __init__(self, fn):
+        self.fn, self.taus = fn, []
+
+    def __call__(self, tau):
+        self.taus.append(tau)
+        return self.fn(tau)
+
+
+def _interior_boundaries(grid, windows):
+    return [t for window in windows for t in window if t not in (grid[0], grid[-1])]
+
+
+def _against_bisection(grid, e, fn):
+    """Each interior boundary of the refined detector with its calls, the
+    reference bisection's boundary and calls in the same grid cell, and
+    whether E rises there."""
+    found = _Recording(fn)
+    got = _interior_boundaries(grid, detect_death_revival(grid, e, refine=found))
+    calls = np.bincount(np.searchsorted(grid, found.taus), minlength=grid.size)
+    dead = np.asarray(e) <= DEATH_THRESHOLD
+    out = []
+    for k, b in zip(np.flatnonzero(dead[1:] != dead[:-1]), got, strict=True):
+        ref = _Recording(fn)
+        want = _bisect_reference(ref, grid[k], grid[k + 1], bool(dead[k]))
+        assert grid[k] < b < grid[k + 1]
+        out.append((b, int(calls[k + 1]), want, len(ref.taus), bool(dead[k])))
+    return out
+
+
+def test_secant_halves_the_refine_calls_on_the_figure_trajectory():
+    # 124 quantifier_report calls with the bisection, 31 per boundary
+    calls = []
+
+    def e_of_tau(tau):
+        calls.append(tau)
+        return quantifier_report(bell_spectrum_to_density(evolve_bell_spectrum(LAM_FIG, tau))).E
+
+    grid = np.linspace(0.0, math.pi, 2001)
+    e = bell_quantifiers(evolve_bell_spectrum(LAM_FIG, grid))[3]
+    windows = detect_death_revival(grid, e, refine=e_of_tau)
+    assert len(_interior_boundaries(grid, windows)) == 4
+    assert len(calls) <= 64
+    assert abs(windows[0][0] - DEATH_LO) < 2e-6 and abs(windows[0][1] - DEATH_HI) < 2e-6
+
+
+@settings(max_examples=40, deadline=None)
+@given(top=st.floats(0.501, 0.999), partner=st.floats(0.0, 0.9), split=st.floats(0.0, 1.0),
+       at=st.integers(0, 3))
+def test_secant_boundaries_agree_with_bisection(top, partner, split, at):
+    # lam_max = top; its partner (index 3 - at) keeps lam + lam_partner below
+    # 1, so each death window is wide and each alive stretch too
+    rest = 1.0 - top
+    lam = np.zeros(4)
+    lam[at], lam[3 - at] = top, partner * rest
+    lam[[m for m in range(4) if m not in (at, 3 - at)]] = rest * (1 - partner) * np.array([split, 1 - split])
+
+    def closed_form(tau):
+        return float(bell_quantifiers(evolve_bell_spectrum(lam, tau))[3])
+
+    grid = np.linspace(0.0, math.pi, 401)
+    e = bell_quantifiers(evolve_bell_spectrum(lam, grid))[3]
+    for b, calls, want, ref_calls, rising in _against_bisection(grid, e, closed_form):
+        assert abs(b - want) < 1e-8
+        assert calls <= 2 * ref_calls
+        alive = 1e-7 if rising else -1e-7
+        assert closed_form(b + alive) > DEATH_THRESHOLD
+        assert closed_form(b - alive) <= DEATH_THRESHOLD
+
+
+def test_secant_meets_a_linear_crossing():
+    # E linear in tau, so sqrt(E) is not: the safeguard still brackets it
+    def linear(tau):
+        return max(0.0, 1e-3 * (abs(tau - 0.5) - 0.137))
+
+    grid = np.linspace(0.0, 1.0, 11)
+    found = _against_bisection(grid, [linear(t) for t in grid], linear)
+    crossings = (0.5 - (0.137 + 1e-9), 0.5 + (0.137 + 1e-9))
+    assert len(found) == 2
+    for (b, calls, _, ref_calls, _), crossing in zip(found, crossings):
+        assert abs(b - crossing) < 1e-12
+        assert calls <= 2 * ref_calls
+
+
+def test_secant_stops_on_a_bracket_floating_point_cannot_split():
+    # ulp(1e4) = 1.8e-12 exceeds the 1e-12 stop; the bisection spent its
+    # 80 steps here, where the same crossing at tau ~ 3.3 takes 40
+    crossing = 1e4 + 3.3
+
+    def late(tau):
+        return max(0.0, 1e-3 * (tau - crossing))
+
+    grid = np.linspace(1e4, 1e4 + 10.0, 11)
+    refine = _Recording(late)
+    windows = detect_death_revival(grid, [late(t) for t in grid], refine=refine)
+    assert len(windows) == 1 and windows[0][0] == grid[0]
+    assert abs(windows[0][1] - (crossing + 1e-9)) <= 2 * np.spacing(crossing)
+    assert len(refine.taus) <= 40
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_refine_must_return_finite_values(bad):
+    grid = np.linspace(0.0, 1.0, 11)
+    e = np.where(grid < 0.55, 0.0, grid - 0.55)
+    with pytest.raises(ValueError, match="^refine returned "):
+        detect_death_revival(grid, e, refine=lambda tau: bad)
 
 
 DETECTORS = {"frozen": detect_frozen_intervals, "death_revival": detect_death_revival}
