@@ -264,7 +264,8 @@ def test_secant_boundaries_agree_with_bisection(top, partner, split, at):
     rest = 1.0 - top
     lam = np.zeros(4)
     lam[at], lam[3 - at] = top, partner * rest
-    lam[[m for m in range(4) if m not in (at, 3 - at)]] = rest * (1 - partner) * np.array([split, 1 - split])
+    others = [m for m in range(4) if m not in (at, 3 - at)]
+    lam[others] = rest * (1 - partner) * np.array([split, 1 - split])
 
     def closed_form(tau):
         return float(bell_quantifiers(evolve_bell_spectrum(lam, tau))[3])
@@ -344,7 +345,8 @@ def test_series_detectors_share_one_input_rule(detector, grid, values, message):
 
 #: float.hex of each detector's intervals on the figure trajectory (the
 #: figure3 grid, 2,001 points over [0, pi]); frozen D and C are the greedy
-#: scan, E is the death detector refined through quantifier_report
+#: scan, E is the death detector refined through quantifier_report;
+#: ``python tests/test_nonmarkov.py`` prints the current values
 DETECTOR_PIN = {
     "D": [("0x0.0p+0", "0x1.d8e5ccfa424a6p-3"),
           ("0x1.860f6596b1743p-1", "0x1.87ab2bf21a2b5p-1"),
