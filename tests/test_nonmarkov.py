@@ -241,17 +241,15 @@ def _against_bisection(grid, e, fn):
 
 def test_secant_halves_the_refine_calls_on_the_figure_trajectory():
     # 124 quantifier_report calls with the bisection, 31 per boundary
-    calls = []
-
     def e_of_tau(tau):
-        calls.append(tau)
         return quantifier_report(bell_spectrum_to_density(evolve_bell_spectrum(LAM_FIG, tau))).E
 
     grid = np.linspace(0.0, math.pi, 2001)
     e = bell_quantifiers(evolve_bell_spectrum(LAM_FIG, grid))[3]
-    windows = detect_death_revival(grid, e, refine=e_of_tau)
+    refine = _Recording(e_of_tau)
+    windows = detect_death_revival(grid, e, refine=refine)
     assert len(_interior_boundaries(grid, windows)) == 4
-    assert len(calls) <= 64
+    assert len(refine.taus) <= 64
     assert abs(windows[0][0] - DEATH_LO) < 2e-6 and abs(windows[0][1] - DEATH_HI) < 2e-6
 
 
