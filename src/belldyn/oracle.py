@@ -87,12 +87,15 @@ def _refine(starts, evaluate, offsets, project=None, *, owner, steps_of=None):
     width = np.array([width0 for _, _, width0 in starts], dtype=float)
     steps = np.zeros(len(starts), dtype=int)
     values = [value.copy()]  # every search's value after each step
+    moves = offsets.T.copy()  # (coordinate, offset), contiguous for the broadcast below
     for _ in range(REFINEMENT_ITERATIONS):
         active = np.flatnonzero(width >= _MIN_WIDTH)
         if not len(active):
             break
         step = width[active, None] if steps_of is None else steps_of(x[active], width[active])
-        cand = x[active, None, :] + step[:, None, :] * offsets
+        # the coordinate axis outermost, as numpy broadcasts over a last axis
+        # of len(offsets) faster than over one of len(x)
+        cand = (x[active, :, None] + step[:, :, None] * moves).swapaxes(1, 2)
         if project is not None:
             cand = project(cand)
         vals = evaluate(cand, owner[active])
@@ -161,25 +164,24 @@ _SIGNS = np.array(((1, 1), (1, -1), (-1, 1), (-1, -1)), dtype=float)  # rows (s,
 
 def _dephased_entropy(alpha, beta, kappa):
     # Shannon entropy of the four outcome probabilities
-    # (1 + s alpha + t beta + s t kappa) / 4 of the dephased diagonal, each
-    # formed, clipped to [0, 1] and summed in place; h starts at +0.0
-    h = np.zeros(np.broadcast_shapes(np.shape(alpha), np.shape(beta), np.shape(kappa)))
-    p = np.empty_like(h)
-    for s, t in _SIGNS:
-        (np.add if s > 0 else np.subtract)(1.0, alpha, out=p)
-        (np.add if t > 0 else np.subtract)(p, beta, out=p)
-        (np.add if s * t > 0 else np.subtract)(p, kappa, out=p)
-        p /= 4.0
-        h -= _xlog2(np.minimum(np.maximum(p, 0.0, out=p), 1.0, out=p))
-    return h
+    # (1 + s alpha + t beta + s t kappa) / 4 of the dephased diagonal, formed
+    # as one (4, ...) stack, clipped to [0, 1] and summed. The bits are those
+    # of the loop 0.0 - x0 - x1 - x2 - x3 over the terms x = p log2 p: each
+    # is +0.0 or negative, negation is exact, and (-a) - b = -(a + b) under
+    # round-to-nearest
+    s, t = _SIGNS.T.reshape((2, 4) + (1,) * max(np.ndim(alpha), np.ndim(beta), np.ndim(kappa)))
+    p = ((1.0 + s * alpha) + t * beta) + (s * t) * kappa
+    p /= 4.0
+    x = _xlog2(np.minimum(np.maximum(p, 0.0, out=p), 1.0, out=p))
+    return 0.0 - (((x[0] + x[1]) + x[2]) + x[3])
 
 
 def _arc_length_steps(quads, width):
     # steps of (theta_a, phi_a, theta_b, phi_b): a phi step of
     # w / max(|sin theta|, w) turns the direction by about w on the sphere,
     # so searches near a pole keep moving by the pattern width
-    step = np.repeat(width[:, None], 4, axis=1)
-    step[:, 1::2] = step[:, 1::2] / np.maximum(np.abs(np.sin(quads[:, 0::2])), step[:, 1::2])
+    step = width[:, None].repeat(4, axis=1)
+    step[:, 1::2] /= np.maximum(np.abs(np.sin(quads[:, 0::2])), width[:, None])
     return step
 
 
@@ -381,12 +383,10 @@ def oracle_closest_product(rhos) -> list[OracleResult]:
         return _product_values(a_vec[owner], b_vec[owner], corr[owner], cand, s_rho[owner, None])
 
     def project(cand):
-        out = cand.copy()
-        for sl in (slice(0, 3), slice(3, 6)):
-            norms = np.linalg.norm(out[..., sl], axis=-1)
-            scale = np.where(norms > 1.0, norms, 1.0)
-            out[..., sl] /= scale[..., None]
-        return out
+        # each Bloch vector of norm > 1 scaled back onto its sphere
+        v = cand.reshape(cand.shape[:-1] + (2, 3))
+        norms = np.sqrt(_dot3(v, v))
+        return (v / np.where(norms > 1.0, norms, 1.0)[..., None]).reshape(cand.shape)
 
     # the centre rA = rB = 0 (the state I/4) with width 1, its distance to
     # each ball's surface

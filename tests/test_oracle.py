@@ -588,11 +588,56 @@ def test_dephased_entropy_keeps_every_bit_of_the_clip_form():
     # 0-d scalars, and alpha = beta = kappa = 1, where every term is 0
     cases += [(0.3, -0.2, 0.1), (np.float64(0.9), np.float64(0.8), np.float64(0.75)),
               (1.0, 1.0, 1.0), (np.ones((2, 1)), np.ones((1, 3)), np.ones((2, 3)))]
+    # the restarts, as oracle_closest_classical batches them: (n, 2, 1) x (n, 1, 2)
+    data = [_pauli_data(_general_state(rng, rank)) for rank in (4, 3, 2, 1, 2)]
+    a_vec, b_vec, corr = (np.array(x) for x in zip(*data))
+    ur = _directions(rng.uniform(0, math.pi, (2, 2)), rng.uniform(0, 2 * math.pi, (2, 2)))
+    alpha, beta = np.matmul(ur[:, 0], a_vec[..., None]), np.matmul(ur[:, 1], b_vec[..., None])
+    cases.append((alpha, np.swapaxes(beta, -1, -2), ur[:, 0] @ corr @ ur[:, 1].T))
+    assert [np.shape(x) for x in cases[-1]] == [(5, 2, 1), (5, 1, 2), (5, 2, 2)]
+    # 0-d alpha and beta against an array kappa
+    cases.append((0.3, np.float64(-0.2), rng.uniform(-1, 1, (3, 4))))
+    # NaN inputs: every outcome they reach is NaN, whose term _xlog2 scores +0.0
+    nan = math.nan
+    cases += [(np.array([[nan], [0.2], [0.1]]), np.array([[0.3, nan]]), rng.uniform(-0.5, 0.5, (3, 2))),
+              (nan, nan, nan), (0.1, 0.2, np.array([nan, 0.3]))]
     for alpha, beta, kappa in cases:
         _assert_same_bits(_dephased_entropy(alpha, beta, kappa),
                           _ref_dephased_entropy(alpha, beta, kappa))
     # h starts at +0.0, so 0.0 - 0.0 - ... stays +0.0
     assert float(_dephased_entropy(1.0, 1.0, 1.0)).hex() == "0x0.0p+0"
+    assert float(_dephased_entropy(nan, 0.2, 0.1)).hex() == "0x0.0p+0"
+    assert _dephased_entropy(0.1, 0.2, np.array([nan, 0.3]))[0].hex() == "0x0.0p+0"
+
+
+def test_refine_candidates_keep_every_bit_of_the_plain_stack():
+    # _refine builds its candidates with the coordinate axis outermost; each
+    # step's (search, offset, coordinate) stack must be x + step * offset of
+    # the plain broadcast, bit for bit. A pass-through steps_of records x and
+    # step, with the default width step where the oracle uses it.
+    rng = np.random.default_rng(67)
+    axes = np.concatenate([np.eye(6), -np.eye(6)])
+    for offsets, steps_of in ((_offsets(4), _arc_length_steps), (_offsets(3), None), (axes, None)):
+        assert offsets.shape in ((80, 4), (26, 3), (12, 6))
+        dim, seen = offsets.shape[1], []
+        target = rng.uniform(0.0, 3.0, (3, dim))
+
+        def record(x, width, steps_of=steps_of):
+            step = width[:, None] if steps_of is None else steps_of(x, width)
+            seen.append((x.copy(), step))
+            return step
+
+        def evaluate(cand, owner, target=target):
+            x, step = seen[-1]
+            _assert_same_bits(cand, x[:, None, :] + step[:, None, :] * offsets)
+            return np.sum((cand - target[owner, None, :]) ** 2, axis=-1)
+
+        x0 = rng.uniform(0.0, 3.0, (6, dim))
+        starts = [(x, float(np.sum((x - target[i // 2]) ** 2)), w)
+                  for i, (x, w) in enumerate(zip(x0, (1.0, 0.25, 1e-3, 0.7, 1e-6, 0.5)))]
+        _refine(starts, evaluate, offsets, owner=[0, 0, 1, 1, 2, 2], steps_of=record)
+        # the searches stop at different steps, so later steps gather a subset
+        assert len(seen) > 40 and min(len(x) for x, _ in seen) < len(starts)
 
 
 def test_directions_keep_every_bit_of_the_stack_form():
