@@ -614,7 +614,8 @@ def test_refine_candidates_keep_every_bit_of_the_plain_stack():
     # _refine builds its candidates with the coordinate axis outermost; each
     # step's (search, offset, coordinate) stack must be x + step * offset of
     # the plain broadcast, bit for bit. A pass-through steps_of records x and
-    # step, with the default width step where the oracle uses it.
+    # step (the width itself where the oracle passes no steps_of); the
+    # closures run inside their own loop pass.
     rng = np.random.default_rng(67)
     axes = np.concatenate([np.eye(6), -np.eye(6)])
     for offsets, steps_of in ((_offsets(4), _arc_length_steps), (_offsets(3), None), (axes, None)):
@@ -622,12 +623,12 @@ def test_refine_candidates_keep_every_bit_of_the_plain_stack():
         dim, seen = offsets.shape[1], []
         target = rng.uniform(0.0, 3.0, (3, dim))
 
-        def record(x, width, steps_of=steps_of):
+        def record(x, width):
             step = width[:, None] if steps_of is None else steps_of(x, width)
             seen.append((x.copy(), step))
             return step
 
-        def evaluate(cand, owner, target=target):
+        def evaluate(cand, owner):
             x, step = seen[-1]
             _assert_same_bits(cand, x[:, None, :] + step[:, None, :] * offsets)
             return np.sum((cand - target[owner, None, :]) ** 2, axis=-1)
