@@ -69,45 +69,76 @@ def _offsets(dim: int) -> np.ndarray:
 def _refine(starts, evaluate, offsets, project=None, *, owner, steps_of=None):
     """Shrinking pattern search from each (x0, value0, width0) start.
 
-    Start i searches state owner[i]. Each search moves to its best candidate
+    Start i searches state owner[i]. Each search steps to its best candidate
     x + offset * step whenever that improves, and otherwise shrinks its
     pattern width; the (search, coordinate) steps are steps_of(x, width) of
-    the running searches, by default the width in every coordinate. All
-    searches run in lockstep, one `evaluate(cand, owner)` call per step on
-    the (search, offset, coordinate) stack of those still running and the
-    state of each; the objectives are row-independent, so each search ends
-    as if run alone. Returns per state the best point and value over its
-    starts (the earliest wins a tie), the number of objective evaluations,
-    and the best-so-far value after each step (non-increasing), led by its
-    first start's value.
+    the running searches, by default the width in every coordinate. A
+    search stops after REFINEMENT_ITERATIONS steps or once its width falls
+    below _MIN_WIDTH.
+
+    A step that improves nothing leaves x where it is, so the next steps'
+    widths are known in advance: width * REFINEMENT_SHRINK**k after k
+    shrinks, the same bits as k halvings. So the searches run in lockstep
+    passes, one `evaluate(cand, owner)` call per pass on the (row, offset,
+    coordinate) stack, whose rows are the next d levels k = 0 .. d - 1 of
+    every search still running, each with its state. A search takes its
+    first level that improves, as k shrinks and one move, and drops the
+    levels after it; with none it has made d shrinks. Its depth d is 2
+    after a move and doubles after a pass without one, capped by its steps
+    left and by its levels of width >= _MIN_WIDTH. The objectives are
+    row-independent, so each search ends as if run alone, step by step.
+
+    Returns per state the best point and value over its starts (the
+    earliest wins a tie), the number of objective evaluations of that
+    step-by-step search (len(offsets) per step, levels scored only in
+    advance not counted), and the best-so-far value after each step
+    (non-increasing), led by its first start's value.
     """
     owner = np.asarray(owner, dtype=int)
     x = np.array([x0 for x0, _, _ in starts], dtype=float)
     value = np.array([value0 for _, value0, _ in starts], dtype=float)
     width = np.array([width0 for _, _, width0 in starts], dtype=float)
     steps = np.zeros(len(starts), dtype=int)
-    values = [value.copy()]  # every search's value after each step
+    depth = np.full(len(starts), 2)
+    # every search's value after each step: +inf where the step made no
+    # move, filled below by the running minimum, since moves only improve
+    values = np.full((REFINEMENT_ITERATIONS + 1, len(starts)), math.inf)
+    values[0] = value
     moves = offsets.T.copy()  # (coordinate, offset), contiguous for the broadcast below
-    for _ in range(REFINEMENT_ITERATIONS):
-        active = np.flatnonzero(width >= _MIN_WIDTH)
+    while True:
+        active = np.flatnonzero((width >= _MIN_WIDTH) & (steps < REFINEMENT_ITERATIONS))
         if not len(active):
             break
-        step = width[active, None] if steps_of is None else steps_of(x[active], width[active])
+        d = np.minimum(depth[active], REFINEMENT_ITERATIONS - steps[active])
+        k = np.arange(d.max())
+        levels = width[active, None] * REFINEMENT_SHRINK ** k  # (search, level) widths
+        rows = (levels >= _MIN_WIDTH) & (k < d[:, None])
+        search = np.nonzero(rows)[0]  # search-major, level-minor
+        xs, ws = x[active[search]], levels[rows]
+        step = ws[:, None] if steps_of is None else steps_of(xs, ws)
         # the coordinate axis outermost, as numpy broadcasts over a last axis
         # of len(offsets) faster than over one of len(x)
-        cand = (x[active, :, None] + step[:, :, None] * moves).swapaxes(1, 2)
+        cand = (xs[:, :, None] + step[:, :, None] * moves).swapaxes(1, 2)
         if project is not None:
             cand = project(cand)
-        vals = evaluate(cand, owner[active])
+        vals = evaluate(cand, owner[active[search]])
         j = np.argmin(vals, axis=1)
-        best = vals[np.arange(len(active)), j]
-        better = best < value[active]
-        value[active[better]] = best[better]
-        x[active[better]] = cand[better, j[better]]
-        width[active[~better]] *= REFINEMENT_SHRINK
-        steps[active] += 1
-        values.append(value.copy())
-    values = np.array(values)
+        best = vals[np.arange(len(search)), j]
+        better = np.zeros_like(rows)
+        better[rows] = best < value[active[search]]
+        moved = better.any(axis=1)
+        first = np.argmax(better, axis=1)  # the first improving level
+        count = rows.sum(axis=1)
+        row = (np.cumsum(count) - count + first)[moved]
+        shrinks = np.where(moved, first, count)
+        width[active] *= REFINEMENT_SHRINK ** shrinks
+        steps[active] += shrinks + moved
+        depth[active] = np.where(moved, 2, 2 * depth[active])
+        i = active[moved]
+        value[i] = best[row]
+        x[i] = cand[row, j[row]]
+        values[steps[i], i] = value[i]
+    values = np.minimum.accumulate(values, axis=0)
     out = []
     for state in range(owner.max(initial=-1) + 1):
         mine = np.flatnonzero(owner == state)

@@ -484,8 +484,10 @@ def test_verify_certifies_the_printed_kernel(chunk, capsys, monkeypatch):
 
 def test_verify_refines_each_chunk_in_one_lockstep_loop(capsys, monkeypatch):
     # one classical objective call for the restarts and one per lockstep
-    # step of a chunk, besides one grid call per state; refining state after
-    # state takes about 100 calls per state (825 for these 8)
+    # pass of a chunk, besides one grid call per state; a pass advances every
+    # running search by at least one step, so a chunk makes at most
+    # REFINEMENT_ITERATIONS of them (62 here). Refining state after state
+    # takes about 100 calls per state (825 for these 8)
     import belldyn.cli as cli
     from belldyn import oracle
 

@@ -392,6 +392,15 @@ def test_lockstep_refine_matches_one_search_after_another():
         # two starts settle in different wells of equal depth: the earlier wins
         "tie": [start([2.0, 2.5], 0.5), start([0.25, -0.25], 0.25),
                 start([-0.75, 0.75], 0.25)],
+        # widths that fall below _MIN_WIDTH inside a pass of shrink levels:
+        # at a well's bottom with widths 3e-13 and exactly _MIN_WIDTH, and
+        # 1.5e-13 off it with width 3e-13, which moves at its second level
+        "min_width_inside_pass": [start([0.5, -0.25], 3e-13), start([0.5, -0.25], _MIN_WIDTH),
+                                  start([0.5 + 1.5e-13, -0.25], 3e-13)],
+        # 190 diagonal moves of 2**-10 onto a well's bottom, then shrinks
+        # until the step cap cuts a pass short
+        "cap_inside_pass": [start([0.5 + 190 * 2.0 ** -10, -0.25 + 190 * 2.0 ** -10], 2.0 ** -10),
+                            start([2.1, 2.0], 0.25)],
     }
     def stretched(x, width):
         # a per-coordinate step that depends on the point, as the classical
@@ -417,6 +426,14 @@ def test_lockstep_refine_matches_one_search_after_another():
     assert steps_seen["never_improves"][1] == -1.0
     tie = steps_seen["tie"]
     assert tie[1] == 0.0 and np.array_equal(tie[0], wells[0])
+    # two shrinks; one, as the second level is below _MIN_WIDTH; a move at
+    # the second level, then one shrink
+    assert steps_seen["min_width_inside_pass"][4] == [2, 1, 3]
+    # the last move is step 190, so the shrinks after it run 2 + 4 levels
+    # and then 4 of the 8 the pass would score
+    capped = steps_seen["cap_inside_pass"]
+    assert capped[4][0] == REFINEMENT_ITERATIONS
+    assert np.flatnonzero(np.diff(capped[3][1:REFINEMENT_ITERATIONS + 2]))[-1] + 1 == 190
     # the step hook changes the searches
     assert any(stretched_seen[name][2] != steps_seen[name][2] for name in scenarios)
 
@@ -456,6 +473,56 @@ def test_lockstep_refine_of_many_states_matches_each_state_alone():
                                       proj)
             assert np.array_equal(got[s][0], want[0]) and got[s][1] == want[1], s
             assert got[s][2] == want[2] and np.array_equal(got[s][3], want[3]), s
+
+
+def _sequential_oracle_refine(starts, evaluate, offsets, project=None, *, owner, steps_of=None):
+    # `_refine`'s interface, each state's starts searched one after another
+    # and step by step by `_sequential_refine`
+    out = []
+    for state in range(max(owner) + 1):
+        mine = [s for s, o in zip(starts, owner) if o == state]
+        one = lambda cand, state=state: evaluate(cand[None], np.array([state]))[0]  # noqa: E731
+        x, value, evals, history, _ = _sequential_refine(mine, one, offsets, project, steps_of)
+        out.append((np.array(x), value, evals, history))
+    return out
+
+
+def test_capped_product_search_matches_a_sequential_search(monkeypatch):
+    # a rank-1 state whose product search stops at the step cap (ROADMAP
+    # item 8): the passes must give the step-by-step search's every bit
+    from belldyn import oracle
+
+    r = np.random.default_rng(1)
+    for _ in range(98):
+        g = r.normal(size=(4, 1)) + 1j * r.normal(size=(4, 1))
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    [got] = oracle_closest_product([rho])
+    monkeypatch.setattr(oracle, "_refine", _sequential_oracle_refine)
+    [want] = oracle_closest_product([rho])
+    assert got.evaluations == want.evaluations == 1 + 12 * REFINEMENT_ITERATIONS
+    assert len(got.history) == REFINEMENT_ITERATIONS + 2
+    assert np.array_equal(got.minimizer, want.minimizer) and got.value == want.value
+    assert np.array_equal(got.history, want.history)
+
+
+def test_product_search_on_the_figure_state_takes_few_passes(monkeypatch):
+    # on a Bell-diagonal state the search never leaves the centre: its 44
+    # shrinks from width 1 take passes of 2, 4, 8, 16 and 14 levels, so
+    # the centre and the refinement make 6 objective calls (45 step by step)
+    from belldyn import oracle
+
+    calls = []
+    real = oracle._product_values
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(oracle, "_product_values", counted)
+    [res] = oracle_closest_product([bell_spectrum_to_density(LAM_FIG)])
+    assert len(calls) <= 8
+    assert res.evaluations == 1 + 12 * 44
 
 
 def test_cached_grids_are_read_only():
