@@ -24,8 +24,10 @@ Three families are covered:
   Bloch data, with no 4 x 4 eigensolve.
 
 Each oracle takes a list of states and returns one `OracleResult` per
-state; all the states' refinements run in lockstep, and each state's
-result is the one it would get alone.
+state. All the states' refinements run in lockstep passes, each scoring
+the next few shrink levels of every running search in one objective call,
+and each state's result, its `evaluations` included, is the one a
+step-by-step search of that state alone would give.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ def _offsets(dim: int) -> np.ndarray:
 def _refine(starts, evaluate, offsets, project=None, *, owner, steps_of=None):
     """Shrinking pattern search from each (x0, value0, width0) start.
 
-    Start i searches state owner[i]. Each search steps to its best candidate
+    Start i searches state owner[i]. Each search moves to its best candidate
     x + offset * step whenever that improves, and otherwise shrinks its
     pattern width; the (search, coordinate) steps are steps_of(x, width) of
     the running searches, by default the width in every coordinate. A
