@@ -14,7 +14,11 @@ Three families are covered:
   basis, so the grid holds one hemisphere of directions per qubit, and the
   refinement steps each phi by arc length (width / max(|sin theta|,
   width)), so that a search near a pole still moves by its width, and
-  scores its 80 offsets on the 9 + 9 directions they take per qubit;
+  scores its 80 offsets on the 9 + 9 directions they take per qubit. The
+  grid is screened in float32, and only the rows that hold a cell within
+  a margin (over twice the screen's error bound) of the screen's best are
+  scored exactly, so its start cell and value are the full exact grid's,
+  bit for bit;
 * separable Bell-diagonal states (all coefficients <= 1/2), searched from
   the centre of that convex slice, on which S(rho || sigma) is convex, so
   with no grid;
@@ -230,18 +234,89 @@ def _direction_grid():
     return _frozen(th[keep], ph[keep], _directions(th[keep], ph[keep]))
 
 
-def _classical_values(a_vec, b_vec, corr, ua, ub, s_rho):
-    # the one classical objective of the grid, restarts and refinement: all
-    # (..., m, n) pairs of A directions ua (..., m, 3) and B directions ub
-    # (..., n, 3), with one state's data per leading index
+def _classical_terms(a_vec, b_vec, corr, ua, ub):
+    # alpha = ua.aA (..., m, 1), beta = ub.aB (..., 1, n) and kappa = ua.C.ub
+    # (..., m, n) of A directions ua (..., m, 3) and B directions ub (..., n, 3),
+    # with one state's data per leading index
     alpha = np.matmul(ua, a_vec[..., None])
     beta = np.swapaxes(np.matmul(ub, b_vec[..., None]), -1, -2)
     kappa = ua @ corr @ np.swapaxes(ub, -1, -2)
+    return alpha, beta, kappa
+
+
+def _classical_values(a_vec, b_vec, corr, ua, ub, s_rho):
+    # the exact classical objective of the restarts and the refinement (the
+    # grid's near-best rows are rescored from the same terms): all (..., m, n)
+    # pairs of A directions ua and B directions ub
+    alpha, beta, kappa = _classical_terms(a_vec, b_vec, corr, ua, ub)
     out = np.empty_like(kappa)
     for r in range(0, ua.shape[-2], GRID_POINTS_PER_ANGLE):  # temporaries that fit in cache
         rows = slice(r, r + GRID_POINTS_PER_ANGLE)
         out[..., rows, :] = _dephased_entropy(alpha[..., rows, :], beta, kappa[..., rows, :]) - s_rho
     return out
+
+
+# The grid is screened in float32 and only its near-best rows are scored
+# exactly. Bound on the screen's error, in bits, for the states the oracles
+# accept (|alpha|, |beta|, |kappa| <= 1 and each p in [0, 1] to within 1e-9),
+# with u = 2^-24: rounding alpha, beta and kappa to float32 and the three
+# float32 sums that form q = 4p move q by at most D = 12 u. As q log2 q =
+# 8p - 4 eta(p), with eta(p) = -p log2 p and |eta(x) - eta(y)| <= eta(|x - y|)
+# on [0, 1], that moves q log2 q by at most 4 eta(D / 4) + 2 D = 1.75e-5.
+# A float32 log2 of at most 4 ulp adds 4 * 2^-23 * 8 = 3.8e-6 and the product
+# 8 u = 4.8e-7, as |q log2 q| <= 8; the three sums of the four terms add
+# 3 * 8 u = 1.4e-6. Entropy is 2 - (sum of q log2 q) / 4, so the screen is
+# off by at most (4 * 2.18e-5 + 1.4e-6) / 4 = 2.21e-5 bits, and the exact
+# objective's own float64 rounding is below 1e-14.
+_SCREEN_ERROR_BITS = 2.5e-5
+# A cell at the exact minimum m screens at most m + e, e = _SCREEN_ERROR_BITS,
+# and no cell screens below m - e, so a margin of 2 e keeps every row that
+# holds an exact minimum; 1e-4 also covers a float32 log2 of up to 33 ulp
+_SCREEN_MARGIN_BITS = 1e-4
+# rows per screened chunk: about 0.4 MB of float32 temporaries, small next
+# to the float64 kappa; with 64 rows the allocator handed memory back and
+# faulted it in again on every grid
+_SCREEN_ROWS = 32
+
+
+def _screen(alpha, beta, kappa):
+    # float32 sums of q log2 q over the four q = 4p of each (m, n) pair of one
+    # state, q = (1 + st kappa) + (s alpha + t beta) clipped to >= 1e-30; a
+    # pair's screened entropy is 2 - sum / 4 bits
+    a, b, k = (x.astype(np.float32) for x in (alpha, beta, kappa))
+    ab, a_b = a + b, a - b
+    q = np.empty((4,) + k.shape, dtype=np.float32)
+    np.add(1.0, k, out=q[0])
+    np.subtract(1.0, k, out=q[2])
+    np.subtract(q[0], ab, out=q[1])
+    np.subtract(q[2], a_b, out=q[3])
+    q[0] += ab
+    q[2] += a_b
+    np.maximum(q, np.float32(1e-30), out=q)
+    x = np.log2(q)
+    x *= q
+    return ((x[0] + x[1]) + x[2]) + x[3]
+
+
+def _near_best_rows(alpha, beta, kappa):
+    # the rows of one state's grid that hold a cell whose screened entropy is
+    # within _SCREEN_MARGIN_BITS of the screen's least, in ascending order
+    n = _SCREEN_ROWS
+    top = [_screen(alpha[r:r + n], beta, kappa[r:r + n]).max(axis=1)  # each row's largest sum
+           for r in range(0, len(kappa), n)]
+    best = 2.0 - 0.25 * np.concatenate(top).astype(float)
+    return np.flatnonzero(best <= best.min() + _SCREEN_MARGIN_BITS)
+
+
+def _grid_start(a_vec, b_vec, corr, u, s_rho):
+    # the first least cell (ia, ib) of one state's direction grid in row-major
+    # order, and its exact value, bit for bit: every cell at the exact minimum
+    # lies in a near-best row, so the rows' first least cell is the grid's
+    alpha, beta, kappa = _classical_terms(a_vec, b_vec, corr, u, u)
+    rows = _near_best_rows(alpha, beta, kappa)
+    exact = _dephased_entropy(alpha[rows], beta, kappa[rows]) - s_rho
+    i, ib = divmod(int(np.argmin(exact)), exact.shape[1])
+    return rows[i], ib, float(exact[i, ib])
 
 
 @functools.cache
@@ -287,9 +362,8 @@ def oracle_closest_classical(rhos, seed: int = 0) -> list[OracleResult]:
                                                    s_rho[:, None, None]), axis1=1, axis2=2)
     starts = []
     for k in everyone:
-        grid = _classical_values(a_vec[k], b_vec[k], corr[k], u, u, s_rho[k])
-        ia, ib = np.unravel_index(int(np.argmin(grid)), grid.shape)
-        starts.append((np.array([th[ia], ph[ia], th[ib], ph[ib]]), float(grid[ia, ib]), width0))
+        ia, ib, value = _grid_start(a_vec[k], b_vec[k], corr[k], u, s_rho[k])
+        starts.append((np.array([th[ia], ph[ia], th[ib], ph[ib]]), value, width0))
         starts += [(x, float(v), math.pi / 4.0) for x, v in zip(restarts, restart_values[k])]
 
     found = _refine(starts, evaluate, _offsets(4), owner=np.repeat(everyone, 3),

@@ -484,24 +484,29 @@ def test_verify_certifies_the_printed_kernel(chunk, capsys, monkeypatch):
 
 def test_verify_refines_each_chunk_in_one_lockstep_loop(capsys, monkeypatch):
     # one classical objective call for the restarts and one per lockstep
-    # pass of a chunk, besides one grid call per state; a pass advances every
-    # running search by at least one step, so a chunk makes at most
+    # pass of a chunk, besides one screened grid per state; a pass advances
+    # every running search by at least one step, so a chunk makes at most
     # REFINEMENT_ITERATIONS of them (62 here). Refining state after state
     # takes about 100 calls per state (825 for these 8)
     import belldyn.cli as cli
     from belldyn import oracle
 
     calls = []
-    real = oracle._classical_values
+    real, real_screen = oracle._classical_values, oracle._near_best_rows
 
     def counted(a_vec, *args):
-        calls.append(a_vec.ndim)  # 1: one state's grid, 2: a chunk's searches
+        calls.append(a_vec.ndim)  # 2: a chunk's searches
         return real(a_vec, *args)
 
+    def screened(*args):
+        calls.append("grid")  # one state's screened grid
+        return real_screen(*args)
+
     monkeypatch.setattr(oracle, "_classical_values", counted)
+    monkeypatch.setattr(oracle, "_near_best_rows", screened)
     assert main(["verify", "--n", "8"]) == 0
     chunks = -(-8 // cli._VERIFY_CHUNK)
-    assert calls.count(1) == 8
+    assert calls.count("grid") == 8
     assert 0 < calls.count(2) <= chunks * (oracle.REFINEMENT_ITERATIONS + 1)
     capsys.readouterr()
 

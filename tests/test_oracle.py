@@ -22,20 +22,25 @@ from belldyn.linalg import (
 from belldyn.nonmarkov import detect_switching_times
 from belldyn.oracle import (
     _MIN_WIDTH,
+    _SCREEN_ERROR_BITS,
     GRID_POINTS_PER_ANGLE,
     REFINEMENT_ITERATIONS,
     REFINEMENT_SHRINK,
+    _classical_terms,
     _classical_values,
     _dephased_entropy,
     _direction_grid,
     _directions,
     _arc_length_steps,
     _dot3,
+    _grid_start,
+    _near_best_rows,
     _offsets,
     _pauli_data,
     _product_states,
     _product_values,
     _refine,
+    _screen,
     _stencil,
     oracle_closest_classical,
     oracle_closest_product,
@@ -312,6 +317,69 @@ def test_classical_evaluations_count_the_hemisphere_grid():
         steps = len(res.history) - 4
         assert steps > 0
         assert res.evaluations == 265 ** 2 + 2 + steps * len(_offsets(4))
+
+
+# states on which the screened grid must give the full grid's start: sparse
+# and flat Bell spectra, general states of each rank, the golden edge spectra,
+# tied grids (every cell or whole rings of cells at the minimum), and near
+# ties across rows: mixtures (1 - x) rho1 + x rho2 of pairs of seeded rank-4
+# states at the x where the grid's first least cell moves to another row.
+# There the two cells differ by at most 4.4e-16 bits; with numpy 2.4 the
+# screen's best row is not the exact one's on each, and a margin of 1e-7 bits
+# fails
+TIED_SPECTRA = ([0.25, 0.25, 0.25, 0.25], [0.4, 0.2, 0.2, 0.2], [1.0, 0.0, 0.0, 0.0])
+ROW_CROSSINGS = {1: "0x1.742d37bd5c314p-4", 6: "0x1.29660eaff02ebp-4",
+                 15: "0x1.2e2ac84f92af8p-3", 21: "0x1.c709a0de5406fp-6"}
+
+
+def _screen_survey():
+    rng = np.random.default_rng(61)
+    states = [bell_spectrum_to_density(rng.dirichlet(np.full(4, a))) for a in (1.0, 0.05)
+              for _ in range(24)]
+    states += [_general_state(rng, rank) for rank in (1, 2, 3, 4) for _ in range(12)]
+    states += [bell_spectrum_to_density(lam) for lam in (*EDGE_SPECTRA, *TIED_SPECTRA)]
+    rng = np.random.default_rng(7)
+    pairs = [(_general_state(rng, 4), _general_state(rng, 4))
+             for _ in range(max(ROW_CROSSINGS) + 1)]
+    for k, x in ROW_CROSSINGS.items():
+        x = float.fromhex(x)
+        states.append((1.0 - x) * pairs[k][0] + x * pairs[k][1])
+    return states
+
+
+def test_screened_grid_start_keeps_every_bit_of_the_full_grid():
+    # the first least cell of the full exact grid in row-major order, and its
+    # value bit for bit, from the screen and the exact rescoring of its
+    # near-best rows
+    _, _, u = _direction_grid()
+    for n, rho in enumerate(_screen_survey()):
+        a_vec, b_vec, corr = _pauli_data(rho)
+        s_rho = von_neumann_entropy(rho)
+        grid = _classical_values(a_vec, b_vec, corr, u, u, s_rho)
+        ia, ib = np.unravel_index(int(np.argmin(grid)), grid.shape)
+        got = _grid_start(a_vec, b_vec, corr, u, s_rho)
+        assert got[:2] == (ia, ib), n
+        assert got[2].hex() == float(grid[ia, ib]).hex(), n
+
+
+def test_screen_stays_within_its_bound_and_rescores_few_rows():
+    _, _, u = _direction_grid()
+    worst = 0.0
+    for rho in _screen_survey():
+        a_vec, b_vec, corr = _pauli_data(rho)
+        screened = 2.0 - 0.25 * _screen(*_classical_terms(a_vec, b_vec, corr, u, u)).astype(float)
+        exact = _classical_values(a_vec, b_vec, corr, u, u, 0.0)
+        worst = max(worst, np.max(np.abs(screened - exact)))
+    assert worst <= _SCREEN_ERROR_BITS
+
+    def rows(lam):
+        a_vec, b_vec, corr = _pauli_data(bell_spectrum_to_density(lam))
+        return len(_near_best_rows(*_classical_terms(a_vec, b_vec, corr, u, u)))
+
+    # the figure state is scored exactly on at most 2 of the 265 rows; on a
+    # fully tied grid every row is kept, which is the exact grid
+    assert rows(LAM_FIG) <= 2
+    assert rows(TIED_SPECTRA[0]) == len(u) == 265
 
 
 def test_oracle_confirms_fresh_classical_construction_after_switch():
