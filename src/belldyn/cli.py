@@ -275,7 +275,7 @@ def cmd_verify(args) -> int:
         # family's closest-state distance is D, E or T
         t, d, _, e = bell_quantifiers(np.array(states))
         checks = {
-            "classical": (d, oracle_closest_classical(rhos, seed=args.seed)),
+            "classical": (d, oracle_closest_classical(rhos)),
             "separable": (e, oracle_closest_separable_bd(states)),
             "product": (t, oracle_closest_product(rhos)),
         }
@@ -332,7 +332,8 @@ _OPTIONS = {
                               "verbatim (default rhp)"),
     "--output": dict(default="-", help="output path, '-' for stdout (default)"),
     "--format": dict(choices=("csv", "json"), default="csv", help="table format (default csv)"),
-    "--seed": dict(type=int, default=0, help="seed for the random states and oracle restarts"),
+    "--seed": dict(type=int, default=0,
+                   help="seed for the random states (default 0; ignored when --initial is given)"),
     "--n": dict(type=int, default=100,
                 help="number of seeded random Bell-diagonal states (default 100; "
                      "ignored when --initial is given)"),

@@ -2,7 +2,7 @@
 
 These searches are deliberately independent of the closed-form closest
 states in `belldyn.correlations`: they run a shrinking pattern search from
-the best cell of a coarse grid (classical) or from the centre of the family
+the best cells of a coarse grid (classical) or from the centre of the family
 (separable and product), and report the minimum found. They exist to
 certify the analytic formulas, so they never assume them.
 
@@ -15,10 +15,12 @@ Three families are covered:
   refinement steps each phi by arc length (width / max(|sin theta|,
   width)), so that a search near a pole still moves by its width, and
   scores its 80 offsets on the 9 + 9 directions they take per qubit. The
-  grid is screened in float32, and only the rows that hold a cell within
-  a margin (over twice the screen's error bound) of the screen's best are
-  scored exactly, so its start cell and value are the full exact grid's,
-  bit for bit;
+  grid is screened once in float32. Each start is the first least of the
+  eligible cells (all, then those over 60 degrees from the first start on
+  a qubit), and only rows whose best eligible screened cell lies within a
+  margin (over twice the screen's error bound) of the least are scored
+  exactly, so each start and its value are the full exact grid's, bit for
+  bit;
 * separable Bell-diagonal states (all coefficients <= 1/2), searched from
   the centre of that convex slice, on which S(rho || sigma) is convex, so
   with no grid;
@@ -245,9 +247,9 @@ def _classical_terms(a_vec, b_vec, corr, ua, ub):
 
 
 def _classical_values(a_vec, b_vec, corr, ua, ub, s_rho):
-    # the exact classical objective of the restarts and the refinement (the
-    # grid's near-best rows are rescored from the same terms): all (..., m, n)
-    # pairs of A directions ua and B directions ub
+    # the exact classical objective of the refinement (the grid's near-best
+    # rows are rescored from the same terms): all (..., m, n) pairs of A
+    # directions ua and B directions ub
     alpha, beta, kappa = _classical_terms(a_vec, b_vec, corr, ua, ub)
     out = np.empty_like(kappa)
     for r in range(0, ua.shape[-2], GRID_POINTS_PER_ANGLE):  # temporaries that fit in cache
@@ -277,45 +279,44 @@ _SCREEN_MARGIN_BITS = 1e-4
 # to the float64 kappa; with 64 rows the allocator handed memory back and
 # faulted it in again on every grid
 _SCREEN_ROWS = 32
+# pattern search finds only its start's basin, so the second start (over 60
+# degrees from the first on a qubit) is refined when within this of the first
+_SECOND_START_BITS = 3e-2
 
 
 def _screen(alpha, beta, kappa):
     # float32 sums of q log2 q over the four q = 4p of each (m, n) pair of one
-    # state, q = (1 + st kappa) + (s alpha + t beta) clipped to >= 1e-30; a
-    # pair's screened entropy is 2 - sum / 4 bits
-    a, b, k = (x.astype(np.float32) for x in (alpha, beta, kappa))
-    ab, a_b = a + b, a - b
-    q = np.empty((4,) + k.shape, dtype=np.float32)
-    np.add(1.0, k, out=q[0])
-    np.subtract(1.0, k, out=q[2])
-    np.subtract(q[0], ab, out=q[1])
-    np.subtract(q[2], a_b, out=q[3])
-    q[0] += ab
-    q[2] += a_b
-    np.maximum(q, np.float32(1e-30), out=q)
-    x = np.log2(q)
-    x *= q
-    return ((x[0] + x[1]) + x[2]) + x[3]
+    # state, q = (1 + st kappa) + (s alpha + t beta) clipped to >= 1e-30, in
+    # chunks of _SCREEN_ROWS rows; a pair's screened entropy is 2 - sum / 4 bits
+    out = np.empty(kappa.shape, dtype=np.float32)
+    for r in range(0, len(kappa), _SCREEN_ROWS):
+        rows = slice(r, r + _SCREEN_ROWS)
+        a, b, k = (x.astype(np.float32) for x in (alpha[rows], beta, kappa[rows]))
+        ab, a_b = a + b, a - b
+        q = np.empty((4,) + k.shape, dtype=np.float32)
+        np.add(1.0, k, out=q[0])
+        np.subtract(1.0, k, out=q[2])
+        np.subtract(q[0], ab, out=q[1])
+        np.subtract(q[2], a_b, out=q[3])
+        q[0] += ab
+        q[2] += a_b
+        np.maximum(q, np.float32(1e-30), out=q)
+        x = np.log2(q)
+        x *= q
+        out[rows] = ((x[0] + x[1]) + x[2]) + x[3]
+    return out
 
 
-def _near_best_rows(alpha, beta, kappa):
-    # the rows of one state's grid that hold a cell whose screened entropy is
-    # within _SCREEN_MARGIN_BITS of the screen's least, in ascending order
-    n = _SCREEN_ROWS
-    top = [_screen(alpha[r:r + n], beta, kappa[r:r + n]).max(axis=1)  # each row's largest sum
-           for r in range(0, len(kappa), n)]
-    best = 2.0 - 0.25 * np.concatenate(top).astype(float)
-    return np.flatnonzero(best <= best.min() + _SCREEN_MARGIN_BITS)
-
-
-def _grid_start(a_vec, b_vec, corr, u, s_rho):
-    # the first least cell (ia, ib) of one state's direction grid in row-major
-    # order, and its exact value, bit for bit: every cell at the exact minimum
-    # lies in a near-best row, so the rows' first least cell is the grid's
-    alpha, beta, kappa = _classical_terms(a_vec, b_vec, corr, u, u)
-    rows = _near_best_rows(alpha, beta, kappa)
+def _least_cell(screened, alpha, beta, kappa, s_rho, eligible):
+    # the first least eligible cell (ia, ib) of one state's direction grid in
+    # row-major order, and its exact value, bit for bit. Only the rows whose
+    # best eligible screened cell lies within _SCREEN_MARGIN_BITS of the least
+    # one are scored exactly; every eligible cell at the exact minimum lies in
+    # such a row, so their first least eligible cell is the whole grid's
+    best = 2.0 - 0.25 * np.where(eligible, screened, -math.inf).max(axis=1).astype(float)
+    rows = np.flatnonzero(best <= best.min() + _SCREEN_MARGIN_BITS)
     exact = _dephased_entropy(alpha[rows], beta, kappa[rows]) - s_rho
-    i, ib = divmod(int(np.argmin(exact)), exact.shape[1])
+    i, ib = divmod(int(np.argmin(np.where(eligible[rows], exact, math.inf))), exact.shape[1])
     return rows[i], ib, float(exact[i, ib])
 
 
@@ -328,15 +329,15 @@ def _stencil():
     return _frozen(ia, ib, np.unique(ia, return_index=True)[1], np.unique(ib, return_index=True)[1])
 
 
-def oracle_closest_classical(rhos, seed: int = 0) -> list[OracleResult]:
+def oracle_closest_classical(rhos) -> list[OracleResult]:
     """Minimize S(rho || chi) over classical states chi, for each state rho
     of `rhos`; returns one result per state.
 
     For each product basis the optimal classical diagonal equals the
     dephased diagonal of rho, so only the four local angles are searched:
-    a full coarse grid, then pattern refinement from the best cell and
-    from two random restarts drawn from `seed`. Every state gets the same
-    restarts, and all refinements run in lockstep.
+    a full coarse grid, then pattern refinement from its best cell and from
+    its best cell over 60 degrees from that on a qubit, if that one scores
+    near the first. All refinements run in lockstep.
     """
     states, s_rho = _checked(rhos, "oracle_closest_classical")
     if not states:
@@ -353,26 +354,24 @@ def oracle_closest_classical(rhos, seed: int = 0) -> list[OracleResult]:
 
     th, ph, u = _direction_grid()
     width0 = max(math.pi / (GRID_POINTS_PER_ANGLE - 1), 2.0 * math.pi / GRID_POINTS_PER_ANGLE)
-    rng = np.random.default_rng(seed)
-    spans = (math.pi, 2.0 * math.pi, math.pi, 2.0 * math.pi)
-    restarts = np.array([[rng.uniform(0.0, hi) for hi in spans] for _ in range(2)])
-    everyone = np.arange(len(states))
-    ur = _directions(restarts[:, 0::2], restarts[:, 1::2])  # (restart, qubit, 3)
-    restart_values = np.diagonal(_classical_values(a_vec, b_vec, corr, ur[:, 0], ur[:, 1],
-                                                   s_rho[:, None, None]), axis1=1, axis2=2)
-    starts = []
-    for k in everyone:
-        ia, ib, value = _grid_start(a_vec[k], b_vec[k], corr[k], u, s_rho[k])
-        starts.append((np.array([th[ia], ph[ia], th[ib], ph[ib]]), value, width0))
-        starts += [(x, float(v), math.pi / 4.0) for x, v in zip(restarts, restart_values[k])]
+    starts, owner = [], []
+    for k in range(len(states)):
+        terms = _classical_terms(a_vec[k], b_vec[k], corr[k], u, u)
+        screened = _screen(*terms)
+        first = _least_cell(screened, *terms, s_rho[k], np.ones(screened.shape, dtype=bool))
+        far = np.abs(u @ u[list(first[:2])].T) <= 0.5  # (direction, qubit): over 60 degrees off
+        second = _least_cell(screened, *terms, s_rho[k], far[:, :1] | far[:, 1])
+        near = second[2] - first[2] <= _SECOND_START_BITS
+        for ia, ib, value in [first, second] if near else [first]:
+            starts.append((np.array([th[ia], ph[ia], th[ib], ph[ib]]), value, width0))
+            owner.append(k)
 
-    found = _refine(starts, evaluate, _offsets(4), owner=np.repeat(everyone, 3),
-                    steps_of=_arc_length_steps)
+    found = _refine(starts, evaluate, _offsets(4), owner=owner, steps_of=_arc_length_steps)
     return [
         OracleResult(
             minimizer=_dephase(a, x),
             value=float(_clamp_residue(value)),
-            evaluations=len(u) ** 2 + len(restarts) + evals,
+            evaluations=len(u) ** 2 + evals,
             history=history,
         )
         for a, (x, value, evals, history) in zip(states, found)

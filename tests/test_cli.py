@@ -411,9 +411,9 @@ def test_verify_failure_exits_4(tmp_path, monkeypatch, capsys):
 
     real = cli.oracle_closest_classical
 
-    def broken(rhos, seed):
+    def broken(rhos):
         return [OracleResult(res.minimizer, res.value + 0.01, res.evaluations, res.history)
-                for res in real(rhos, seed)]
+                for res in real(rhos)]
 
     monkeypatch.setattr(cli, "oracle_closest_classical", broken)
     out = tmp_path / "verify.json"
@@ -483,16 +483,15 @@ def test_verify_certifies_the_printed_kernel(chunk, capsys, monkeypatch):
 
 
 def test_verify_refines_each_chunk_in_one_lockstep_loop(capsys, monkeypatch):
-    # one classical objective call for the restarts and one per lockstep
-    # pass of a chunk, besides one screened grid per state; a pass advances
-    # every running search by at least one step, so a chunk makes at most
-    # REFINEMENT_ITERATIONS of them (62 here). Refining state after state
-    # takes about 100 calls per state (825 for these 8)
+    # one classical objective call per lockstep pass of a chunk, besides one
+    # screened grid per state; a pass advances every running search by at
+    # least one step, so a chunk makes at most REFINEMENT_ITERATIONS of them
+    # (28 here). Refining the 8 states one after another takes 147 calls
     import belldyn.cli as cli
     from belldyn import oracle
 
     calls = []
-    real, real_screen = oracle._classical_values, oracle._near_best_rows
+    real, real_screen = oracle._classical_values, oracle._screen
 
     def counted(a_vec, *args):
         calls.append(a_vec.ndim)  # 2: a chunk's searches
@@ -503,24 +502,25 @@ def test_verify_refines_each_chunk_in_one_lockstep_loop(capsys, monkeypatch):
         return real_screen(*args)
 
     monkeypatch.setattr(oracle, "_classical_values", counted)
-    monkeypatch.setattr(oracle, "_near_best_rows", screened)
+    monkeypatch.setattr(oracle, "_screen", screened)
     assert main(["verify", "--n", "8"]) == 0
     chunks = -(-8 // cli._VERIFY_CHUNK)
     assert calls.count("grid") == 8
-    assert 0 < calls.count(2) <= chunks * (oracle.REFINEMENT_ITERATIONS + 1)
+    assert 0 < calls.count(2) <= chunks * oracle.REFINEMENT_ITERATIONS
     capsys.readouterr()
 
 
 def test_verify_classical_searches_stop_near_the_poles(capsys, monkeypatch):
-    # restarts that walk to theta = 0 or pi used to keep the lockstep loop
-    # running to the step cap: 201 calls for this chunk
+    # searches that walk to theta = 0 or pi, where a phi step turns the
+    # direction by almost nothing, used to keep the lockstep loop running to
+    # the step cap: 201 calls for this chunk
     from belldyn import oracle
 
     calls = []
     real = oracle._classical_values
 
     def counted(a_vec, *args):
-        calls.append(a_vec.ndim)  # 1: one state's grid, 2: the chunk's searches
+        calls.append(a_vec.ndim)  # 2: the chunk's searches, one call per pass
         return real(a_vec, *args)
 
     monkeypatch.setattr(oracle, "_classical_values", counted)

@@ -1,4 +1,6 @@
+import json
 import math
+import pathlib
 import subprocess
 import sys
 import warnings
@@ -33,8 +35,7 @@ from belldyn.oracle import (
     _directions,
     _arc_length_steps,
     _dot3,
-    _grid_start,
-    _near_best_rows,
+    _least_cell,
     _offsets,
     _pauli_data,
     _product_states,
@@ -107,10 +108,10 @@ def test_each_oracle_of_no_states_is_empty():
     assert oracle_closest_product([]) == []
 
 
-def test_deterministic_given_seed():
+def test_each_oracle_is_deterministic():
     rho = bell_spectrum_to_density([0.55, 0.3, 0.1, 0.05])
     for call in (
-        lambda: oracle_closest_classical([rho], seed=42)[0],
+        lambda: oracle_closest_classical([rho])[0],
         lambda: oracle_closest_separable_bd([np.array([0.55, 0.3, 0.1, 0.05])])[0],
         lambda: oracle_closest_product([rho])[0],
     ):
@@ -310,13 +311,16 @@ def test_hemisphere_grid_minimum_equals_the_full_grid_minimum():
 
 
 def test_classical_evaluations_count_the_hemisphere_grid():
-    # 265^2 grid pairs, the two restarts and one pattern per refinement step;
-    # the history holds the lead value, each start's value and one per step
-    for rho in (bell_spectrum_to_density(LAM_FIG), _general_state(np.random.default_rng(5), 4)):
-        res = oracle_closest_classical([rho], seed=3)[0]
-        steps = len(res.history) - 4
+    # 265^2 grid pairs and one pattern per refinement step; the history holds
+    # the lead value, each start's value and one per step. The figure state's
+    # second start scores far above its first and is not refined; the seed-852
+    # state's is
+    for rho, starts in ((bell_spectrum_to_density(LAM_FIG), 1),
+                        (_general_state(np.random.default_rng(852), 2), 2)):
+        res = oracle_closest_classical([rho])[0]
+        steps = len(res.history) - 1 - starts
         assert steps > 0
-        assert res.evaluations == 265 ** 2 + 2 + steps * len(_offsets(4))
+        assert res.evaluations == 265 ** 2 + steps * len(_offsets(4))
 
 
 # states on which the screened grid must give the full grid's start: sparse
@@ -348,21 +352,31 @@ def _screen_survey():
 
 
 def test_screened_grid_start_keeps_every_bit_of_the_full_grid():
-    # the first least cell of the full exact grid in row-major order, and its
-    # value bit for bit, from the screen and the exact rescoring of its
-    # near-best rows
+    # each start is the first least eligible cell of the full exact grid in
+    # row-major order, and its value bit for bit, from the screen and the
+    # exact rescoring of its near-best rows: the first of every cell, the
+    # second of the cells over 60 degrees from the first on a qubit
     _, _, u = _direction_grid()
     for n, rho in enumerate(_screen_survey()):
         a_vec, b_vec, corr = _pauli_data(rho)
         s_rho = von_neumann_entropy(rho)
         grid = _classical_values(a_vec, b_vec, corr, u, u, s_rho)
-        ia, ib = np.unravel_index(int(np.argmin(grid)), grid.shape)
-        got = _grid_start(a_vec, b_vec, corr, u, s_rho)
-        assert got[:2] == (ia, ib), n
-        assert got[2].hex() == float(grid[ia, ib]).hex(), n
+        terms = _classical_terms(a_vec, b_vec, corr, u, u)
+        screened = _screen(*terms)
+        eligible = np.ones(grid.shape, dtype=bool)
+        for start in ("first", "second"):
+            masked = np.where(eligible, grid, np.inf)
+            ia, ib = np.unravel_index(int(np.argmin(masked)), grid.shape)
+            got = _least_cell(screened, *terms, s_rho, eligible)
+            assert got[:2] == (ia, ib), (n, start)
+            assert got[2].hex() == float(grid[ia, ib]).hex(), (n, start)
+            far_a, far_b = np.abs(u @ u[ia]) <= 0.5, np.abs(u @ u[ib]) <= 0.5
+            eligible = far_a[:, None] | far_b[None, :]
 
 
-def test_screen_stays_within_its_bound_and_rescores_few_rows():
+def test_screen_stays_within_its_bound_and_rescores_few_rows(monkeypatch):
+    from belldyn import oracle
+
     _, _, u = _direction_grid()
     worst = 0.0
     for rho in _screen_survey():
@@ -372,14 +386,46 @@ def test_screen_stays_within_its_bound_and_rescores_few_rows():
         worst = max(worst, np.max(np.abs(screened - exact)))
     assert worst <= _SCREEN_ERROR_BITS
 
+    real, scored = oracle._dephased_entropy, []
+
+    def rescored(alpha, *args):
+        scored.append(len(alpha))
+        return real(alpha, *args)
+
     def rows(lam):
+        # the rows the first start rescores exactly
         a_vec, b_vec, corr = _pauli_data(bell_spectrum_to_density(lam))
-        return len(_near_best_rows(*_classical_terms(a_vec, b_vec, corr, u, u)))
+        terms = _classical_terms(a_vec, b_vec, corr, u, u)
+        screened = _screen(*terms)
+        _least_cell(screened, *terms, 0.0, np.ones(screened.shape, dtype=bool))
+        return scored.pop()
+
+    monkeypatch.setattr(oracle, "_dephased_entropy", rescored)
 
     # the figure state is scored exactly on at most 2 of the 265 rows; on a
     # fully tied grid every row is kept, which is the exact grid
     assert rows(LAM_FIG) <= 2
     assert rows(TIED_SPECTRA[0]) == len(u) == 265
+
+
+# general states g g^dagger / Tr with g a 4 x rank complex Gaussian, drawn in
+# order from each recipe's numpy seed, and the least classical value found
+# for each by the oracle when it refined two random restarts as well as the
+# grid start, over restart seeds 0-7. The seed-852 rank-2 state has two
+# basins 1.03e-3 bits apart, and half of those seeds missed the lower one
+SURVEY = pathlib.Path(__file__).parent / "data" / "general_survey.json"
+
+
+def test_classical_oracle_meets_the_general_survey():
+    states, reference = [], []
+    for recipe in json.loads(SURVEY.read_text(encoding="utf-8"))["recipes"]:
+        rng = np.random.default_rng(recipe["seed"])
+        states += [_general_state(rng, recipe["rank"]) for _ in range(recipe["count"])]
+        reference += [float.fromhex(v) for v in recipe["classical"]]
+    assert len(states) == len(reference) == 161
+    got = [res.value for res in oracle_closest_classical(states)]
+    missed = [(n, v - ref) for n, (v, ref) in enumerate(zip(got, reference)) if v > ref + 1e-12]
+    assert missed == []
 
 
 def test_oracle_confirms_fresh_classical_construction_after_switch():
@@ -723,7 +769,7 @@ def test_dephased_entropy_keeps_every_bit_of_the_clip_form():
     # 0-d scalars, and alpha = beta = kappa = 1, where every term is 0
     cases += [(0.3, -0.2, 0.1), (np.float64(0.9), np.float64(0.8), np.float64(0.75)),
               (1.0, 1.0, 1.0), (np.ones((2, 1)), np.ones((1, 3)), np.ones((2, 3)))]
-    # the restarts, as oracle_closest_classical batches them: (n, 2, 1) x (n, 1, 2)
+    # a stack of 2 x 2 blocks, one per state: (n, 2, 1) x (n, 1, 2)
     data = [_pauli_data(_general_state(rng, rank)) for rank in (4, 3, 2, 1, 2)]
     a_vec, b_vec, corr = (np.array(x) for x in zip(*data))
     ur = _directions(rng.uniform(0, math.pi, (2, 2)), rng.uniform(0, 2 * math.pi, (2, 2)))
@@ -780,7 +826,7 @@ def test_directions_keep_every_bit_of_the_stack_form():
     rng = np.random.default_rng(59)
     th, ph, u = _direction_grid()
     _assert_same_bits(u, _ref_directions(th, ph))
-    for shape in ((12, 9), (2, 2), ()):  # stencil, restarts, one scalar
+    for shape in ((12, 9), (2, 2), ()):  # stencil, a small block, one scalar
         theta, phi = rng.uniform(0, math.pi, shape), rng.uniform(0, 2 * math.pi, shape)
         _assert_same_bits(_directions(theta, phi), _ref_directions(theta, phi))
     _assert_same_bits(_directions(0.4, 5.0), _ref_directions(0.4, 5.0))

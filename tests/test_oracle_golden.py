@@ -90,9 +90,7 @@ def _cases():
     states = {name: (bell_spectrum_to_density(lam), lam) for name, lam in _spectra().items()}
     states.update({name: (rho, None) for name, rho in _general_states().items()})
     for name, (rho, lam) in states.items():
-        for seed in (0, 3):
-            yield (f"{name}/classical/seed{seed}",
-                   partial(oracle_closest_classical, [rho], seed=seed))
+        yield f"{name}/classical", partial(oracle_closest_classical, [rho])
         if lam is not None:
             yield f"{name}/separable", partial(oracle_closest_separable_bd, [lam])
         yield f"{name}/product", partial(oracle_closest_product, [rho])
@@ -127,9 +125,8 @@ def _batched_digests(names, states, spectra) -> dict:
     rhos = [states[name] for name in names]
     bd = [name for name in names if name in spectra]
     got = {}
-    for seed in (0, 3):
-        results = oracle_closest_classical(rhos, seed=seed)
-        got.update({f"{name}/classical/seed{seed}": _digest(r) for name, r in zip(names, results)})
+    results = oracle_closest_classical(rhos)
+    got.update({f"{name}/classical": _digest(r) for name, r in zip(names, results)})
     results = oracle_closest_separable_bd([spectra[name] for name in bd])
     got.update({f"{name}/separable": _digest(r) for name, r in zip(bd, results)})
     results = oracle_closest_product(rhos)
