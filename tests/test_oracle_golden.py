@@ -40,6 +40,15 @@ and the length of `history` only; no value or minimizer moved by a single
 bit (the largest value move is 0 bits), and the summed `evaluations` fell
 from 32,979 to 12,607; no classical or separable entry moved.
 
+The 38 `*/classical/seed{0,3}` entries became 19 `*/classical` entries
+when the classical oracle dropped its `seed` and its two random restarts,
+to refine the grid's best cell and, when it scores within 3e-2 bits of
+that, the grid's best cell over 60 degrees from it on a qubit: all 19
+moved against both seeds. Against seed 0, 6 values moved, the largest by
+3.1e-15 bits (`fig`, up); against seed 3, 7 moved, the largest by 6.7e-16
+bits. The summed `evaluations` fell from 1,628,713 (seed 0) and 1,631,993
+(seed 3) to 1,433,875; no separable or product entry moved.
+
 Any change to the search order, the grids or the relative-entropy kernel
 that moves a single bit fails here. `python tests/test_oracle_golden.py`
 prints the digests of the current code as JSON.
