@@ -250,12 +250,7 @@ def _classical_values(a_vec, b_vec, corr, ua, ub, s_rho):
     # the exact classical objective of the refinement (the grid's near-best
     # rows are rescored from the same terms): all (..., m, n) pairs of A
     # directions ua and B directions ub
-    alpha, beta, kappa = _classical_terms(a_vec, b_vec, corr, ua, ub)
-    out = np.empty_like(kappa)
-    for r in range(0, ua.shape[-2], GRID_POINTS_PER_ANGLE):  # temporaries that fit in cache
-        rows = slice(r, r + GRID_POINTS_PER_ANGLE)
-        out[..., rows, :] = _dephased_entropy(alpha[..., rows, :], beta, kappa[..., rows, :]) - s_rho
-    return out
+    return _dephased_entropy(*_classical_terms(a_vec, b_vec, corr, ua, ub)) - s_rho
 
 
 # The grid is screened in float32 and only its near-best rows are scored
@@ -313,9 +308,12 @@ def _least_cell(screened, alpha, beta, kappa, s_rho, eligible):
     # best eligible screened cell lies within _SCREEN_MARGIN_BITS of the least
     # one are scored exactly; every eligible cell at the exact minimum lies in
     # such a row, so their first least eligible cell is the whole grid's
-    best = 2.0 - 0.25 * np.where(eligible, screened, -math.inf).max(axis=1).astype(float)
+    best = 2.0 - 0.25 * screened.max(axis=1, where=eligible, initial=-math.inf).astype(float)
     rows = np.flatnonzero(best <= best.min() + _SCREEN_MARGIN_BITS)
-    exact = _dephased_entropy(alpha[rows], beta, kappa[rows]) - s_rho
+    exact = np.empty((len(rows), kappa.shape[1]))
+    for r in range(0, len(rows), GRID_POINTS_PER_ANGLE):  # temporaries that fit in cache
+        part = rows[r:r + GRID_POINTS_PER_ANGLE]
+        exact[r:r + len(part)] = _dephased_entropy(alpha[part], beta, kappa[part]) - s_rho
     i, ib = divmod(int(np.argmin(np.where(eligible[rows], exact, math.inf))), exact.shape[1])
     return rows[i], ib, float(exact[i, ib])
 
