@@ -254,6 +254,8 @@ def _verify_chunks(args):
         return
     if args.n < 1:
         raise InputError("--n must be at least 1")
+    if args.seed < 0:
+        raise InputError("--seed must be non-negative")
     rng = np.random.default_rng(args.seed)
     for first in range(0, args.n, _VERIFY_CHUNK):
         size = min(_VERIFY_CHUNK, args.n - first)
@@ -261,8 +263,6 @@ def _verify_chunks(args):
 
 
 def cmd_verify(args) -> int:
-    if args.seed < 0:
-        raise InputError("--seed must be non-negative")
     families = {
         name: {"max_discrepancy_bits": 0.0, "analytic_bits": 0.0,
                "oracle_bits": 0.0, "worst_state": None}

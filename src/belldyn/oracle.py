@@ -96,6 +96,11 @@ def _refine(starts, evaluate, offsets, project=None, *, owner, steps_of=None):
     left and by its levels of width >= _MIN_WIDTH. The objectives are
     row-independent, so each search ends as if run alone, step by step.
 
+    Only the candidate stack, its objective call and one argmin per pass
+    run in numpy. The per-search bookkeeping (levels, first improving
+    level, shrink or move) works on a few to a few dozen searches, where a
+    plain loop over Python lists costs less than numpy's per-call overhead.
+
     Returns per state the best point and value over its starts (the
     earliest wins a tie), the number of objective evaluations of that
     step-by-step search (len(offsets) per step, levels scored only in
@@ -104,58 +109,62 @@ def _refine(starts, evaluate, offsets, project=None, *, owner, steps_of=None):
     """
     owner = np.asarray(owner, dtype=int)
     x = np.array([x0 for x0, _, _ in starts], dtype=float)
-    value = np.array([value0 for _, value0, _ in starts], dtype=float)
-    width = np.array([width0 for _, _, width0 in starts], dtype=float)
-    steps = np.zeros(len(starts), dtype=int)
-    depth = np.full(len(starts), 2)
-    # every search's value after each step: +inf where the step made no
-    # move, filled below by the running minimum, since moves only improve
-    values = np.full((REFINEMENT_ITERATIONS + 1, len(starts)), math.inf)
-    values[0] = value
+    width = [float(width0) for _, _, width0 in starts]
+    steps = [0] * len(starts)
+    depth = [2] * len(starts)
+    # each search's value after each of its steps, led by its start value
+    trace = [[float(value0)] for _, value0, _ in starts]
     moves = offsets.T.copy()  # (coordinate, offset), contiguous for the broadcast below
+    running = range(len(starts))
     while True:
-        active = np.flatnonzero((width >= _MIN_WIDTH) & (steps < REFINEMENT_ITERATIONS))
-        if not len(active):
+        # (search, its first row, its levels, the width below its last
+        # level) of each running search, then the row's search and width
+        passing, search, levels = [], [], []
+        for i in running:
+            w, n, d = width[i], 0, min(depth[i], REFINEMENT_ITERATIONS - steps[i])
+            while n < d and w >= _MIN_WIDTH:
+                levels.append(w)
+                w *= REFINEMENT_SHRINK
+                n += 1
+            if n:
+                passing.append((i, len(search), n, w))
+                search += [i] * n
+        if not passing:
             break
-        d = np.minimum(depth[active], REFINEMENT_ITERATIONS - steps[active])
-        k = np.arange(d.max())
-        levels = width[active, None] * REFINEMENT_SHRINK ** k  # (search, level) widths
-        rows = (levels >= _MIN_WIDTH) & (k < d[:, None])
-        search = np.nonzero(rows)[0]  # search-major, level-minor
-        xs, ws = x[active[search]], levels[rows]
+        search = np.array(search)
+        xs, ws = x[search], np.array(levels)
         step = ws[:, None] if steps_of is None else steps_of(xs, ws)
         # the coordinate axis outermost, as numpy broadcasts over a last axis
         # of len(offsets) faster than over one of len(x)
         cand = (xs[:, :, None] + step[:, :, None] * moves).swapaxes(1, 2)
         if project is not None:
             cand = project(cand)
-        vals = evaluate(cand, owner[active[search]])
+        vals = evaluate(cand, owner[search])
         j = np.argmin(vals, axis=1)
-        best = vals[np.arange(len(search)), j]
-        better = np.zeros_like(rows)
-        better[rows] = best < value[active[search]]
-        moved = better.any(axis=1)
-        first = np.argmax(better, axis=1)  # the first improving level
-        count = rows.sum(axis=1)
-        row = (np.cumsum(count) - count + first)[moved]
-        shrinks = np.where(moved, first, count)
-        width[active] *= REFINEMENT_SHRINK ** shrinks
-        steps[active] += shrinks + moved
-        depth[active] = np.where(moved, 2, 2 * depth[active])
-        i = active[moved]
-        value[i] = best[row]
-        x[i] = cand[row, j[row]]
-        values[steps[i], i] = value[i]
-    values = np.minimum.accumulate(values, axis=0)
+        best = vals[np.arange(len(search)), j].tolist()
+        moved, rows = [], []
+        for i, row, n, w in passing:
+            value, k = trace[i][-1], 0
+            while k < n and not best[row + k] < value:  # the first improving level
+                k += 1
+            trace[i] += [value] * k
+            if k < n:  # k shrinks and a move
+                trace[i].append(best[row + k])
+                width[i], steps[i], depth[i] = levels[row + k], steps[i] + k + 1, 2
+                moved.append(i)
+                rows.append(row + k)
+            else:  # n shrinks
+                width[i], steps[i], depth[i] = w, steps[i] + n, 2 * depth[i]
+        if moved:
+            x[moved] = cand[rows, j[rows]]
+        running = [i for i, _, _, _ in passing]
     out = []
     for state in range(owner.max(initial=-1) + 1):
-        mine = np.flatnonzero(owner == state)
-        best_i, best = mine[0], starts[mine[0]][1]
-        for i in mine:
-            if value[i] < best:
-                best_i, best = i, value[i]
-        history = [[starts[mine[0]][1]]] + [values[:steps[i] + 1, i] for i in mine]
-        out.append((x[best_i].copy(), float(best), int(steps[mine].sum()) * len(offsets),
+        mine = np.flatnonzero(owner == state).tolist()
+        best_i = min(mine, key=lambda i: trace[i][-1])
+        history = [trace[mine[0]][:1]] + [trace[i] for i in mine]
+        out.append((x[best_i].copy(), trace[best_i][-1],
+                    sum(steps[i] for i in mine) * len(offsets),
                     np.minimum.accumulate(np.concatenate(history))))
     return out
 

@@ -5,8 +5,10 @@ import io
 import json
 import math
 import pathlib
+import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -295,6 +297,60 @@ def test_bad_initial_state_file_exits_2_with_one_line(content, message, tmp_path
     assert captured.err.startswith(message) and captured.err.count("\n") == 1
 
 
+#: the edge values of the exit-code property: floats at and past the ends of
+#: the float range, signed zero and the smallest subnormal, and seeds that are
+#: negative or past 64 bits; --steps stays <= 50 and --n <= 3, so that every
+#: run is short
+EDGE_FLOATS = ("0", "-0.0", "5e-324", "1e308", "1.7976931348623157e308", "inf", "-inf", "nan",
+               "0.5", "1", "3.14")
+EDGE_INTS = {"--steps": ("-1", "0", "1", "2", "3", "50"), "--n": ("-1", "0", "1", "3"),
+             "--seed": ("0", "-1", "7", "18446744073709551616", "10" * 20)}
+
+
+@st.composite
+def cli_argvs(draw):
+    # a subcommand and a subset of its options, each read off build_parser()
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    name = draw(st.sampled_from(sorted(sub.choices)))
+    argv = [name]
+    for action in sub.choices[name]._actions:
+        flag = (action.option_strings or [None])[0]
+        if flag in ("-h", "--output") or (flag and not draw(st.booleans())):
+            continue
+        if action.choices:
+            value = draw(st.sampled_from(sorted(action.choices) + ["xml"]))
+        elif flag in EDGE_INTS:
+            value = draw(st.sampled_from(EDGE_INTS[flag]))
+        elif flag == "--initial":
+            coeffs = st.sampled_from(EDGE_FLOATS + ("0.25", "0.1", "0.9"))
+            value = draw(st.sampled_from(["0.9,0.1,0,0", "1,0,0,0", "0.25,0.25,0.25,0.25"])
+                         | st.lists(coeffs, min_size=4, max_size=4).map(",".join))
+        else:
+            value = draw(st.sampled_from(EDGE_FLOATS))
+        argv += [flag, value] if flag else [value]
+    return argv
+
+
+@settings(max_examples=120, deadline=None)
+@given(argv=cli_argvs())
+def test_every_cli_run_keeps_the_exit_contract(argv):
+    # exit 0 prints only finite numbers; exit 2 (bad input) and 3 (not
+    # Bell-diagonal) print one stderr line and no output, and no run warns.
+    # Exit 4 (certification failure) writes its report before its lines
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    assert code in (0, 2, 3, 4), argv
+    if code == 0:
+        assert not re.search(r"\b(nan|inf|infinity)\b", out.getvalue(), re.IGNORECASE), argv
+        assert err.getvalue() == "", argv
+    elif code in (2, 3):
+        assert out.getvalue() == "", argv
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
+
+
 #: the options each subcommand reads, and no others
 OPTIONS_BY_COMMAND = {
     "evolve": {"--initial", "--g", "--tau-max", "--steps", "--output", "--format"},
@@ -387,6 +443,13 @@ def test_verify_single_given_state(tmp_path):
     fam = data["families"]["classical"]
     assert abs(fam["analytic_bits"] - 0.5310) < 1e-3
     assert fam["max_discrepancy_bits"] < 1e-3
+
+
+def test_verify_ignores_a_negative_seed_when_initial_is_given(capsys):
+    # --seed only seeds the random states, so --initial makes it unread
+    assert main(["verify", "--initial", "0.9,0.1,0,0", "--seed", "-1"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["passed"] is True and captured.err == ""
 
 
 def test_verify_maximally_mixed_state(tmp_path):
@@ -507,6 +570,34 @@ def test_verify_refines_each_chunk_in_one_lockstep_loop(capsys, monkeypatch):
     chunks = -(-8 // cli._VERIFY_CHUNK)
     assert calls.count("grid") == 8
     assert 0 < calls.count(2) <= chunks * oracle.REFINEMENT_ITERATIONS
+    capsys.readouterr()
+
+
+#: per family, the objective calls of `_refine` (one per lockstep pass) and
+#: the (search, level) rows they stack on `verify --n 8`
+VERIFY_N8_SCHEDULE = {"classical": (28, 552), "separable": (41, 665), "product": (5, 352)}
+
+
+def test_verify_lockstep_schedule_is_pinned(capsys, monkeypatch):
+    # the bit pins cannot show that the passes score the same searches,
+    # levels and rows, which their speed rests on; the counts were taken
+    # while `_refine` did its per-search bookkeeping in numpy
+    from belldyn import oracle
+
+    real, seen = oracle._refine, {}
+    family = {80: "classical", 26: "separable", 12: "product"}
+
+    def counted(starts, evaluate, offsets, project=None, *, owner, steps_of=None):
+        def scored(cand, rows_owner):
+            calls, rows = seen.get(family[len(offsets)], (0, 0))
+            seen[family[len(offsets)]] = (calls + 1, rows + len(cand))
+            return evaluate(cand, rows_owner)
+
+        return real(starts, scored, offsets, project, owner=owner, steps_of=steps_of)
+
+    monkeypatch.setattr(oracle, "_refine", counted)
+    assert main(["verify", "--n", "8"]) == 0
+    assert seen == VERIFY_N8_SCHEDULE
     capsys.readouterr()
 
 

@@ -516,6 +516,10 @@ def test_lockstep_refine_matches_one_search_after_another():
         # until the step cap cuts a pass short
         "cap_inside_pass": [start([0.5 + 190 * 2.0 ** -10, -0.25 + 190 * 2.0 ** -10], 2.0 ** -10),
                             start([2.1, 2.0], 0.25)],
+        # 1/8 above a well's bottom with width 1/4: the first level's best,
+        # 1/8 below it, equals the value exactly and is no move; the second
+        # level reaches the bottom
+        "level_tie": [start([0.5, -0.125], 0.25)],
     }
     def stretched(x, width):
         # a per-coordinate step that depends on the point, as the classical
@@ -549,6 +553,8 @@ def test_lockstep_refine_matches_one_search_after_another():
     capped = steps_seen["cap_inside_pass"]
     assert capped[4][0] == REFINEMENT_ITERATIONS
     assert np.flatnonzero(np.diff(capped[3][1:REFINEMENT_ITERATIONS + 2]))[-1] + 1 == 190
+    # a tie taken as a move would reach the bottom one step later
+    assert list(steps_seen["level_tie"][3][1:4]) == [0.015625, 0.015625, 0.0]
     # the step hook changes the searches
     assert any(stretched_seen[name][2] != steps_seen[name][2] for name in scenarios)
 
@@ -588,6 +594,29 @@ def test_lockstep_refine_of_many_states_matches_each_state_alone():
                                       proj)
             assert np.array_equal(got[s][0], want[0]) and got[s][1] == want[1], s
             assert got[s][2] == want[2] and np.array_equal(got[s][3], want[3]), s
+
+    # in one pass, state 0's search falls below _MIN_WIDTH and state 2's
+    # reaches the step cap, each after 190 diagonal moves onto a well's
+    # bottom and three passes of shrinks, while state 1's runs on
+    per_state = [
+        [start(0, [0.5 + 190 * 2.0 ** -37, -0.25 + 190 * 2.0 ** -37], 2.0 ** -37)],
+        [start(1, [40.0, -30.0], 1e-3)],
+        [start(2, [0.5 + 190 * 2.0 ** -10, -0.25 + 190 * 2.0 ** -10], 2.0 ** -10)],
+    ]
+    passes = []
+
+    def evaluate(cand, owner):
+        passes.append(set(owner.tolist()))
+        return landscape(cand, shift[owner][:, None, :])
+
+    got = _refine([mine[0] for mine in per_state[::-1]], evaluate, _offsets(2), owner=[2, 1, 0])
+    last = [max(k for k, states in enumerate(passes) if s in states) for s in range(3)]
+    assert last == [192, len(passes) - 1, 192] and len(passes) == REFINEMENT_ITERATIONS
+    for s, mine in enumerate(per_state):
+        want = _sequential_refine(mine, lambda c, s=s: landscape(c, shift[s]), _offsets(2))
+        assert want[4] == [[197], [REFINEMENT_ITERATIONS], [REFINEMENT_ITERATIONS]][s]
+        assert np.array_equal(got[s][0], want[0]) and got[s][1] == want[1], s
+        assert got[s][2] == want[2] and np.array_equal(got[s][3], want[3]), s
 
 
 def _sequential_oracle_refine(starts, evaluate, offsets, project=None, *, owner, steps_of=None):
