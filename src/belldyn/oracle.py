@@ -14,12 +14,10 @@ Three families are covered:
   basis, so the grid holds one hemisphere of directions per qubit, and the
   refinement steps each phi by arc length (width / max(|sin theta|,
   width)), so that a search near a pole still moves by its width, and
-  scores its 80 offsets on the 9 + 9 directions they take per qubit. The
-  grid is screened once in float32. Each start is the first least of the
-  eligible cells (all, then those over 60 degrees from the first start on
-  a qubit), and only rows whose best eligible screened cell lies within a
-  margin (over twice the screen's error bound) of the least are scored
-  exactly, so each start and its value are the full exact grid's, bit for
+  scores its 80 offsets on the 9 + 9 directions they take per qubit. Each
+  start is the first least eligible grid cell (of all, then of those over 60
+  degrees from the first start on a qubit), found by scoring only the rows
+  that a lower bound per row does not rule out, so the full grid's, bit for
   bit;
 * separable Bell-diagonal states (all coefficients <= 1/2), searched from
   the centre of that convex slice, on which S(rho || sigma) is convex, so
@@ -207,6 +205,12 @@ def _directions(theta, phi):
     return out
 
 
+def _dot3(x, y):
+    # x . y over a last axis of 3 as elementwise sums, the same bits for a lone
+    # state as for a stack, which a stacked matmul need not give
+    return x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1] + x[..., 2] * y[..., 2]
+
+
 _SIGNS = np.array(((1, 1), (1, -1), (-1, 1), (-1, -1)), dtype=float)  # rows (s, t)
 
 
@@ -256,75 +260,81 @@ def _classical_terms(a_vec, b_vec, corr, ua, ub):
 
 
 def _classical_values(a_vec, b_vec, corr, ua, ub, s_rho):
-    # the exact classical objective of the refinement (the grid's near-best
-    # rows are rescored from the same terms): all (..., m, n) pairs of A
-    # directions ua and B directions ub
+    # the exact classical objective of the refinement (the grid's rows are
+    # scored from the same terms): all (..., m, n) pairs of A directions ua
+    # and B directions ub
     return _dephased_entropy(*_classical_terms(a_vec, b_vec, corr, ua, ub)) - s_rho
 
 
-# The grid is screened in float32 and only its near-best rows are scored
-# exactly. Bound on the screen's error, in bits, for the states the oracles
-# accept (|alpha|, |beta|, |kappa| <= 1 and each p in [0, 1] to within 1e-9),
-# with u = 2^-24: rounding alpha, beta and kappa to float32 and the three
-# float32 sums that form q = 4p move q by at most D = 12 u. As q log2 q =
-# 8p - 4 eta(p), with eta(p) = -p log2 p and |eta(x) - eta(y)| <= eta(|x - y|)
-# on [0, 1], that moves q log2 q by at most 4 eta(D / 4) + 2 D = 1.75e-5.
-# A float32 log2 of at most 4 ulp adds 4 * 2^-23 * 8 = 3.8e-6 and the product
-# 8 u = 4.8e-7, as |q log2 q| <= 8; the three sums of the four terms add
-# 3 * 8 u = 1.4e-6. Entropy is 2 - (sum of q log2 q) / 4, so the screen is
-# off by at most (4 * 2.18e-5 + 1.4e-6) / 4 = 2.21e-5 bits, and the exact
-# objective's own float64 rounding is below 1e-14.
-_SCREEN_ERROR_BITS = 2.5e-5
-# A cell at the exact minimum m screens at most m + e, e = _SCREEN_ERROR_BITS,
-# and no cell screens below m - e, so a margin of 2 e keeps every row that
-# holds an exact minimum; 1e-4 also covers a float32 log2 of up to 33 ulp
-_SCREEN_MARGIN_BITS = 1e-4
-# rows per screened chunk: about 0.4 MB of float32 temporaries, small next
-# to the float64 kappa; with 64 rows the allocator handed memory back and
-# faulted it in again on every grid
-_SCREEN_ROWS = 32
+# A row is scored unless its floor exceeds the least value so far by more
+# than this. The floor undercuts a row's exact objective only by rounding
+# (under 1e-14 bits) and, where an accepted state's outcome probabilities
+# (eigenvalues >= -1e-10, trace within 1e-10) clip at 0, by a few 1e-10 bits
+_FLOOR_SLACK_BITS = 1e-8
 # pattern search finds only its start's basin, so the second start (over 60
 # degrees from the first on a qubit) is refined when within this of the first
 _SECOND_START_BITS = 3e-2
+_S = np.array([[1.0], [-1.0]])  # the A outcome s = +-1 on a leading axis
 
 
-def _screen(alpha, beta, kappa):
-    # float32 sums of q log2 q over the four q = 4p of each (m, n) pair of one
-    # state, q = (1 + st kappa) + (s alpha + t beta) clipped to >= 1e-30, in
-    # chunks of _SCREEN_ROWS rows; a pair's screened entropy is 2 - sum / 4 bits
-    out = np.empty(kappa.shape, dtype=np.float32)
-    for r in range(0, len(kappa), _SCREEN_ROWS):
-        rows = slice(r, r + _SCREEN_ROWS)
-        a, b, k = (x.astype(np.float32) for x in (alpha[rows], beta, kappa[rows]))
-        ab, a_b = a + b, a - b
-        q = np.empty((4,) + k.shape, dtype=np.float32)
-        np.add(1.0, k, out=q[0])
-        np.subtract(1.0, k, out=q[2])
-        np.subtract(q[0], ab, out=q[1])
-        np.subtract(q[2], a_b, out=q[3])
-        q[0] += ab
-        q[2] += a_b
-        np.maximum(q, np.float32(1e-30), out=q)
-        x = np.log2(q)
-        x *= q
-        out[rows] = ((x[0] + x[1]) + x[2]) + x[3]
-    return out
+def _row_floors(alpha, reach, s_rho):
+    # a lower bound on the classical objective of each row's cells, from its
+    # alpha = ua.aA in [-1, 1] and reach (s, row) >= |w.ub| over its B
+    # directions ub, w = aB + s C^T ua. By the chain rule H(X, Y) = H(X) +
+    # sum_s P(X = s) H(Y | X = s), with P(X = s) = (1 + s alpha) / 2, where
+    # given X = s the B outcome has bias w.ub / (1 + s alpha); the binary
+    # entropy h((1 + x) / 2) falls with |x|, and a weight 0 drops its term
+    weight = 1.0 + _S * alpha  # 2 P(X = s)
+    x = np.concatenate([alpha[None], np.minimum(reach / np.where(weight > 0.0, weight, 1.0), 1.0)])
+    h = -(_xlog2(0.5 + 0.5 * x) + _xlog2(0.5 - 0.5 * x))
+    return h[0] + 0.5 * (weight[0] * h[1] + weight[1] * h[2]) - s_rho
 
 
-def _least_cell(screened, alpha, beta, kappa, s_rho, eligible):
-    # the first least eligible cell (ia, ib) of one state's direction grid in
-    # row-major order, and its exact value, bit for bit. Only the rows whose
-    # best eligible screened cell lies within _SCREEN_MARGIN_BITS of the least
-    # one are scored exactly; every eligible cell at the exact minimum lies in
-    # such a row, so their first least eligible cell is the whole grid's
-    best = 2.0 - 0.25 * screened.max(axis=1, where=eligible, initial=-math.inf).astype(float)
-    rows = np.flatnonzero(best <= best.min() + _SCREEN_MARGIN_BITS)
-    exact = np.empty((len(rows), kappa.shape[1]))
-    for r in range(0, len(rows), GRID_POINTS_PER_ANGLE):  # temporaries that fit in cache
-        part = rows[r:r + GRID_POINTS_PER_ANGLE]
-        exact[r:r + len(part)] = _dephased_entropy(alpha[part], beta, kappa[part]) - s_rho
-    i, ib = divmod(int(np.argmin(np.where(eligible[rows], exact, math.inf))), exact.shape[1])
-    return rows[i], ib, float(exact[i, ib])
+def _least_cell(alpha, beta, kappa, s_rho, floor, cap=math.inf, far=None):
+    # the first least eligible cell (ia, ib) of one state's grid in row-major
+    # order and its exact value, bit for bit, if that is at most cap (else a
+    # value above cap, maybe inf): every cell, or with far (direction, qubit)
+    # those with far[ia, 0] or far[ib, 1]. Rows are scored in ascending order
+    # of their floor, the least alone, then GRID_POINTS_PER_ANGLE at a time
+    # (temporaries that fit in cache), while within _FLOOR_SLACK_BITS of cap
+    # and of the least value so far
+    order = np.argsort(floor, kind="stable")
+    best, done = (math.inf, 0, 0), 0  # (value, ia, ib), least in that order
+    while True:
+        end = min(int(np.searchsorted(floor[order], min(cap, best[0]) + _FLOOR_SLACK_BITS, side="right")),
+                  done + (GRID_POINTS_PER_ANGLE if done else 1))
+        if end <= done:
+            return best[1], best[2], best[0]
+        part = order[done:end]
+        values = _dephased_entropy(alpha[part], beta, kappa[part]) - s_rho
+        if far is not None:
+            values = np.where(far[part, :1] | far[:, 1], values, math.inf)
+        cols = np.argmin(values, axis=1)
+        best = min(best, *zip(values[np.arange(len(part)), cols].tolist(), part.tolist(), cols.tolist()))
+        done = end
+
+
+def _grid_starts(u, a_vec, b_vec, corr, s_rho):
+    # the cells (ia, ib, exact value) one state's refinement starts from: the
+    # grid's first least cell, and the first least over 60 degrees from it on
+    # a qubit if that scores within _SECOND_START_BITS of it
+    terms = _classical_terms(a_vec, b_vec, corr, u, u)
+    alpha = np.clip(terms[0][:, 0], -1.0, 1.0)
+    w = b_vec + _S[:, :, None] * (u @ corr)  # (s, row, 3)
+    reach = np.sqrt(_dot3(w, w))  # tight on Bell-diagonal states
+    first = _least_cell(*terms, s_rho, _row_floors(alpha, reach, s_rho))
+    far = np.abs(u @ u[list(first[:2])].T) <= 0.5  # (direction, qubit): over 60 degrees off
+    # rows within 60 degrees of the first's A direction keep the ub with
+    # |ub.ub1| <= 1/2, where |w.ub| <= |w_par| / 2 + (sqrt 3 / 2) |w_perp|
+    # once |w_par| > |w| / 2
+    ub1 = u[first[1]]
+    par = _dot3(w, ub1)
+    perp = w - par[..., None] * ub1
+    reach = np.where(far[:, 0] | (2.0 * np.abs(par) <= reach), reach,
+                     0.5 * np.abs(par) + math.sqrt(0.75) * np.sqrt(_dot3(perp, perp)))
+    second = _least_cell(*terms, s_rho, _row_floors(alpha, reach, s_rho),
+                         first[2] + _SECOND_START_BITS, far)
+    return [first, second] if second[2] - first[2] <= _SECOND_START_BITS else [first]
 
 
 @functools.cache
@@ -344,7 +354,8 @@ def oracle_closest_classical(rhos) -> list[OracleResult]:
     dephased diagonal of rho, so only the four local angles are searched:
     a full coarse grid, then pattern refinement from its best cell and from
     its best cell over 60 degrees from that on a qubit, if that one scores
-    near the first. All refinements run in lockstep.
+    near the first. All refinements run in lockstep. Every grid cell counts
+    as an evaluation: the rows not scored exactly are ruled out by a floor.
     """
     states, s_rho = _checked(rhos, "oracle_closest_classical")
     if not states:
@@ -363,13 +374,7 @@ def oracle_closest_classical(rhos) -> list[OracleResult]:
     width0 = max(math.pi / (GRID_POINTS_PER_ANGLE - 1), 2.0 * math.pi / GRID_POINTS_PER_ANGLE)
     starts, owner = [], []
     for k in range(len(states)):
-        terms = _classical_terms(a_vec[k], b_vec[k], corr[k], u, u)
-        screened = _screen(*terms)
-        first = _least_cell(screened, *terms, s_rho[k], np.ones(screened.shape, dtype=bool))
-        far = np.abs(u @ u[list(first[:2])].T) <= 0.5  # (direction, qubit): over 60 degrees off
-        second = _least_cell(screened, *terms, s_rho[k], far[:, :1] | far[:, 1])
-        near = second[2] - first[2] <= _SECOND_START_BITS
-        for ia, ib, value in [first, second] if near else [first]:
+        for ia, ib, value in _grid_starts(u, a_vec[k], b_vec[k], corr[k], s_rho[k]):
             starts.append((np.array([th[ia], ph[ia], th[ib], ph[ib]]), value, width0))
             owner.append(k)
 
@@ -451,12 +456,6 @@ def _product_states(params):
     q = np.eye(2, dtype=complex) + np.einsum("nk,kij->nij", params.reshape(-1, 3), PAULI)
     q = q.reshape(-1, 2, 2, 2) / 2.0
     return np.einsum("nab,ncd->nacbd", q[:, 0], q[:, 1]).reshape(params.shape[:-1] + (4, 4))
-
-
-def _dot3(x, y):
-    # x . y over a last axis of 3 as elementwise sums, the same bits for a lone
-    # state as for a stack, which a stacked matmul need not give
-    return x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1] + x[..., 2] * y[..., 2]
 
 
 def _product_values(a_vec, b_vec, corr, params, s_rho):

@@ -547,25 +547,25 @@ def test_verify_certifies_the_printed_kernel(chunk, capsys, monkeypatch):
 
 def test_verify_refines_each_chunk_in_one_lockstep_loop(capsys, monkeypatch):
     # one classical objective call per lockstep pass of a chunk, besides one
-    # screened grid per state; a pass advances every running search by at
-    # least one step, so a chunk makes at most REFINEMENT_ITERATIONS of them
+    # grid start selection per state; a pass advances every running search by
+    # at least one step, so a chunk makes at most REFINEMENT_ITERATIONS of them
     # (28 here). Refining the 8 states one after another takes 147 calls
     import belldyn.cli as cli
     from belldyn import oracle
 
     calls = []
-    real, real_screen = oracle._classical_values, oracle._screen
+    real, real_starts = oracle._classical_values, oracle._grid_starts
 
     def counted(a_vec, *args):
         calls.append(a_vec.ndim)  # 2: a chunk's searches
         return real(a_vec, *args)
 
-    def screened(*args):
-        calls.append("grid")  # one state's screened grid
-        return real_screen(*args)
+    def started(*args):
+        calls.append("grid")  # one state's grid starts
+        return real_starts(*args)
 
     monkeypatch.setattr(oracle, "_classical_values", counted)
-    monkeypatch.setattr(oracle, "_screen", screened)
+    monkeypatch.setattr(oracle, "_grid_starts", started)
     assert main(["verify", "--n", "8"]) == 0
     chunks = -(-8 // cli._VERIFY_CHUNK)
     assert calls.count("grid") == 8

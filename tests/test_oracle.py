@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from belldyn.correlations import BELL_C_VECTORS, bell_quantifiers, closest_classical_bd
 from belldyn.dynamics import bell_spectrum_to_density, evolve_bell_spectrum
 from belldyn.linalg import (
+    PAULI,
     _relative_entropy_stack,
     _support_rule,
     _xlog2,
@@ -24,24 +25,22 @@ from belldyn.linalg import (
 from belldyn.nonmarkov import detect_switching_times
 from belldyn.oracle import (
     _MIN_WIDTH,
-    _SCREEN_ERROR_BITS,
+    _SECOND_START_BITS,
     GRID_POINTS_PER_ANGLE,
     REFINEMENT_ITERATIONS,
     REFINEMENT_SHRINK,
-    _classical_terms,
     _classical_values,
     _dephased_entropy,
     _direction_grid,
     _directions,
     _arc_length_steps,
     _dot3,
-    _least_cell,
+    _grid_starts,
     _offsets,
     _pauli_data,
     _product_states,
     _product_values,
     _refine,
-    _screen,
     _stencil,
     oracle_closest_classical,
     oracle_closest_product,
@@ -323,20 +322,19 @@ def test_classical_evaluations_count_the_hemisphere_grid():
         assert res.evaluations == 265 ** 2 + steps * len(_offsets(4))
 
 
-# states on which the screened grid must give the full grid's start: sparse
+# states on which the floored grid must give the full grid's starts: sparse
 # and flat Bell spectra, general states of each rank, the golden edge spectra,
 # tied grids (every cell or whole rings of cells at the minimum), and near
 # ties across rows: mixtures (1 - x) rho1 + x rho2 of pairs of seeded rank-4
 # states at the x where the grid's first least cell moves to another row.
-# There the two cells differ by at most 4.4e-16 bits; with numpy 2.4 the
-# screen's best row is not the exact one's on each, and a margin of 1e-7 bits
-# fails
+# There the two cells differ by at most 4.4e-16 bits; with numpy 2.4 a
+# float32 screen's best row was not the exact one's on each
 TIED_SPECTRA = ([0.25, 0.25, 0.25, 0.25], [0.4, 0.2, 0.2, 0.2], [1.0, 0.0, 0.0, 0.0])
 ROW_CROSSINGS = {1: "0x1.742d37bd5c314p-4", 6: "0x1.29660eaff02ebp-4",
                  15: "0x1.2e2ac84f92af8p-3", 21: "0x1.c709a0de5406fp-6"}
 
 
-def _screen_survey():
+def _start_survey():
     rng = np.random.default_rng(61)
     states = [bell_spectrum_to_density(rng.dirichlet(np.full(4, a))) for a in (1.0, 0.05)
               for _ in range(24)]
@@ -351,60 +349,62 @@ def _screen_survey():
     return states
 
 
-def test_screened_grid_start_keeps_every_bit_of_the_full_grid():
+def test_floored_grid_starts_keep_every_bit_of_the_full_grid():
     # each start is the first least eligible cell of the full exact grid in
-    # row-major order, and its value bit for bit, from the screen and the
-    # exact rescoring of its near-best rows: the first of every cell, the
-    # second of the cells over 60 degrees from the first on a qubit
+    # row-major order, and its value bit for bit, from the exact scoring of
+    # the rows that the floor does not rule out: the first of every cell,
+    # the second of the cells over 60 degrees from the first on a qubit,
+    # refined exactly when it scores within _SECOND_START_BITS of the first
     _, _, u = _direction_grid()
-    for n, rho in enumerate(_screen_survey()):
+    nears = 0
+    for n, rho in enumerate(_start_survey()):
         a_vec, b_vec, corr = _pauli_data(rho)
         s_rho = von_neumann_entropy(rho)
         grid = _classical_values(a_vec, b_vec, corr, u, u, s_rho)
-        terms = _classical_terms(a_vec, b_vec, corr, u, u)
-        screened = _screen(*terms)
         eligible = np.ones(grid.shape, dtype=bool)
+        want = []
         for start in ("first", "second"):
             masked = np.where(eligible, grid, np.inf)
             ia, ib = np.unravel_index(int(np.argmin(masked)), grid.shape)
-            got = _least_cell(screened, *terms, s_rho, eligible)
-            assert got[:2] == (ia, ib), (n, start)
-            assert got[2].hex() == float(grid[ia, ib]).hex(), (n, start)
+            want.append((int(ia), int(ib), float(grid[ia, ib]).hex()))
             far_a, far_b = np.abs(u @ u[ia]) <= 0.5, np.abs(u @ u[ib]) <= 0.5
             eligible = far_a[:, None] | far_b[None, :]
+        near = float.fromhex(want[1][2]) - float.fromhex(want[0][2]) <= _SECOND_START_BITS
+        got = [(ia, ib, value.hex()) for ia, ib, value in _grid_starts(u, a_vec, b_vec, corr, s_rho)]
+        assert got == want[:1 + near], n
+        nears += near
+    assert nears == 20  # of the 107 states refine a second start
 
 
-def test_screen_stays_within_its_bound_and_rescores_few_rows(monkeypatch):
+def test_floor_scores_few_rows_exactly(monkeypatch):
     from belldyn import oracle
 
     _, _, u = _direction_grid()
-    worst = 0.0
-    for rho in _screen_survey():
-        a_vec, b_vec, corr = _pauli_data(rho)
-        screened = 2.0 - 0.25 * _screen(*_classical_terms(a_vec, b_vec, corr, u, u)).astype(float)
-        exact = _classical_values(a_vec, b_vec, corr, u, u, 0.0)
-        worst = max(worst, np.max(np.abs(screened - exact)))
-    assert worst <= _SCREEN_ERROR_BITS
-
-    real, scored = oracle._dephased_entropy, []
+    real, real_least, scored, per_start = oracle._dephased_entropy, oracle._least_cell, [], []
 
     def rescored(alpha, *args):
         scored.append(len(alpha))
         return real(alpha, *args)
 
-    def rows(lam):
-        # the rows the first start rescores exactly
-        a_vec, b_vec, corr = _pauli_data(bell_spectrum_to_density(lam))
-        terms = _classical_terms(a_vec, b_vec, corr, u, u)
-        screened = _screen(*terms)
+    def least(*args):
         scored.clear()
-        _least_cell(screened, *terms, 0.0, np.ones(screened.shape, dtype=bool))
-        return sum(scored)
+        found = real_least(*args)
+        per_start.append(sum(scored))
+        return found
+
+    def rows(lam):
+        # the rows the first start scores exactly
+        a_vec, b_vec, corr = _pauli_data(bell_spectrum_to_density(lam))
+        per_start.clear()
+        _grid_starts(u, a_vec, b_vec, corr, 0.0)
+        return per_start[0]
 
     monkeypatch.setattr(oracle, "_dephased_entropy", rescored)
+    monkeypatch.setattr(oracle, "_least_cell", least)
 
     # the figure state is scored exactly on at most 2 of the 265 rows; on a
-    # fully tied grid every row is kept, which is the exact grid
+    # fully tied grid the floor meets every row's exact minimum, so every
+    # row is scored, which is the exact grid
     assert rows(LAM_FIG) <= 2
     assert rows(TIED_SPECTRA[0]) == len(u) == 265
 
@@ -992,3 +992,72 @@ def test_each_oracle_meets_its_closed_form_on_edge_spectra(spectra):
         gap = np.abs(np.array([r.value for r in results]) - want)
         k = int(np.argmax(gap))
         assert gap[k] < 1e-12, (family, drawn[k].tolist(), gap[k])
+
+
+def _unit(rng):
+    v = rng.normal(size=3)
+    return v / np.linalg.norm(v)
+
+
+def _x_state(az, cx, cz):
+    # (I x I + az Z x I + cx X x X + cz Z x Z) / 4, a state when
+    # sqrt(az^2 + cx^2) <= 1 - |cz|. Its B marginal is 0, so w = s C^T ua and
+    # the floor meets the pole row's exact minimum; the first start is the
+    # pole, and on rows near it w turns over 60 degrees from that start's B
+    # direction, where the second start's floor must keep the plain |w|
+    eye = np.eye(2)
+    return (np.eye(4) + az * np.kron(PAULI[2], eye) + cx * np.kron(PAULI[0], PAULI[0])
+            + cz * np.kron(PAULI[2], PAULI[2])) / 4.0
+
+
+@st.composite
+def _floor_states(draw):
+    # general states of ranks 1-4; product states with |rA| = |rB| = 1, rA
+    # drawn or a grid direction, so that a weight 1 + s alpha is 0; near-pure
+    # mixtures 0.999 pA x pB + 0.001 m with |rA| = 1 - 10^-k; Bell-diagonal
+    # edge spectra; and the X states above
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("general", "pure product", "near-pure", "edge", "x")))
+    if kind == "general":
+        return _general_state(rng, draw(st.integers(1, 4)))
+    if kind == "edge":
+        return bell_spectrum_to_density(draw(edge_spectra))
+    if kind == "x":
+        return _x_state(draw(st.floats(0.3, 0.7)), draw(st.floats(0.2, 0.5)), draw(st.floats(0.0, 0.1)))
+    ra = draw(st.one_of(st.just(None), st.integers(0, 264)))
+    ra = _unit(rng) if ra is None else _direction_grid()[2][ra]
+    if kind == "pure product":
+        return _product_states(np.concatenate([ra, _unit(rng)])[None])[0]
+    ra = ra * (1.0 - 10.0 ** -draw(st.integers(1, 12)))
+    pair = _product_states(np.concatenate([ra, rng.uniform(0.0, 1.0) * _unit(rng)])[None])[0]
+    return 0.999 * pair + 0.001 * _general_state(rng, 4)
+
+
+@example(_x_state(0.6, 0.5, 0.1))
+@settings(max_examples=100, deadline=None)
+@given(_floor_states())
+def test_row_floors_stay_below_each_rows_exact_minimum(rho):
+    # the floor of each row may not exceed the row's exact minimum: the plain
+    # form over every column, the second start's over its eligible columns
+    # (its restricted form on the rows within 60 degrees of the first start's
+    # A direction). The worst seen is 7.1e-15 bits, far inside the slack
+    from belldyn import oracle
+
+    _, _, u = _direction_grid()
+    a_vec, b_vec, corr = _pauli_data(rho)
+    s_rho = von_neumann_entropy(rho)
+    real, floors = oracle._row_floors, []
+
+    def kept(*args):
+        floors.append(real(*args))
+        return floors[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_row_floors", kept)
+        (ia, ib, _), *_ = _grid_starts(u, a_vec, b_vec, corr, s_rho)
+    grid = _classical_values(a_vec, b_vec, corr, u, u, s_rho)
+    far_a, far_b = np.abs(u @ u[ia]) <= 0.5, np.abs(u @ u[ib]) <= 0.5
+    eligible = np.where(far_a[:, None] | far_b, grid, np.inf).min(axis=1)
+    assert len(floors) == 2
+    assert np.max(floors[0] - grid.min(axis=1)) <= 1e-12
+    assert np.max(floors[1] - eligible) <= 1e-12
