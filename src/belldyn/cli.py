@@ -16,13 +16,13 @@ import sys
 
 import numpy as np
 
-from .correlations import bell_quantifiers, c_vector_of_spectrum
+from .correlations import _c_vectors, _quantifiers, bell_quantifiers
 from .dynamics import (
     _TAU_LIMIT,
     BELL_RESIDUAL_TOL,
-    bell_spectrum_of,
+    _bell_diagonal,
+    _evolve,
     bell_spectrum_to_density,
-    evolve_bell_spectrum,
     mixing_fraction,
     validate_spectrum,
 )
@@ -77,7 +77,7 @@ def _initial_from_dict(obj):
         if not abs(tr - 1.0) <= 1e-9:  # NaN fails too
             raise InputError(f"initial matrix trace is {tr!r}, expected 1")
         try:
-            lam, residual = bell_spectrum_of(check_density(m / np.trace(m), name="initial state"))
+            lam, residual = _bell_diagonal(check_density(m / np.trace(m), name="initial state"))
         except ValueError as exc:
             raise InputError(str(exc)) from exc
         if residual >= BELL_RESIDUAL_TOL:
@@ -158,18 +158,18 @@ def _write_table(columns: dict, args) -> None:
         row = ",".join([_NUMBER] * len(values))
         text = "\n".join([",".join(columns), *map(row.__mod__, zip(*values)), ""])
     else:
-        text = "{%s}\n" % ", ".join(f"{json.dumps(name)}: [{_json_numbers(vals)}]"
+        column = ",".join([_NUMBER] * len(values[0]))
+        text = "{%s}\n" % ", ".join(f"{json.dumps(name)}: [{_json_numbers(column % tuple(vals))}]"
                                     for name, vals in zip(columns, values))
     _write_text(args.output, text)
 
 
-def _json_numbers(values) -> str:
-    # json.dumps of _rounded(values) without the float round trip: a
-    # fixed-point %.12g token is already repr(float(token)), an integer one
-    # lacks ".0", and exponent forms, nan and inf take the float route
+def _json_numbers(tokens) -> str:
+    # json.dumps of the %.12g values joined in tokens, without the float
+    # round trip: a fixed-point token is already repr(float(token)), an
+    # integer one lacks ".0", and exponent forms, nan and inf take the float route
     return ", ".join([t if "." in t and "e" not in t else t + ".0" if t.lstrip("-").isdigit()
-                      else json.dumps(float(t))
-                      for t in (",".join([_NUMBER] * len(values)) % tuple(values)).split(",")])
+                      else json.dumps(float(t)) for t in tokens.split(",")])
 
 
 # ---------------------------------------------------------------------------
@@ -194,17 +194,17 @@ def _trajectory_columns(lam0: np.ndarray, grid: np.ndarray, g: float) -> dict:
         raise InputError("--g must be positive and finite")
     if not math.isfinite(float(grid[-1]) / g):
         raise InputError("--g is so small that --tau-max / --g overflows")
-    try:
-        lam = evolve_bell_spectrum(lam0, grid)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    # checked lam0 >= +0 and f >= +0 evolve to a stack that validate_spectrum keeps as is
+    f = mixing_fraction(grid)
+    lam = _evolve(lam0, f)
+    cvec = _c_vectors(lam)
     cols: dict = {"tau": grid}
     if g != 1.0:
         cols["t"] = grid / g
-    cols["f"] = mixing_fraction(grid)
+    cols["f"] = f
     cols.update(zip(("lambda_1p", "lambda_1m", "lambda_2p", "lambda_2m"), lam.T))
-    cols.update(zip(("c1", "c2", "c3"), c_vector_of_spectrum(lam).T))
-    cols.update(zip(("T", "D", "C", "E"), bell_quantifiers(lam)))
+    cols.update(zip(("c1", "c2", "c3"), cvec.T))
+    cols.update(zip(("T", "D", "C", "E"), _quantifiers(lam, cvec)))
     return cols
 
 

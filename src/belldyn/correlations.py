@@ -137,8 +137,13 @@ def bell_quantifiers(lam):
     spectra, the gap in E on spectra with entries near 1e-12.
     """
     a = validate_spectrum(lam)
+    return _quantifiers(a, _c_vectors(a))
+
+
+def _quantifiers(a, cvec):
+    # bell_quantifiers of a checked stack a with its c-vectors cvec
     t = 2.0 + np.sum(_xlog2(a), axis=-1)  # 2 - H(lam)
-    cmax = np.max(np.abs(_c_vectors(a)), axis=-1)
+    cmax = np.max(np.abs(cvec), axis=-1)
     lmax = np.max(a, axis=-1)
     p = np.stack([(1.0 + cmax) / 2.0, lmax])
     h = -(_xlog2(p) + _xlog2(1.0 - p))

@@ -152,8 +152,12 @@ def evolve_bell_spectrum(lam, tau) -> np.ndarray:
     evolution formula: an array of tau gives the spectra on the whole grid,
     shape tau.shape + (4,).
     """
-    a = validate_spectrum(lam)
-    f = np.asarray(mixing_fraction(tau))[..., None]
+    return _evolve(validate_spectrum(lam), mixing_fraction(tau))
+
+
+def _evolve(a, f):
+    # evolve_bell_spectrum of a checked spectrum (or stack) a at mixing fractions f
+    f = np.asarray(f)[..., None]
     return (1.0 - f) * a + f * a[..., ::-1]
 
 

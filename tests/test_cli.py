@@ -15,9 +15,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import belldyn
+from belldyn import cli, linalg
 from belldyn.cli import _write_table, build_parser, main
-from belldyn.correlations import bell_quantifiers, quantifier_report
-from belldyn.dynamics import bell_spectrum_to_density
+from belldyn.correlations import bell_quantifiers, c_vector_of_spectrum, quantifier_report
+from belldyn.dynamics import (
+    bell_spectrum_to_density,
+    evolve_bell_spectrum,
+    mixing_fraction,
+    validate_spectrum,
+)
 
 H09 = 0.4689955935892812
 
@@ -260,6 +267,11 @@ BAD_INPUTS = [
                             ' [[0, 0], [-0.1, 0], [0, 0], [0, 0]],'
                             ' [[0, 0], [0, 0], [0, 0], [0, 0]],'
                             ' [[0, 0], [0, 0], [0, 0], [0, 0]]]}'],
+    # trace 1 but not Hermitian
+    ["evolve", "--initial", '{"matrix": [[[0.25, 0], [0.1, 0], [0, 0], [0, 0]],'
+                            ' [[0, 0], [0.25, 0], [0, 0], [0, 0]],'
+                            ' [[0, 0], [0, 0], [0.25, 0], [0, 0]],'
+                            ' [[0, 0], [0, 0], [0, 0], [0.25, 0]]]}'],
     ["evolve", "--initial", '{"foo": 1}'],
     ["evolve", "--initial", "0.5,0.5,-1e-10,0"],
     ["evolve", "--initial", "{"],
@@ -295,6 +307,67 @@ def test_bad_initial_state_file_exits_2_with_one_line(content, message, tmp_path
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(message) and captured.err.count("\n") == 1
+
+
+def _matrix_initial(entries) -> str:
+    # an inline {"matrix": ...} state, zero but for entries {(i, j): (re, im)}
+    rows = [[list(entries.get((i, j), (0.0, 0.0))) for j in range(4)] for i in range(4)]
+    return json.dumps({"matrix": rows})
+
+
+_QUARTERS = {(k, k): (0.25, 0.0) for k in range(4)}
+
+
+@pytest.mark.parametrize("initial, code, message", [
+    (_matrix_initial({**_QUARTERS, (0, 1): (math.nan, 0.0)}), 2,
+     "error: initial state has non-finite entries\n"),
+    (json.dumps({"matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]}), 2,
+     'error: "matrix" must be 4x4 with [re, im] entries\n'),
+    (_matrix_initial({(0, 0): (0.5, 0.0), (3, 3): (0.25, 0.0)}), 2,
+     "error: initial matrix trace is 0.75, expected 1\n"),
+    (_matrix_initial({**_QUARTERS, (0, 1): (0.1, 0.0)}), 2,
+     "error: initial state is not Hermitian (max deviation 1.000e-01)\n"),
+    (_matrix_initial({(0, 0): (1.1, 0.0), (1, 1): (-0.1, 0.0)}), 2,
+     "error: initial state has negative eigenvalue -1.000e-01\n"),
+    (_matrix_initial({(0, 0): (1.0, 0.0)}), 3,
+     "error: initial state is not Bell-diagonal (residual 5.000e-01); "
+     "this pipeline is analytic-only\n"),
+], ids=["nan", "shape", "trace", "hermitian", "negative", "not-bell-diagonal"])
+def test_each_matrix_rule_keeps_its_message(initial, code, message, capsys):
+    # the matrix is checked once at the boundary; each rule still names itself
+    assert main(["evolve", "--initial", initial, "--steps", "2"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+
+
+def test_trajectory_commands_check_their_input_once(monkeypatch, capsys):
+    # the input is checked where it is read, and the stacks built from it are
+    # not re-checked: the per-function route checked the spectrum 4 times
+    # (load_initial, the evolution, the c-vectors, the quantifiers) and a
+    # matrix twice (the density check, then bell_spectrum_of)
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    modules = [m for n, m in sorted(sys.modules.items()) if n.split(".")[0] == "belldyn"]
+    for name, fn in (("validate_spectrum", validate_spectrum),
+                     ("_check_density", linalg._check_density)):
+        for mod in modules:
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counted(name, fn))
+    bell = _matrix_initial({(i, j): (v.real, v.imag) for (i, j), v in
+                            np.ndenumerate(bell_spectrum_to_density([0.6, 0.2, 0.1, 0.1]))})
+    for initial, checks in (("0.1,0.2,0.3,0.4", 0), (bell, 1)):
+        calls.clear()
+        assert main(["evolve", "--initial", initial, "--steps", "40"]) == 0
+        assert capsys.readouterr().out.count("\n") == 42
+        assert calls.count("validate_spectrum") == 1, calls
+        assert calls.count("_check_density") == checks, calls
 
 
 #: the edge values of the exit-code property: floats at and past the ends of
@@ -676,6 +749,57 @@ def test_trajectory_stdout_is_pinned(command, capsys):
     assert main([command]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
     assert digest == TRAJECTORY_SHA256[command]
+
+
+def _public_trajectory(lam0, grid, g):
+    # the trajectory table as the public functions give it, each checking its input
+    lam = evolve_bell_spectrum(lam0, grid)
+    cols = {"tau": grid, **({"t": grid / g} if g != 1.0 else {}), "f": mixing_fraction(grid)}
+    cols.update(zip(("lambda_1p", "lambda_1m", "lambda_2p", "lambda_2m"), lam.T))
+    cols.update(zip(("c1", "c2", "c3"), c_vector_of_spectrum(lam).T))
+    cols.update(zip(("T", "D", "C", "E"), bell_quantifiers(lam)))
+    return cols
+
+
+def _dirichlet(seed, zeros):
+    # a Dirichlet(0.05) spectrum with the entries in zeros, bar the largest, set to exact 0
+    lam = np.random.default_rng(seed).dirichlet(np.full(4, 0.05))
+    lam[[k for k in zeros if k != lam.argmax()]] = 0.0
+    return lam / lam.sum() if zeros else lam
+
+
+#: Dirichlet(0.05) spectra, the same with exact zeros, pure Bell states, I/4
+#: and the ties (a, a, 1/2 - a, 1/2 - a) in every order
+TRAJECTORY_SPECTRA = st.one_of(
+    st.tuples(st.integers(0, 2**32 - 1), st.sets(st.integers(0, 3))).map(
+        lambda t: _dirichlet(*t)),
+    st.integers(0, 3).map(lambda k: np.eye(4)[k]),
+    st.just(np.full(4, 0.25)),
+    st.tuples(st.floats(0.0, 0.5), st.permutations(range(4))).map(
+        lambda t: np.array([t[0], t[0], 0.5 - t[0], 0.5 - t[0]])[list(t[1])]),
+)
+
+
+@st.composite
+def trajectory_grids(draw):
+    # --tau-max at m pi / 4 with --steps a multiple of m, so that the grid
+    # passes through each k pi / 4, or any --tau-max; --steps 2-60
+    m = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        tau_max, steps = m * math.pi / 4, m * draw(st.integers(1, 60 // m))
+    else:
+        tau_max, steps = draw(st.floats(1e-3, 4.0 * math.pi)), draw(st.integers(2, 60))
+    return cli._grid(argparse.Namespace(tau_max=tau_max, steps=max(steps, 2)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(TRAJECTORY_SPECTRA, trajectory_grids(), st.sampled_from([1.0, 0.5, 3.7]))
+def test_trajectory_one_pass_keeps_every_bit_of_the_public_route(lam, grid, g):
+    lam0 = validate_spectrum(lam)  # as load_initial returns it
+    got, want = cli._trajectory_columns(lam0, grid, g), _public_trajectory(lam0, grid, g)
+    assert list(got) == list(want)
+    for name in want:
+        assert np.asarray(got[name]).tobytes() == np.asarray(want[name]).tobytes(), name
 
 
 #: sha256 of stdout of the writer's other outputs at the default settings,
