@@ -20,9 +20,9 @@ from .correlations import _c_vectors, _quantifiers, bell_quantifiers
 from .dynamics import (
     _TAU_LIMIT,
     BELL_RESIDUAL_TOL,
+    _bell_density,
     _bell_diagonal,
     _evolve,
-    bell_spectrum_to_density,
     mixing_fraction,
     validate_spectrum,
 )
@@ -270,7 +270,7 @@ def cmd_verify(args) -> int:
     }
     n = 0
     for states in _verify_chunks(args):
-        rhos = [bell_spectrum_to_density(lam) for lam in states]
+        rhos = [_bell_density(lam) for lam in states]  # checked where drawn or read
         # the analytic side is the kernel the trajectory commands print: each
         # family's closest-state distance is D, E or T
         t, d, _, e = bell_quantifiers(np.array(states))

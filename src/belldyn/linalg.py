@@ -121,11 +121,11 @@ def _support_rule(w, overlap, s_rho):
     # eigenvalues w and rho's weights on their projectors: overlaps clipped
     # at 0, eigenvalues below SUPPORT_CUTOFF cut, and +inf where a cut one
     # carries more than SUPPORT_OVERLAP_TOL of rho
-    overlap = np.clip(overlap, 0.0, None)
+    overlap = overlap.clip(0.0, None)
     small = w < SUPPORT_CUTOFF
-    bad = np.any(small & (overlap > SUPPORT_OVERLAP_TOL), axis=-1)
+    bad = (small & (overlap > SUPPORT_OVERLAP_TOL)).any(axis=-1)
     logs = np.log2(np.where(small, 1.0, w))
-    vals = -np.sum(np.where(small, 0.0, overlap * logs), axis=-1) - s_rho
+    vals = -np.where(small, 0.0, overlap * logs).sum(axis=-1) - s_rho
     return _clamp_residue(np.where(bad, math.inf, vals))
 
 
@@ -167,15 +167,21 @@ def dephase_in_basis(rho, angles) -> np.ndarray:
 
 def _dephase(a, angles):
     # dephase_in_basis of a checked 4x4 complex array
+    b = _product_basis(angles)
+    p = np.einsum("ik,ij,jk->k", b.conj(), a, b).real.clip(0.0, None)
+    return (b * p) @ b.conj().T
+
+
+def _product_basis(angles):
+    # the columns |a_i b_j> of dephase_in_basis: np.kron's bits, as one broadcast product
     ta, pa, tb, pb = (float(x) for x in angles)
     local = []
     for theta, phi in ((ta, pa), (tb, pb)):
         c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
         e = complex(math.cos(phi), math.sin(phi))
-        local.append(np.array([[c, -s], [e * s, e * c]], dtype=complex))
-    b = np.kron(*local)
-    p = np.clip(np.real(np.einsum("ik,ij,jk->k", b.conj(), a, b)), 0.0, None)
-    return (b * p) @ b.conj().T
+        local.append([[c, -s], [e * s, e * c]])
+    qa, qb = np.array(local, dtype=complex)
+    return (qa[:, None, :, None] * qb[:, None, :]).reshape(4, 4)
 
 
 def trace_distance(rho, sigma) -> float:

@@ -31,7 +31,9 @@ Each oracle takes a list of states and returns one `OracleResult` per
 state. All the states' refinements run in lockstep passes, each scoring
 the next few shrink levels of every running search in one objective call,
 and each state's result, its `evaluations` included, is the one a
-step-by-step search of that state alone would give.
+step-by-step search of that state alone would give. numpy's per-call
+overhead is what a pass costs, so what no pass changes (index maps, sign
+stacks, each spectrum's log2 lam) is built once.
 """
 
 from __future__ import annotations
@@ -138,7 +140,7 @@ def _refine(starts, evaluate, offsets, project=None, *, owner, steps_of=None):
         if project is not None:
             cand = project(cand)
         vals = evaluate(cand, owner[search])
-        j = np.argmin(vals, axis=1)
+        j = vals.argmin(axis=1)
         best = vals[np.arange(len(search)), j].tolist()
         moved, rows = [], []
         for i, row, n, w in passing:
@@ -212,20 +214,27 @@ def _dot3(x, y):
 
 
 _SIGNS = np.array(((1, 1), (1, -1), (-1, 1), (-1, -1)), dtype=float)  # rows (s, t)
+_ANGLES = np.array([[[0, 1]], [[2, 3]]])  # (qubit, 1, (theta, phi)) columns of a quad
+
+
+@functools.cache
+def _sign_stacks(ndim):
+    # s, t and s t on a leading axis of 4, against inputs of up to ndim axes
+    s, t = _SIGNS.T.reshape((2, 4) + (1,) * ndim)
+    return _frozen(s, t, s * t)
 
 
 def _dephased_entropy(alpha, beta, kappa):
     # Shannon entropy of the four outcome probabilities
     # (1 + s alpha + t beta + s t kappa) / 4 of the dephased diagonal, formed
     # as one (4, ...) stack, clipped to [0, 1] and summed. The bits are those
-    # of the loop 0.0 - x0 - x1 - x2 - x3 over the terms x = p log2 p: each
-    # is +0.0 or negative, negation is exact, and (-a) - b = -(a + b) under
-    # round-to-nearest
-    s, t = _SIGNS.T.reshape((2, 4) + (1,) * max(np.ndim(alpha), np.ndim(beta), np.ndim(kappa)))
-    p = ((1.0 + s * alpha) + t * beta) + (s * t) * kappa
+    # of the loop 0.0 - x0 - x1 - x2 - x3 over the terms x = p log2 p: the sum
+    # over the leading axis adds ((x0 + x1) + x2) + x3, each term is +0.0 or
+    # negative, negation is exact, and (-a) - b = -(a + b) under round-to-nearest
+    s, t, st = _sign_stacks(max(np.ndim(alpha), np.ndim(beta), np.ndim(kappa)))
+    p = ((1.0 + s * alpha) + t * beta) + st * kappa
     p /= 4.0
-    x = _xlog2(np.minimum(np.maximum(p, 0.0, out=p), 1.0, out=p))
-    return 0.0 - (((x[0] + x[1]) + x[2]) + x[3])
+    return 0.0 - _xlog2(p.clip(0.0, 1.0, out=p)).sum(axis=0)
 
 
 def _arc_length_steps(quads, width):
@@ -254,8 +263,8 @@ def _classical_terms(a_vec, b_vec, corr, ua, ub):
     # (..., m, n) of A directions ua (..., m, 3) and B directions ub (..., n, 3),
     # with one state's data per leading index
     alpha = np.matmul(ua, a_vec[..., None])
-    beta = np.swapaxes(np.matmul(ub, b_vec[..., None]), -1, -2)
-    kappa = ua @ corr @ np.swapaxes(ub, -1, -2)
+    beta = np.matmul(ub, b_vec[..., None]).swapaxes(-1, -2)
+    kappa = ua @ corr @ ub.swapaxes(-1, -2)
     return alpha, beta, kappa
 
 
@@ -298,10 +307,10 @@ def _least_cell(alpha, beta, kappa, s_rho, floor, cap=math.inf, far=None):
     # of their floor, the least alone, then GRID_POINTS_PER_ANGLE at a time
     # (temporaries that fit in cache), while within _FLOOR_SLACK_BITS of cap
     # and of the least value so far
-    order = np.argsort(floor, kind="stable")
+    order = floor.argsort(kind="stable")
     best, done = (math.inf, 0, 0), 0  # (value, ia, ib), least in that order
     while True:
-        end = min(int(np.searchsorted(floor[order], min(cap, best[0]) + _FLOOR_SLACK_BITS, side="right")),
+        end = min(int(floor[order].searchsorted(min(cap, best[0]) + _FLOOR_SLACK_BITS, side="right")),
                   done + (GRID_POINTS_PER_ANGLE if done else 1))
         if end <= done:
             return best[1], best[2], best[0]
@@ -309,7 +318,7 @@ def _least_cell(alpha, beta, kappa, s_rho, floor, cap=math.inf, far=None):
         values = _dephased_entropy(alpha[part], beta, kappa[part]) - s_rho
         if far is not None:
             values = np.where(far[part, :1] | far[:, 1], values, math.inf)
-        cols = np.argmin(values, axis=1)
+        cols = values.argmin(axis=1)
         best = min(best, *zip(values[np.arange(len(part)), cols].tolist(), part.tolist(), cols.tolist()))
         done = end
 
@@ -319,7 +328,7 @@ def _grid_starts(u, a_vec, b_vec, corr, s_rho):
     # grid's first least cell, and the first least over 60 degrees from it on
     # a qubit if that scores within _SECOND_START_BITS of it
     terms = _classical_terms(a_vec, b_vec, corr, u, u)
-    alpha = np.clip(terms[0][:, 0], -1.0, 1.0)
+    alpha = terms[0][:, 0].clip(-1.0, 1.0)
     w = b_vec + _S[:, :, None] * (u @ corr)  # (s, row, 3)
     reach = np.sqrt(_dot3(w, w))  # tight on Bell-diagonal states
     first = _least_cell(*terms, s_rho, _row_floors(alpha, reach, s_rho))
@@ -340,10 +349,10 @@ def _grid_starts(u, a_vec, b_vec, corr, s_rho):
 @functools.cache
 def _stencil():
     # _offsets(4) moves each qubit's angles in 9 ways: offset k pairs A move
-    # ia[k] with B move ib[k], and offset ka[i] (kb[i]) makes A (B) move i
+    # ia[k] with B move ib[k], and offset by_move[q, i] makes qubit q (A, B) move i
     off = (_offsets(4) + 1.0).astype(int)
     ia, ib = 3 * off[:, 0] + off[:, 1], 3 * off[:, 2] + off[:, 3]
-    return _frozen(ia, ib, np.unique(ia, return_index=True)[1], np.unique(ib, return_index=True)[1])
+    return _frozen(ia, ib, np.array([np.unique(m, return_index=True)[1] for m in (ia, ib)]))
 
 
 def oracle_closest_classical(rhos) -> list[OracleResult]:
@@ -363,11 +372,11 @@ def oracle_closest_classical(rhos) -> list[OracleResult]:
     a_vec, b_vec, corr = (np.array(x) for x in zip(*map(_pauli_data, states)))
 
     def evaluate(quads, owner):
-        # the (search, 80, 4) stencil, scored on 9 A and 9 B directions
-        ia, ib, ka, kb = _stencil()
-        ua = _directions(quads[:, ka, 0], quads[:, ka, 1])
-        ub = _directions(quads[:, kb, 2], quads[:, kb, 3])
-        return _classical_values(a_vec[owner], b_vec[owner], corr[owner], ua, ub,
+        # the (search, 80, 4) stencil, scored on 9 A and 9 B directions from one gather
+        ia, ib, by_move = _stencil()
+        angles = quads[:, by_move[:, :, None], _ANGLES]
+        u = _directions(angles[..., 0], angles[..., 1])
+        return _classical_values(a_vec[owner], b_vec[owner], corr[owner], u[:, 0], u[:, 1],
                                  s_rho[owner, None, None])[:, ia, ib]
 
     th, ph, u = _direction_grid()
@@ -393,22 +402,12 @@ def oracle_closest_classical(rhos) -> list[OracleResult]:
 # ---------------------------------------------------------------------------
 # closest separable Bell-diagonal state
 
-def _separable_values(lam, log_q):
-    # Bell-diagonal pairs commute, so S(rho || sigma) = sum_i lam_i log2(lam_i / q_i)
-    # over lam_i > 0; lam is one spectrum, or one per leading index of log_q
-    pos = lam > 0.0
-    log_lam = np.log2(np.where(pos, lam, 1.0))
-    with np.errstate(invalid="ignore"):  # 0 * inf in the dropped terms
-        terms = np.where(pos, lam * (log_lam - log_q), 0.0)
-    return ((terms[..., 0] + terms[..., 1]) + terms[..., 2]) + terms[..., 3]
-
-
 def _simplex_log_q(q3):
     # q3: (..., 3) points over the first three coefficients, the fourth fixed
     # by normalization. Returns log2 q, -inf where q < 1e-15 (sigma misses
     # rho's support: +inf away), and which points are separable, 0 <= q <= 1/2
     q = np.concatenate([q3, 1.0 - q3.sum(axis=-1, keepdims=True)], axis=-1)
-    feasible = np.all((q >= 0.0) & (q <= 0.5), axis=-1)
+    feasible = ((q >= 0.0) & (q <= 0.5)).all(axis=-1)
     return np.where(q < 1e-15, -math.inf, np.log2(np.where(q > 0.0, q, 1.0))), feasible
 
 
@@ -424,13 +423,18 @@ def oracle_closest_separable_bd(lams) -> list[OracleResult]:
     the slice (+-e_i and +-(e_i - e_j)), so a search is not stuck on a facet.
     """
     lam = np.array([validate_spectrum(x).reshape(4) for x in lams]).reshape(-1, 4)
+    pos = lam > 0.0
+    log_lam = np.log2(np.where(pos, lam, 1.0))
 
     def evaluate(cand, owner):
+        # S(rho || sigma) = sum over lam_i > 0 of lam_i log2(lam_i / q_i), as Bell-diagonal
+        # pairs commute; masked before the multiply (0 * inf is NaN), summed in order
         log_q, feasible = _simplex_log_q(cand)
-        return _clamp_residue(np.where(feasible, _separable_values(lam[owner, None], log_q), math.inf))
+        terms = lam[owner, None] * np.where(pos[owner, None], log_lam[owner, None] - log_q, 0.0)
+        return _clamp_residue(np.where(feasible, terms.sum(axis=-1), math.inf))
 
     def project(cand):
-        return np.clip(cand, 0.0, 0.5)
+        return cand.clip(0.0, 0.5)
 
     # the centre q = 1/4 with width 1/4, its distance to each facet q_i = 1/2
     everyone = np.arange(len(lam))

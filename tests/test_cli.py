@@ -370,6 +370,26 @@ def test_trajectory_commands_check_their_input_once(monkeypatch, capsys):
         assert calls.count("_check_density") == checks, calls
 
 
+def test_verify_checks_each_spectrum_once_before_its_oracles(monkeypatch, capsys):
+    # verify --n 4: each drawn spectrum is checked where it is drawn (4), the
+    # chunk once by bell_quantifiers (1) and each spectrum twice by the
+    # separable oracle, its input and its minimizer (8); the classical and
+    # product states are built from the drawn spectra without a fourth check,
+    # where bell_spectrum_to_density made it 17
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return validate_spectrum(*args, **kwargs)
+
+    for mod in [m for n, m in sorted(sys.modules.items()) if n.split(".")[0] == "belldyn"]:
+        if getattr(mod, "validate_spectrum", None) is validate_spectrum:
+            monkeypatch.setattr(mod, "validate_spectrum", counted)
+    assert main(["verify", "--n", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+    assert len(calls) == 13
+
+
 #: the edge values of the exit-code property: floats at and past the ends of
 #: the float range, signed zero and the smallest subnormal, and seeds that are
 #: negative or past 64 bits; --steps stays <= 50 and --n <= 3, so that every

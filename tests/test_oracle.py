@@ -14,6 +14,8 @@ from belldyn.correlations import BELL_C_VECTORS, bell_quantifiers, closest_class
 from belldyn.dynamics import bell_spectrum_to_density, evolve_bell_spectrum
 from belldyn.linalg import (
     PAULI,
+    _clamp_residue,
+    _product_basis,
     _relative_entropy_stack,
     _support_rule,
     _xlog2,
@@ -195,9 +197,9 @@ def test_stencil_objective_matches_matrix_route_on_every_offset(monkeypatch):
 
 
 def test_stencil_maps_pair_the_9_moves_of_each_qubit():
-    # offset k is the pair (A move ia[k], B move ib[k]); ka and kb pick one
-    # offset per move of each qubit
-    ia, ib, ka, kb = _stencil()
+    # offset k is the pair (A move ia[k], B move ib[k]); the rows ka and kb of
+    # the (qubit, move) map pick one offset per move of each qubit
+    ia, ib, (ka, kb) = _stencil()
     off = _offsets(4)
     assert sorted(zip(ia, ib)) == [(i, j) for i in range(9) for j in range(9) if (i, j) != (4, 4)]
     for i in range(9):
@@ -860,6 +862,92 @@ def test_directions_keep_every_bit_of_the_stack_form():
         theta, phi = rng.uniform(0, math.pi, shape), rng.uniform(0, 2 * math.pi, shape)
         _assert_same_bits(_directions(theta, phi), _ref_directions(theta, phi))
     _assert_same_bits(_directions(0.4, 5.0), _ref_directions(0.4, 5.0))
+
+
+def _ref_product_basis(angles):
+    ta, pa, tb, pb = (float(x) for x in angles)
+    local = []
+    for theta, phi in ((ta, pa), (tb, pb)):
+        c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+        e = complex(math.cos(phi), math.sin(phi))
+        local.append(np.array([[c, -s], [e * s, e * c]], dtype=complex))
+    return np.kron(*local)
+
+
+def test_dephase_keeps_every_bit_of_the_kron_form():
+    # the product basis as one broadcast product, against np.kron of the two
+    # local bases; and dephase_in_basis against the route built on np.kron
+    rng = np.random.default_rng(73)
+    states = [_general_state(rng, rank) for rank in (4, 3, 2, 1)]
+    states += [bell_spectrum_to_density(lam) for lam in EDGE_SPECTRA]
+    quads = [rng.uniform(-2 * math.pi, 2 * math.pi, 4) for _ in range(40)]
+    quads += [(0, 0, 0, 0), (math.pi, 0.0, math.pi / 2, math.pi), [1e-300, -0.0, 3.0, 7.5]]
+    for angles in quads:
+        b = _ref_product_basis(angles)
+        assert _product_basis(angles).tobytes() == b.tobytes()
+        for rho in states:
+            a = np.asarray(rho, dtype=complex)
+            p = np.clip(np.real(np.einsum("ik,ij,jk->k", b.conj(), a, b)), 0.0, None)
+            assert dephase_in_basis(rho, angles).tobytes() == ((b * p) @ b.conj().T).tobytes()
+
+
+def _ref_separable_evaluate(lam):
+    # the separable objective as it was written with np.errstate, which hid
+    # the 0 * inf of each dropped term
+    def evaluate(cand, owner):
+        q = np.concatenate([cand, 1.0 - cand.sum(axis=-1, keepdims=True)], axis=-1)
+        feasible = np.all((q >= 0.0) & (q <= 0.5), axis=-1)
+        log_q = np.where(q < 1e-15, -math.inf, np.log2(np.where(q > 0.0, q, 1.0)))
+        lam_o = lam[owner, None]
+        pos = lam_o > 0.0
+        with np.errstate(invalid="ignore"):
+            terms = np.where(pos, lam_o * (np.log2(np.where(pos, lam_o, 1.0)) - log_q), 0.0)
+        values = ((terms[..., 0] + terms[..., 1]) + terms[..., 2]) + terms[..., 3]
+        return _clamp_residue(np.where(feasible, values, math.inf))
+
+    return evaluate
+
+
+def test_separable_objective_keeps_every_bit_with_no_floating_point_error(monkeypatch):
+    # spectra with exact zeros meet candidates with q_i < 1e-15 (log2 q_i =
+    # -inf): the objective masks log2 lam - log2 q before the multiply, so it
+    # forms no 0 * inf and needs no errstate. The closest separable state of
+    # the third spectrum has q4 = 0
+    from belldyn import oracle
+
+    lam = np.array([[1.0, 0.0, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0], [0.0002, 0.5496, 0.4502, 0.0]])
+    real, seen = oracle._refine, []
+
+    def spy(starts, evaluate, *args, **kwargs):
+        seen.append(evaluate)
+        return real(starts, evaluate, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_refine", spy)
+    with np.errstate(all="raise"):
+        found = oracle_closest_separable_bd(list(lam))
+    [evaluate] = seen
+    ref = _ref_separable_evaluate(lam)
+    # the whole search, step by step, as the errstate form runs it
+    owner = np.arange(len(lam))
+    centre = ref(np.full((len(lam), 1, 3), 0.25), owner)[:, 0]
+    want = real([(np.full(3, 0.25), float(v), 0.25) for v in centre], ref, _offsets(3),
+                lambda cand: np.clip(cand, 0.0, 0.5), owner=owner)
+    for res, (x, value, evals, history) in zip(found, want):
+        assert res.value.hex() == float(_clamp_residue(value)).hex()
+        assert res.evaluations == 1 + evals
+        assert res.history.tobytes() == history.tobytes()
+        assert res.minimizer.tobytes() == bell_spectrum_to_density(np.append(x, 1.0 - x.sum())).tobytes()
+    assert 1.0 - want[2][0].sum() == 0.0  # q4 = 0
+    # candidates at and past the slice's facets, with exact zeros and with
+    # coefficients below 1e-15, against every spectrum
+    points = np.concatenate([np.random.default_rng(79).uniform(-0.1, 0.6, (50, 3)),
+                             [[0.5, 0.5, 0.0], [0.0, 0.0, 0.5], [1e-16, 0.5, 0.25],
+                              [0.25, 0.25, 0.25], [0.5, 0.0, 0.5], [0.0, 0.0, 0.0]]])
+    cand = np.repeat(points[None], len(lam), axis=0)
+    with np.errstate(all="raise"):
+        got = evaluate(cand, owner)
+    assert np.isinf(got).any() and np.isfinite(got).any()
+    _assert_same_bits(got, ref(cand, owner))
 
 
 def test_product_values_keep_every_bit_of_the_list_and_stack_form():
