@@ -387,9 +387,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _commands() -> dict:
+    # each command's own parser by name, read off build_parser()'s subparsers
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        # one parse: a command's parser alone, else the top level (--help, [], a typo)
+        command = _commands().get(argv[0]) if argv else None
+        args = command.parse_args(argv[1:]) if command else build_parser().parse_args(argv)
         return globals()[args.func](args)
     except (InputError, AnalyticPathError) as exc:
         print(f"error: {exc}", file=sys.stderr)

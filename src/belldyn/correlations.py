@@ -142,10 +142,10 @@ def bell_quantifiers(lam):
 
 def _quantifiers(a, cvec):
     # bell_quantifiers of a checked stack a with its c-vectors cvec
-    t = 2.0 + np.sum(_xlog2(a), axis=-1)  # 2 - H(lam)
-    cmax = np.max(np.abs(cvec), axis=-1)
-    lmax = np.max(a, axis=-1)
-    p = np.stack([(1.0 + cmax) / 2.0, lmax])
+    t = 2.0 + _xlog2(a).sum(axis=-1)  # 2 - H(lam)
+    cmax = np.abs(cvec).max(axis=-1)
+    lmax = a.max(axis=-1)
+    p = np.array([(1.0 + cmax) / 2.0, lmax])
     h = -(_xlog2(p) + _xlog2(1.0 - p))
     c = 1.0 - h[0]
     d = t - c

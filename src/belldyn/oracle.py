@@ -45,7 +45,7 @@ from itertools import product as _iterproduct
 
 import numpy as np
 
-from .dynamics import bell_spectrum_to_density, validate_spectrum
+from .dynamics import _bell_density, validate_spectrum
 from .linalg import (PAULI, _check_density, _clamp_residue, _dephase, _spectral_entropy,
                      _support_rule, _xlog2)
 
@@ -443,7 +443,7 @@ def oracle_closest_separable_bd(lams) -> list[OracleResult]:
     found = _refine(starts, evaluate, _offsets(3), project, owner=everyone)
     return [
         OracleResult(
-            minimizer=bell_spectrum_to_density(np.append(x, 1.0 - x.sum())),
+            minimizer=_bell_density(np.append(x, 1.0 - x.sum())),
             value=float(_clamp_residue(value)),
             evaluations=1 + evals,
             history=history,

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import belldyn
-from belldyn import cli, linalg
+from belldyn import cli, dynamics, linalg
 from belldyn.cli import _write_table, build_parser, main
 from belldyn.correlations import bell_quantifiers, c_vector_of_spectrum, quantifier_report
 from belldyn.dynamics import (
@@ -372,10 +372,9 @@ def test_trajectory_commands_check_their_input_once(monkeypatch, capsys):
 
 def test_verify_checks_each_spectrum_once_before_its_oracles(monkeypatch, capsys):
     # verify --n 4: each drawn spectrum is checked where it is drawn (4), the
-    # chunk once by bell_quantifiers (1) and each spectrum twice by the
-    # separable oracle, its input and its minimizer (8); the classical and
-    # product states are built from the drawn spectra without a fourth check,
-    # where bell_spectrum_to_density made it 17
+    # chunk once by bell_quantifiers (1) and each spectrum once by the
+    # separable oracle, at its input (4); the classical and product states and
+    # the separable minimizers are built from checked spectra with no check
     calls = []
 
     def counted(*args, **kwargs):
@@ -387,7 +386,7 @@ def test_verify_checks_each_spectrum_once_before_its_oracles(monkeypatch, capsys
             monkeypatch.setattr(mod, "validate_spectrum", counted)
     assert main(["verify", "--n", "4"]) == 0
     assert json.loads(capsys.readouterr().out)["passed"] is True
-    assert len(calls) == 13
+    assert len(calls) == 9
 
 
 #: the edge values of the exit-code property: floats at and past the ends of
@@ -470,6 +469,72 @@ def test_each_subcommand_takes_only_the_options_it_reads():
 def test_missing_subcommand_returns_2_with_one_line(capsys):
     assert main([]) == 2
     assert capsys.readouterr().err == "error: the following arguments are required: command\n"
+
+
+def test_each_command_is_parsed_by_its_own_parser_alone(monkeypatch, capsys):
+    # the top-level parser would scan the whole argv before handing it on;
+    # main gives a command's argv to that command's parser only
+    def refuse(*args, **kwargs):
+        raise AssertionError("the top-level parser parsed a command line")
+
+    monkeypatch.setattr(build_parser(), "parse_args", refuse)
+    argvs = [["evolve", "--steps", "2"], ["figure2", "--steps", "2"], ["figure3", "--steps", "2"],
+             ["verify", "--n", "1"], ["nonmarkov", "--steps", "2"], ["composition", "0.1", "0.2"]]
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(argv[0] for argv in argvs) == sorted(sub.choices)
+    for argv in argvs:
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().err == ""
+
+
+# help, an unknown command and an unknown option keep their exit code and
+# message (an empty argv: test_missing_subcommand_returns_2_with_one_line)
+@pytest.mark.parametrize("argv, code, err", [
+    (["--help"], None, ""),
+    (["nosuch"], 2, "error: argument command: invalid choice: 'nosuch' (choose from 'evolve', "
+                    "'figure2', 'figure3', 'verify', 'nonmarkov', 'composition')\n"),
+    (["evolve", "--foo", "1"], 2, "error: unrecognized arguments: --foo 1\n"),
+], ids=["help", "unknown-command", "unknown-option"])
+def test_help_and_typos_keep_their_exit_code_and_message(argv, code, err, capsys):
+    if code is None:  # argparse's help action exits 0 after printing
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+    else:
+        assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err == err
+    assert captured.out.startswith("usage: belldyn [-h]") == (code is None)
+
+
+def test_main_reads_sys_argv_when_given_none(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["belldyn", "composition", "0.5", "0.5"])
+    assert main() == 0
+    assert json.loads(capsys.readouterr().out)["trace_distance"] == 0.0
+    monkeypatch.setattr(sys, "argv", ["belldyn"])
+    assert main() == 2
+    assert capsys.readouterr().err == "error: the following arguments are required: command\n"
+
+
+def test_inline_spectrum_within_the_sum_slack_is_divided_by_its_sum(capsys):
+    # the sum is 1 + 5e-10, inside the 1e-9 slack: each entry is divided by
+    # it (0.1 / (1 + 5e-10) = 0.09999999995), and the result sums to 1
+    assert main(["evolve", "--initial", "0.1,0.2,0.3,0.4000000005", "--steps", "2"]) == 0
+    first = capsys.readouterr().out.split("\n")[1].split(",")
+    assert first[:6] == ["0", "0", "0.09999999995", "0.1999999999", "0.29999999985", "0.4000000003"]
+
+
+@pytest.mark.parametrize("command", ["evolve", "nonmarkov"])
+def test_tau_max_is_accepted_up_to_the_library_limit(command, capsys):
+    limit = float(dynamics._TAU_LIMIT)
+    assert main([command, "--tau-max", repr(limit), "--steps", "2"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out.count("\n") == 4
+    past = float(np.nextafter(limit, math.inf))
+    assert main([command, "--tau-max", repr(past), "--steps", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --tau-max must be positive and finite, at most 8.988e+307\n"
 
 
 def test_overflowing_initial_gives_one_stderr_line():

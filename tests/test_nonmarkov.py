@@ -151,8 +151,9 @@ def test_switching_times_of_the_figure_state_are_exact():
     assert len(times) == 4
     assert max(abs(t - w) for t, w in zip(times, want)) < 1e-15
     assert detect_switching_times(LAM_FIG, TAU_SWITCH) == [TAU_SWITCH]
-    with pytest.raises(ValueError):
-        detect_switching_times(LAM_FIG, math.inf)
+    for tau_max in (math.inf, 0.0):
+        with pytest.raises(ValueError):
+            detect_switching_times(LAM_FIG, tau_max)
 
 
 def test_death_revival_ancilla_point():
