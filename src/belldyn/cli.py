@@ -291,7 +291,7 @@ def cmd_verify(args) -> int:
     passed = all(f["max_discrepancy_bits"] < VERIFY_TOL_BITS for f in families.values())
     report = {
         "n": n,
-        "seed": args.seed,
+        "seed": None if args.initial is not None else args.seed,  # no state drawn
         "tolerance_bits": VERIFY_TOL_BITS,
         "families": families,
         "passed": passed,

@@ -29,7 +29,6 @@ from .linalg import (
     _relative_entropy_stack,
     _spectral_entropy,
     _xlog2,
-    check_two_qubit_state,
     tensor,
 )
 
@@ -47,7 +46,7 @@ _CORRELATORS = np.array([tensor(p, p) for p in PAULI])
 
 def correlation_c_vector(rho) -> np.ndarray:
     """(c1, c2, c3) with c_k = Tr[rho (sigma_k x sigma_k)]."""
-    a = check_two_qubit_state(rho, "correlation_c_vector")
+    a = _check_density(rho, caller="correlation_c_vector")[0]
     return np.array([float(np.trace(a @ s).real) for s in _CORRELATORS])
 
 
@@ -65,7 +64,7 @@ def c_vector_of_spectrum(lam) -> np.ndarray:
 def closest_product(rho) -> np.ndarray:
     """Tensor product of the two marginals, the relative-entropy-closest
     product state. Equals I/4 for every Bell-diagonal input."""
-    return _product_state(check_two_qubit_state(rho, "closest_product"))
+    return _product_state(_check_density(rho, caller="closest_product")[0])
 
 
 def _product_state(a) -> np.ndarray:

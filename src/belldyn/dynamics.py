@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .linalg import check_density, check_two_qubit_state, tensor
+from .linalg import _check_density, check_density, tensor
 
 BRANCH_PHASES = (0.0, math.pi)
 
@@ -180,7 +180,7 @@ def bell_spectrum_of(rho):
     lam describes the state only when residual < BELL_RESIDUAL_TOL, which
     callers must check.
     """
-    return _bell_diagonal(check_two_qubit_state(rho, "bell_spectrum_of"))
+    return _bell_diagonal(_check_density(rho, caller="bell_spectrum_of")[0])
 
 
 def _bell_diagonal(a):

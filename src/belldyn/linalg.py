@@ -62,11 +62,6 @@ def check_density(rho, name="state"):
     return _check_density(rho, name)[0]
 
 
-def check_two_qubit_state(rho, name):
-    """check_density of a 4x4 state; the shape error names the caller `name`."""
-    return _check_density(rho, caller=name)[0]
-
-
 def _xlog2(p):
     """Elementwise p log2 p with 0 log 0 := 0, and +0.0 for p < 0 and NaN too,
     as q = 1 there; the one entropy kernel. Callers clip and sum themselves."""
@@ -162,7 +157,7 @@ def dephase_in_basis(rho, angles) -> np.ndarray:
     of local Bloch angles (thetaA, phiA, thetaB, phiB). On each qubit, basis
     vector 0 points along (sin t cos p, sin t sin p, cos t) and vector 1 is
     its orthogonal partner."""
-    return _dephase(check_two_qubit_state(rho, "dephase_in_basis"), angles)
+    return _dephase(_check_density(rho, caller="dephase_in_basis")[0], angles)
 
 
 def _dephase(a, angles):

@@ -178,9 +178,27 @@ def _frozen(*arrays):
 
 
 def _checked(rhos, caller):
-    # each state checked once; S(rho) from the check's eigenvalues
+    # each state checked once: the arrays, S(rho) from the check's eigenvalues,
+    # and their stacked Bloch data (aA, aB, C), for any number of states
     checked = [_check_density(rho, caller=caller) for rho in rhos]
-    return [a for a, _ in checked], np.array([_spectral_entropy(w) for _, w in checked])
+    states = [a for a, _ in checked]
+    bloch = _pauli_data(np.array(states).reshape(-1, 4, 4))
+    return states, np.array([_spectral_entropy(w) for _, w in checked]), bloch
+
+
+def _refine_from_centre(centre, width, evaluate, offsets, project, count):
+    # count searches of a convex family, each scored at and started from the
+    # set's centre, with width its distance to the boundary
+    everyone = np.arange(count)
+    values = evaluate(np.tile(centre, (count, 1, 1)), everyone)[:, 0].tolist()
+    return _refine([(centre, v, width) for v in values], evaluate, offsets, project, owner=everyone)
+
+
+def _results(found, minimizer, base):
+    # one OracleResult per state of _refine's tuples, minimizer(k, x) the state at
+    # state k's best point x, base the evaluations before refinement (grid or centre)
+    return [OracleResult(minimizer(k, x), float(_clamp_residue(value)), base + evals, history)
+            for k, (x, value, evals, history) in enumerate(found)]
 
 
 # ---------------------------------------------------------------------------
@@ -188,13 +206,14 @@ def _checked(rhos, caller):
 
 def _pauli_data(rho):
     # Bloch representation rho = (I x I + aA.sigma x I + I x aB.sigma
-    # + sum_kl C_kl sigma_k x sigma_l) / 4; the dephased diagonal in any
-    # product basis depends only on (aA, aB, C).
-    r = rho.reshape(2, 2, 2, 2)
+    # + sum_kl C_kl sigma_k x sigma_l) / 4 of one state or an (n, 4, 4)
+    # stack, each state's (aA, aB, C) the same bits either way; the dephased
+    # diagonal in any product basis depends only on (aA, aB, C).
+    r = rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))
     eye = np.eye(2, dtype=complex)
-    a_vec = np.real(np.einsum("abcd,kca,db->k", r, PAULI, eye))
-    b_vec = np.real(np.einsum("abcd,ca,kdb->k", r, eye, PAULI))
-    corr = np.real(np.einsum("abcd,kca,ldb->kl", r, PAULI, PAULI))
+    a_vec = np.real(np.einsum("...abcd,kca,db->...k", r, PAULI, eye))
+    b_vec = np.real(np.einsum("...abcd,ca,kdb->...k", r, eye, PAULI))
+    corr = np.real(np.einsum("...abcd,kca,ldb->...kl", r, PAULI, PAULI))
     return a_vec, b_vec, corr
 
 
@@ -366,10 +385,7 @@ def oracle_closest_classical(rhos) -> list[OracleResult]:
     near the first. All refinements run in lockstep. Every grid cell counts
     as an evaluation: the rows not scored exactly are ruled out by a floor.
     """
-    states, s_rho = _checked(rhos, "oracle_closest_classical")
-    if not states:
-        return []
-    a_vec, b_vec, corr = (np.array(x) for x in zip(*map(_pauli_data, states)))
+    states, s_rho, (a_vec, b_vec, corr) = _checked(rhos, "oracle_closest_classical")
 
     def evaluate(quads, owner):
         # the (search, 80, 4) stencil, scored on 9 A and 9 B directions from one gather
@@ -388,15 +404,7 @@ def oracle_closest_classical(rhos) -> list[OracleResult]:
             owner.append(k)
 
     found = _refine(starts, evaluate, _offsets(4), owner=owner, steps_of=_arc_length_steps)
-    return [
-        OracleResult(
-            minimizer=_dephase(a, x),
-            value=float(_clamp_residue(value)),
-            evaluations=len(u) ** 2 + evals,
-            history=history,
-        )
-        for a, (x, value, evals, history) in zip(states, found)
-    ]
+    return _results(found, lambda k, x: _dephase(states[k], x), len(u) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -437,19 +445,8 @@ def oracle_closest_separable_bd(lams) -> list[OracleResult]:
         return cand.clip(0.0, 0.5)
 
     # the centre q = 1/4 with width 1/4, its distance to each facet q_i = 1/2
-    everyone = np.arange(len(lam))
-    centre = evaluate(np.full((len(lam), 1, 3), 0.25), everyone)[:, 0]
-    starts = [(np.full(3, 0.25), float(v), 0.25) for v in centre]
-    found = _refine(starts, evaluate, _offsets(3), project, owner=everyone)
-    return [
-        OracleResult(
-            minimizer=_bell_density(np.append(x, 1.0 - x.sum())),
-            value=float(_clamp_residue(value)),
-            evaluations=1 + evals,
-            history=history,
-        )
-        for x, value, evals, history in found
-    ]
+    found = _refine_from_centre(np.full(3, 0.25), 0.25, evaluate, _offsets(3), project, len(lam))
+    return _results(found, lambda _, x: _bell_density(np.append(x, 1.0 - x.sum())), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -490,13 +487,11 @@ def oracle_closest_product(rhos) -> list[OracleResult]:
     rA = rB = 0 (the state I/4), projected back into the balls, needs no
     grid. All refinements run in lockstep.
     """
-    states, s_rho = _checked(rhos, "oracle_closest_product")
-    if not states:
-        return []
-    a_vec, b_vec, corr = (np.array(x)[:, None] for x in zip(*map(_pauli_data, states)))
+    states, s_rho, (a_vec, b_vec, corr) = _checked(rhos, "oracle_closest_product")
 
     def evaluate(cand, owner):
-        return _product_values(a_vec[owner], b_vec[owner], corr[owner], cand, s_rho[owner, None])
+        return _product_values(a_vec[owner, None], b_vec[owner, None], corr[owner, None], cand,
+                               s_rho[owner, None])
 
     def project(cand):
         # each Bloch vector of norm > 1 scaled back onto its sphere
@@ -506,17 +501,6 @@ def oracle_closest_product(rhos) -> list[OracleResult]:
 
     # the centre rA = rB = 0 (the state I/4) with width 1, its distance to
     # each ball's surface
-    everyone = np.arange(len(states))
-    centre = evaluate(np.zeros((len(states), 1, 6)), everyone)[:, 0]
-    starts = [(np.zeros(6), float(v), 1.0) for v in centre]
     axes = np.concatenate([np.eye(6), -np.eye(6)])
-    found = _refine(starts, evaluate, axes, project, owner=everyone)
-    return [
-        OracleResult(
-            minimizer=_product_states(x[None, :])[0],
-            value=float(_clamp_residue(value)),
-            evaluations=1 + evals,
-            history=history,
-        )
-        for x, value, evals, history in found
-    ]
+    found = _refine_from_centre(np.zeros(6), 1.0, evaluate, axes, project, len(states))
+    return _results(found, lambda _, x: _product_states(x[None, :])[0], 1)

@@ -604,10 +604,13 @@ def test_verify_single_given_state(tmp_path):
 
 
 def test_verify_ignores_a_negative_seed_when_initial_is_given(capsys):
-    # --seed only seeds the random states, so --initial makes it unread
-    assert main(["verify", "--initial", "0.9,0.1,0,0", "--seed", "-1"]) == 0
-    captured = capsys.readouterr()
-    assert json.loads(captured.out)["passed"] is True and captured.err == ""
+    # --seed only seeds the random states, so --initial makes it unread, and
+    # the report of a run that drew no random state names no seed
+    for seed in ([], ["--seed", "0"], ["--seed", "-1"], ["--seed", "7"]):
+        assert main(["verify", "--initial", "0.9,0.1,0,0", *seed]) == 0
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert report["passed"] is True and report["seed"] is None and captured.err == ""
 
 
 def test_verify_maximally_mixed_state(tmp_path):
@@ -626,23 +629,32 @@ def test_verify_is_deterministic(tmp_path):
 
 
 def test_verify_failure_exits_4(tmp_path, monkeypatch, capsys):
-    # force a broken oracle to exercise the failure reporting path
-    import belldyn.cli as cli
+    # force a broken oracle to exercise the failure reporting path: the
+    # classical one 0.01 bits high, and the separable one at 1e-3 bits on a
+    # separable spectrum, where E is exactly 0, so that its discrepancy is
+    # exactly the tolerance, which fails, as passing needs one below it
     from belldyn.oracle import OracleResult
 
-    real = cli.oracle_closest_classical
+    cases = [
+        ("classical", "oracle_closest_classical", "0.9,0.1,0,0", lambda v: v + 0.01),
+        ("separable", "oracle_closest_separable_bd", "0.4,0.3,0.2,0.1",
+         lambda v: cli.VERIFY_TOL_BITS),
+    ]
+    for family, oracle, initial, value_of in cases:
+        real = getattr(cli, oracle)
 
-    def broken(rhos):
-        return [OracleResult(res.minimizer, res.value + 0.01, res.evaluations, res.history)
-                for res in real(rhos)]
+        def broken(states, real=real, value_of=value_of):
+            return [OracleResult(res.minimizer, value_of(res.value), res.evaluations, res.history)
+                    for res in real(states)]
 
-    monkeypatch.setattr(cli, "oracle_closest_classical", broken)
-    out = tmp_path / "verify.json"
-    assert main(["verify", "--initial", "0.9,0.1,0,0", "--output", str(out)]) == 4
-    data = json.loads(out.read_text(encoding="utf-8"))
-    assert data["passed"] is False
-    assert data["families"]["classical"]["worst_state"] is not None
-    assert "classical" in capsys.readouterr().err
+        out = tmp_path / f"{family}.json"
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, oracle, broken)
+            assert main(["verify", "--initial", initial, "--output", str(out)]) == 4
+        data = json.loads(out.read_text(encoding="utf-8"))
+        assert data["passed"] is False
+        assert data["families"][family]["worst_state"] is not None
+        assert f"the {family} family" in capsys.readouterr().err
 
 
 def test_verify_catches_a_wrong_closed_form(tmp_path, monkeypatch, capsys):

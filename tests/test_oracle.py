@@ -104,9 +104,13 @@ def test_product_on_mixed_product_state():
 
 
 def test_each_oracle_of_no_states_is_empty():
-    assert oracle_closest_classical([]) == []
-    assert oracle_closest_separable_bd([]) == []
-    assert oracle_closest_product([]) == []
+    # empty lists and empty numpy stacks alike: a (0, 4, 4) state stack and a
+    # (0, 4) spectrum stack
+    for states in ([], np.empty((0, 4, 4), dtype=complex)):
+        assert oracle_closest_classical(states) == []
+        assert oracle_closest_product(states) == []
+    for spectra in ([], np.empty((0, 4))):
+        assert oracle_closest_separable_bd(spectra) == []
 
 
 def test_each_oracle_is_deterministic():
