@@ -142,8 +142,10 @@ def bell_quantifiers(lam):
 def _quantifiers(a, cvec):
     # bell_quantifiers of a checked stack a with its c-vectors cvec
     t = 2.0 + _xlog2(a).sum(axis=-1)  # 2 - H(lam)
-    cmax = np.abs(cvec).max(axis=-1)
-    lmax = a.max(axis=-1)
+    # pairwise over the columns: numpy reduces along a short last axis slowly
+    ac = np.abs(cvec)
+    cmax = np.maximum(np.maximum(ac[..., 0], ac[..., 1]), ac[..., 2])
+    lmax = np.maximum(np.maximum(a[..., 0], a[..., 1]), np.maximum(a[..., 2], a[..., 3]))
     p = np.array([(1.0 + cmax) / 2.0, lmax])
     h = -(_xlog2(p) + _xlog2(1.0 - p))
     c = 1.0 - h[0]
