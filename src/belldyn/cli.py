@@ -167,9 +167,11 @@ def _write_table(columns: dict, args) -> None:
 def _json_numbers(tokens) -> str:
     # json.dumps of the %.12g values joined in tokens, without the float
     # round trip: a fixed-point token is already repr(float(token)), an
-    # integer one lacks ".0", and exponent forms, nan and inf take the float route
+    # integer one lacks ".0", an exponent form takes repr(float(token)), which
+    # json.dumps calls for a finite float, and only nan and inf take json.dumps
     return ", ".join([t if "." in t and "e" not in t else t + ".0" if t.lstrip("-").isdigit()
-                      else json.dumps(float(t)) for t in tokens.split(",")])
+                      else json.dumps(float(t)) if "n" in t else repr(float(t))
+                      for t in tokens.split(",")])
 
 
 # ---------------------------------------------------------------------------
