@@ -209,18 +209,30 @@ def _bisect_reference(fn, lo, hi, rising):
 
 
 class _Recording:
-    """E(tau) that records each tau it is called at."""
+    """E(tau) that records each tau it is called at, and each value."""
 
     def __init__(self, fn):
-        self.fn, self.taus = fn, []
+        self.fn, self.taus, self.values = fn, [], []
 
     def __call__(self, tau):
         self.taus.append(tau)
-        return self.fn(tau)
+        self.values.append(self.fn(tau))
+        return self.values[-1]
+
+
+def _report_e(lam):
+    """E(tau) of the trajectory from lam, through quantifier_report."""
+    return lambda tau: quantifier_report(bell_spectrum_to_density(evolve_bell_spectrum(lam, tau))).E
 
 
 def _interior_boundaries(grid, windows):
     return [t for window in windows for t in window if t not in (grid[0], grid[-1])]
+
+
+def _boundary_calls(grid, boundaries, taus):
+    # the refine calls in each boundary's grid cell
+    calls = np.bincount(np.searchsorted(grid, taus), minlength=grid.size)
+    return [int(calls[np.searchsorted(grid, b)]) for b in boundaries]
 
 
 def _against_bisection(grid, e, fn):
@@ -240,18 +252,41 @@ def _against_bisection(grid, e, fn):
     return out
 
 
-def test_secant_halves_the_refine_calls_on_the_figure_trajectory():
-    # 124 quantifier_report calls with the bisection, 31 per boundary
-    def e_of_tau(tau):
-        return quantifier_report(bell_spectrum_to_density(evolve_bell_spectrum(LAM_FIG, tau))).E
-
+def test_secant_and_walk_take_at_most_32_refine_calls_on_the_figure_trajectory():
+    # 124 quantifier_report calls with the bisection; the secant through alive
+    # samples alone took 54, and 53 on the benchmark's 12-digit series
     grid = np.linspace(0.0, math.pi, 2001)
-    e = bell_quantifiers(evolve_bell_spectrum(LAM_FIG, grid))[3]
-    refine = _Recording(e_of_tau)
-    windows = detect_death_revival(grid, e, refine=refine)
-    assert len(_interior_boundaries(grid, windows)) == 4
-    assert len(refine.taus) <= 64
-    assert abs(windows[0][0] - DEATH_LO) < 2e-6 and abs(windows[0][1] - DEATH_HI) < 2e-6
+    exact = bell_quantifiers(evolve_bell_spectrum(LAM_FIG, grid))[3]
+    for e in (exact, [float("%.12g" % x) for x in exact]):
+        refine = _Recording(_report_e(LAM_FIG))
+        windows = detect_death_revival(grid, e, refine=refine)
+        assert len(_interior_boundaries(grid, windows)) == 4
+        assert len(refine.taus) <= 32
+        assert abs(windows[0][0] - DEATH_LO) < 2e-6 and abs(windows[0][1] - DEATH_HI) < 2e-6
+
+
+def test_survey_boundaries_split_the_rounding_band_in_fewer_calls():
+    # the figure state and 40 Dirichlet(0.5) spectra on the figure3 grid; the
+    # secant through alive samples alone took 2,509 refine calls here, and at
+    # most 35 for one boundary
+    grid = np.linspace(0.0, math.pi, 2001)
+    spectra = [LAM_FIG, *np.random.default_rng(5).dirichlet([0.5] * 4, size=40)]
+    total = boundaries = 0
+    for lam in spectra:
+        refine = _Recording(_report_e(lam))
+        e = bell_quantifiers(evolve_bell_spectrum(lam, grid))[3]
+        found = _interior_boundaries(grid, detect_death_revival(grid, e, refine=refine))
+        # each boundary is the midpoint of two neighbouring samples, less than
+        # 1e-12 apart and on opposite sides of the threshold
+        samples = sorted(zip(refine.taus, np.asarray(refine.values) > DEATH_THRESHOLD))
+        split = {0.5 * (a + b) for (a, alive_a), (b, alive_b) in zip(samples, samples[1:])
+                 if b - a < 1e-12 and alive_a != alive_b}
+        assert set(found) <= split
+        assert max(_boundary_calls(grid, found, refine.taus), default=0) <= 35
+        total += len(refine.taus)
+        boundaries += len(found)
+    assert boundaries >= 100
+    assert total <= 0.7 * 2509
 
 
 @settings(max_examples=40, deadline=None)
@@ -366,28 +401,27 @@ DETECTOR_PIN = {
 
 
 def _detector_intervals():
-    # float.hex of each detector's intervals, in DETECTOR_PIN's layout
-    from belldyn.correlations import bell_quantifiers
-    from belldyn.dynamics import evolve_bell_spectrum
-
+    # float.hex of each detector's intervals, in DETECTOR_PIN's layout, and
+    # the refine calls of each interior death boundary
     grid = np.linspace(0.0, math.pi, 2001)
     _, d, c, e = bell_quantifiers(evolve_bell_spectrum(LAM_FIG, grid))
-
-    def e_of_tau(tau):
-        return quantifier_report(bell_spectrum_to_density(evolve_bell_spectrum(LAM_FIG, tau))).E
-
+    refine = _Recording(_report_e(LAM_FIG))
     found = {
         "D": detect_frozen_intervals(grid, d),
         "C": detect_frozen_intervals(grid, c),
-        "E": detect_death_revival(grid, e, refine=e_of_tau),
+        "E": detect_death_revival(grid, e, refine=refine),
     }
-    return {k: [(a.hex(), b.hex()) for a, b in v] for k, v in found.items()}
+    calls = _boundary_calls(grid, _interior_boundaries(grid, found["E"]), refine.taus)
+    return {k: [(a.hex(), b.hex()) for a, b in v] for k, v in found.items()}, calls
 
 
 def test_detector_bits_are_pinned():
-    assert _detector_intervals() == DETECTOR_PIN
+    assert _detector_intervals()[0] == DETECTOR_PIN
 
 
 if __name__ == "__main__":
-    # prints the current DETECTOR_PIN, for a reviewed re-capture
-    print(json.dumps(_detector_intervals(), indent=1))
+    # prints the current DETECTOR_PIN, for a reviewed re-capture, and the
+    # refine calls each interior E boundary took, in the pin's order
+    pin, calls = _detector_intervals()
+    print(json.dumps(pin, indent=1))
+    print("refine calls per E boundary:", calls)
