@@ -344,6 +344,24 @@ def test_secant_stops_on_a_bracket_floating_point_cannot_split():
     assert len(refine.taus) <= 40
 
 
+def test_a_band_wider_than_the_walk_costs_one_walk():
+    # at this shallow crossing (tau ~ 1.837) E's rounding band is wider than
+    # the 7.2e-12 a walk covers, so every walk ends without a flip: a walk at
+    # each landing in the band took 67 calls there, the secant through alive
+    # samples alone 35, and the bisection 33
+    lam = np.array([0.5372209363055083, 0.0, 0.21416446179395043, 0.2486146019005413])
+
+    def closed_form(tau):
+        return float(bell_quantifiers(evolve_bell_spectrum(lam, tau))[3])
+
+    grid = np.linspace(0.0, math.pi, 401)
+    e = bell_quantifiers(evolve_bell_spectrum(lam, grid))[3]
+    found = _against_bisection(grid, e, closed_form)
+    assert len(found) == 4
+    for _, calls, _, ref_calls, _ in found:
+        assert calls <= ref_calls
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_refine_must_return_finite_values(bad):
     grid = np.linspace(0.0, 1.0, 11)
