@@ -184,9 +184,10 @@ def detect_death_revival(tau_grid, e_values, refine=None):
 
     If `refine` is a callable E(tau) with finite values, each interior
     boundary is sharpened between its bracketing grid points by a safeguarded
-    secant on sqrt(E), then by steps of 0.9e-12 through E's rounding band: it
-    is the midpoint of a bracket narrower than 1e-12, or one that floating
-    point cannot split, whose ends lie on opposite sides of DEATH_THRESHOLD.
+    secant on sqrt(E): it is the first sample within 1e-15 of DEATH_THRESHOLD,
+    where E is rounding noise, or else the midpoint of a bracket narrower than
+    1e-12, or one that floating point cannot split, whose ends lie on opposite
+    sides of DEATH_THRESHOLD.
     Returns a list of (start_tau, end_tau) pairs."""
     g, e = _checked_series(tau_grid, e_values)
     dead = e <= DEATH_THRESHOLD
@@ -218,36 +219,29 @@ def _sharpen_boundary(fn, g, e, k, out):
     # the two latest samples with E > 0, alive or dead, the series' own at
     # first; it bisects if that guess is not strictly inside the bracket or the
     # bracket has not halved over the last two steps. Within 1e-15 of the
-    # threshold E is rounding noise, so the first sample there starts a walk
-    # off the secant: at most 8 steps of 0.9e-12 toward the other end.
+    # threshold E is rounding noise, so the first sample there is the boundary
+    # (Brent's rule: stop once |f| is down to the noise level of f).
     root = math.sqrt(DEATH_THRESHOLD)
     near = [(float(g[m]), math.sqrt(e[m]) - root) for m in (k + out, k, k - out)
             if 0 <= m < e.size and e[m] > 0][-2:]
     alive, dead = float(g[k]), float(g[k - out])
     widths = [math.inf, math.inf, abs(alive - dead)]
-    steps, side = 0, None  # the walk's steps left, and whether it walks from alive
     while widths[-1] >= 1e-12:
-        here, there = (alive, dead) if side else (dead, alive)
-        x = here + math.copysign(0.9e-12, there - here)
-        walking = steps > 0 and x != here  # a step that rounds to its start ends the walk
-        steps = steps - 1 if walking else 0
-        if not walking:
-            x = 0.5 * (alive + dead)
-            if len(near) == 2 and widths[-1] <= 0.5 * widths[-3]:
-                (t1, s1), (t2, s2) = near
-                guess = t2 - s2 * (t2 - t1) / (s2 - s1) if s1 != s2 else x
-                if min(alive, dead) < guess < max(alive, dead):
-                    x = guess
+        x = 0.5 * (alive + dead)
+        if len(near) == 2 and widths[-1] <= 0.5 * widths[-3]:
+            (t1, s1), (t2, s2) = near
+            guess = t2 - s2 * (t2 - t1) / (s2 - s1) if s1 != s2 else x
+            if min(alive, dead) < guess < max(alive, dead):
+                x = guess
         if x in (alive, dead):
             break  # floating point cannot split the bracket
         v = float(fn(x))
         if not math.isfinite(v):
             raise ValueError(f"refine returned {v} at tau = {x!r}; it must be finite")
-        if not walking:
-            if v > 0:
-                near = [near[-1], (x, math.sqrt(v) - root)]
-            if side is None and abs(v - DEATH_THRESHOLD) <= 1e-15:
-                steps, side = 8, v > DEATH_THRESHOLD
+        if abs(v - DEATH_THRESHOLD) <= 1e-15:
+            return x
+        if v > 0:
+            near = [near[-1], (x, math.sqrt(v) - root)]
         alive, dead = (x, dead) if v > DEATH_THRESHOLD else (alive, x)
         widths.append(abs(alive - dead))
     return 0.5 * (alive + dead)

@@ -252,41 +252,86 @@ def _against_bisection(grid, e, fn):
     return out
 
 
-def test_secant_and_walk_take_at_most_32_refine_calls_on_the_figure_trajectory():
+def test_secant_takes_at_most_12_refine_calls_on_the_figure_trajectory():
     # 124 quantifier_report calls with the bisection; the secant through alive
-    # samples alone took 54, and 53 on the benchmark's 12-digit series
+    # samples alone took 54, and 53 on the benchmark's 12-digit series; a walk
+    # through E's rounding band after the two-sided secant took 25
     grid = np.linspace(0.0, math.pi, 2001)
     exact = bell_quantifiers(evolve_bell_spectrum(LAM_FIG, grid))[3]
     for e in (exact, [float("%.12g" % x) for x in exact]):
         refine = _Recording(_report_e(LAM_FIG))
         windows = detect_death_revival(grid, e, refine=refine)
         assert len(_interior_boundaries(grid, windows)) == 4
-        assert len(refine.taus) <= 32
+        assert len(refine.taus) <= 12
         assert abs(windows[0][0] - DEATH_LO) < 2e-6 and abs(windows[0][1] - DEATH_HI) < 2e-6
 
 
-def test_survey_boundaries_split_the_rounding_band_in_fewer_calls():
-    # the figure state and 40 Dirichlet(0.5) spectra on the figure3 grid; the
-    # secant through alive samples alone took 2,509 refine calls here, and at
-    # most 35 for one boundary
+def _survey():
+    """The figure state and 40 Dirichlet(0.5) spectra on the figure3 grid:
+    each spectrum with its interior death boundaries and its refine calls."""
     grid = np.linspace(0.0, math.pi, 2001)
-    spectra = [LAM_FIG, *np.random.default_rng(5).dirichlet([0.5] * 4, size=40)]
-    total = boundaries = 0
-    for lam in spectra:
+    out = []
+    for lam in [LAM_FIG, *np.random.default_rng(5).dirichlet([0.5] * 4, size=40)]:
         refine = _Recording(_report_e(lam))
         e = bell_quantifiers(evolve_bell_spectrum(lam, grid))[3]
-        found = _interior_boundaries(grid, detect_death_revival(grid, e, refine=refine))
-        # each boundary is the midpoint of two neighbouring samples, less than
-        # 1e-12 apart and on opposite sides of the threshold
-        samples = sorted(zip(refine.taus, np.asarray(refine.values) > DEATH_THRESHOLD))
+        out.append((lam, _interior_boundaries(grid, detect_death_revival(grid, e, refine=refine)), refine))
+    return grid, out
+
+
+def test_survey_boundaries_split_the_rounding_band_in_fewer_calls():
+    # the secant through alive samples alone took 2,509 refine calls here, and
+    # at most 35 for one boundary; a walk through E's rounding band after the
+    # two-sided secant took 1,396, and at most 32
+    grid, survey = _survey()
+    total = boundaries = 0
+    for _, found, refine in survey:
+        # each boundary is a sample within 1e-15 of the threshold, or the
+        # midpoint of two neighbouring samples less than 1e-12 apart and on
+        # opposite sides of it
+        values = np.asarray(refine.values)
+        in_band = {t for t, v in zip(refine.taus, values) if abs(v - DEATH_THRESHOLD) <= 1e-15}
+        samples = sorted(zip(refine.taus, values > DEATH_THRESHOLD))
         split = {0.5 * (a + b) for (a, alive_a), (b, alive_b) in zip(samples, samples[1:])
                  if b - a < 1e-12 and alive_a != alive_b}
-        assert set(found) <= split
-        assert max(_boundary_calls(grid, found, refine.taus), default=0) <= 35
+        assert set(found) <= in_band | split
+        assert max(_boundary_calls(grid, found, refine.taus), default=0) <= 8
         total += len(refine.taus)
         boundaries += len(found)
     assert boundaries >= 100
-    assert total <= 0.7 * 2509
+    assert total <= 500
+
+
+def _exact_crossings(lam, tau_max):
+    # the taus where the exact E of the trajectory from lam crosses
+    # DEATH_THRESHOLD. Near lam_max = 1/2, E = 1 - h(lam_max) is
+    # 2 (lam_max - 1/2)^2 / ln 2, so it crosses at lam_star (within 4e-17 of
+    # a 40-digit solve). Only the largest label can reach lam_star: it falls
+    # linearly in f toward its partner's value and meets lam_star at f_star.
+    lam_star = 0.5 + math.sqrt(math.log(2) * DEATH_THRESHOLD / 2)
+    top = int(np.argmax(lam))
+    if lam[top] <= lam_star:
+        return np.empty(0)
+    f_star = (lam[top] - lam_star) / (lam[top] - lam[3 - top])
+    theta = 0.5 * math.asin(math.sqrt(2.0 * f_star))
+    k = np.arange(int(tau_max // (math.pi / 2)) + 2) * (math.pi / 2)
+    return np.concatenate([k - theta, k + theta])
+
+
+def test_death_boundaries_meet_the_exact_crossing():
+    # every interior boundary of the survey, and of the figure trajectory's
+    # 12-digit series, lies within 2e-8 of the exact 1e-12 crossing: E's
+    # rounding band sets the limit at shallow crossings (1.3e-8 at most here)
+    grid, survey = _survey()
+    exact = bell_quantifiers(evolve_bell_spectrum(LAM_FIG, grid))[3]
+    csv = [float("%.12g" % x) for x in exact]
+    fig = _interior_boundaries(grid, detect_death_revival(grid, csv, refine=_report_e(LAM_FIG)))
+    boundaries = 0
+    for lam, found, _ in [*survey, (LAM_FIG, fig, None)]:
+        crossings = _exact_crossings(lam, grid[-1])
+        for b in found:
+            assert np.min(np.abs(crossings - b)) < 2e-8
+        boundaries += len(found)
+    assert boundaries >= 100
 
 
 @settings(max_examples=40, deadline=None)
@@ -344,11 +389,11 @@ def test_secant_stops_on_a_bracket_floating_point_cannot_split():
     assert len(refine.taus) <= 40
 
 
-def test_a_band_wider_than_the_walk_costs_one_walk():
+def test_a_shallow_crossing_costs_no_more_calls_than_bisection():
     # at this shallow crossing (tau ~ 1.837) E's rounding band is wider than
-    # the 7.2e-12 a walk covers, so every walk ends without a flip: a walk at
-    # each landing in the band took 67 calls there, the secant through alive
-    # samples alone 35, and the bisection 33
+    # the 7.2e-12 that a walk of 8 steps of 0.9e-12 covered, so no walk found
+    # a flip: a walk at each landing in the band took 67 calls there, the
+    # secant through alive samples alone 35, and the bisection 33
     lam = np.array([0.5372209363055083, 0.0, 0.21416446179395043, 0.2486146019005413])
 
     def closed_form(tau):
