@@ -458,8 +458,8 @@ DETECTOR_PIN = {
           ("0x1.749158749eacep+1", "0x1.921fb54442d18p+1")],
     "C": [("0x1.dc1d59b113b89p-3", "0x1.569c0a0e205a7p+0"),
           ("0x1.cda3607a6548ap+0", "0x1.745ddfa931960p+1")],
-    "E": [("0x1.3b20051c85e34p-1", "0x1.e91f656b4a12ap-1"),
-          ("0x1.17d7dbe9500e0p+1", "0x1.4357b3fd1cc1cp+1")],
+    "E": [("0x1.3b20051c82eb5p-1", "0x1.e91f656b3f303p-1"),
+          ("0x1.17d7dbe94f4ffp+1", "0x1.4357b3fd1b851p+1")],
 }
 
 
