@@ -959,3 +959,21 @@ def test_json_writer_keeps_the_float_route_for_tokens_that_are_no_repr():
     assert out.getvalue() == json.dumps({"x": [float(f"{x:.12g}") for x in vals]}) + "\n"
     assert out.getvalue() == ('{"x": [-0.0, 5e-324, 1500000000000.0, 123456789012.0, NaN, '
                               'Infinity, -Infinity, 1.0, 0.25]}\n')
+
+
+@pytest.mark.parametrize("bell", [[-1e-9, 0.5, 0.5, 1e-9], [1.000000001, 0.0, 0.0, -1e-9]],
+                         ids=["lower", "upper"])
+def test_spectrum_entries_are_accepted_up_to_the_input_slack(bell, capsys):
+    # an entry on a bound of the CLI's [-1e-9, 1 + 1e-9] slack passes its range
+    # check and reaches validate_spectrum, which rejects the -1e-9 entry; the
+    # next float past the bound fails the range check (JSON, because argparse
+    # takes an inline "-1e-9,..." for an option)
+    assert main(["evolve", "--initial", json.dumps({"bell": bell}), "--steps", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: Bell spectrum has negative entry -1.000e-09\n"
+    past = [float(np.nextafter(bell[0], math.copysign(math.inf, bell[0]))), *bell[1:]]
+    assert main(["evolve", "--initial", json.dumps({"bell": past}), "--steps", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: initial spectrum entries must lie in [0, 1], got {past!r}\n"

@@ -390,10 +390,10 @@ def test_secant_stops_on_a_bracket_floating_point_cannot_split():
 
 
 def test_a_shallow_crossing_costs_no_more_calls_than_bisection():
-    # at this shallow crossing (tau ~ 1.837) E's rounding band is wider than
-    # the 7.2e-12 that a walk of 8 steps of 0.9e-12 covered, so no walk found
-    # a flip: a walk at each landing in the band took 67 calls there, the
-    # secant through alive samples alone 35, and the bisection 33
+    # at this shallow crossing (tau ~ 1.837) E's rounding band is wide: a walk
+    # of 8 steps of 0.9e-12 at each landing in the band took 67 calls there,
+    # the secant through alive samples alone 35, the bisection 33, and the
+    # stop at the first sample in the band takes 9
     lam = np.array([0.5372209363055083, 0.0, 0.21416446179395043, 0.2486146019005413])
 
     def closed_form(tau):
