@@ -26,7 +26,6 @@ from .dynamics import (
     two_qubit_map,
 )
 from .nonmarkov import (
-    NonMarkovTrace,
     ancilla_entanglement,
     composition_violation,
     detect_death_revival,

@@ -76,6 +76,16 @@ def _checked_tau(tau) -> np.ndarray:
     return t
 
 
+def _checked_grid(tau_grid) -> np.ndarray:
+    # a tau grid: at least 2 points of the tau rule, strictly ascending
+    g = _checked_tau(tau_grid).reshape(-1)
+    if g.size < 2:
+        raise ValueError("tau grid needs at least 2 points")
+    if not np.all(np.diff(g) > 0):
+        raise ValueError("tau grid must be strictly ascending")
+    return g
+
+
 def mixing_fraction(tau):
     """Branch mixing fraction f = sin^2(2 tau) / 2, in [0, 1/2].
 

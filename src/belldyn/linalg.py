@@ -131,11 +131,12 @@ def relative_entropy(rho, sigma) -> float:
     of sigma (sigma eigenvalue below the support cutoff carrying more
     than SUPPORT_OVERLAP_TOL of rho's weight).
     """
-    r = check_density(rho, name="rho")
+    r, w = _check_density(rho, name="rho")
     s = check_density(sigma, name="sigma")
     if r.shape != s.shape:
         raise ValueError(f"dimension mismatch: {r.shape} vs {s.shape}")
-    return float(_relative_entropy_stack(r, s[None], _entropy(r))[0])
+    # S(rho) from the check's eigenvalues of rho
+    return float(_relative_entropy_stack(r, s[None], _spectral_entropy(w))[0])
 
 
 def tensor(a, b) -> np.ndarray:

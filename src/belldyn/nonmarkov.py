@@ -17,12 +17,11 @@ Both are non-decreasing and start at zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .correlations import bell_quantifiers
-from .dynamics import _checked_tau, evolve_bell_spectrum, validate_spectrum
+from .dynamics import _checked_grid, _checked_tau, evolve_bell_spectrum, validate_spectrum
 
 CONVENTIONS = ("rhp", "literal")
 FROZEN_TOL = 1e-6
@@ -44,36 +43,23 @@ def ancilla_entanglement(tau):
     return float(e) if e.ndim == 0 else e
 
 
-@dataclass(frozen=True)
-class NonMarkovTrace:
-    """Ancilla entanglement and accumulated non-Markovianity on a tau grid."""
-
-    tau_grid: np.ndarray
-    e_anc: np.ndarray
-    i_e: np.ndarray
-    convention: str
-
-
-def nonmarkovianity_measure(tau_grid, convention: str = "rhp") -> NonMarkovTrace:
+def nonmarkovianity_measure(tau_grid, convention: str = "rhp"):
     """Accumulate the non-Markovianity quantifier along an ascending grid
-    starting at tau = 0. See the module docstring for the two conventions."""
+    starting at tau = 0. Returns the arrays (e_anc, i_e): the ancilla
+    entanglement and the accumulated quantifier at each grid point. See the
+    module docstring for the two conventions."""
     if convention not in CONVENTIONS:
         raise ValueError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
-    g = np.asarray(tau_grid, dtype=float).reshape(-1)
-    if g.size < 2:
-        raise ValueError("tau grid needs at least 2 points")
-    if abs(g[0]) > 1e-12:
+    g = _checked_grid(tau_grid)
+    if g[0] > 1e-12:
         raise ValueError("tau grid must start at 0")
-    if np.any(np.diff(g) <= 0):
-        raise ValueError("tau grid must be strictly ascending")
     e = ancilla_entanglement(g)
     d = np.diff(e)
     if convention == "rhp":
         inc = 2.0 * np.clip(d, 0.0, None)
     else:
         inc = np.abs(d) - d
-    i_e = np.concatenate([[0.0], np.cumsum(inc)])
-    return NonMarkovTrace(g.copy(), e, i_e, convention)
+    return e, np.concatenate([[0.0], np.cumsum(inc)])
 
 
 def composition_violation(lam0, tau1, tau2) -> float:
@@ -86,9 +72,9 @@ def composition_violation(lam0, tau1, tau2) -> float:
 
 def _composition(lam0, tau1, tau2):
     # (direct spectrum, restarted spectrum, their trace distance)
-    t1, t2 = float(tau1), float(tau2)
-    if not 0.0 <= t1 <= t2 < math.inf:
-        raise ValueError("need 0 <= tau1 <= tau2, both finite")
+    t1, t2 = _checked_tau([tau1, tau2]).tolist()
+    if not t1 <= t2:
+        raise ValueError("need tau1 <= tau2")
     lam = validate_spectrum(lam0).reshape(4)
     direct = evolve_bell_spectrum(lam, t2)
     restarted = evolve_bell_spectrum(evolve_bell_spectrum(lam, t1), t2 - t1)
@@ -96,18 +82,10 @@ def _composition(lam0, tau1, tau2):
 
 
 def _checked_series(tau_grid, values):
-    # the input rule of the sampled-series detectors: a uniform, strictly
-    # ascending grid and as many finite values; the step comparisons are
-    # written so that NaN fails too
-    g = np.asarray(tau_grid, dtype=float).reshape(-1)
+    # the input rule of the sampled-series detectors: a tau grid and as many
+    # finite values
+    g = _checked_grid(tau_grid)
     v = np.asarray(values, dtype=float).reshape(-1)
-    if g.size < 2:
-        raise ValueError("grid needs at least 2 points")
-    steps = np.diff(g)
-    if not np.all(steps > 0):
-        raise ValueError("grid must be strictly ascending")
-    if not np.max(np.abs(steps - steps[0])) <= 1e-9 * steps[0]:
-        raise ValueError("grid must be uniform")
     if v.size != g.size:
         raise ValueError("values and tau grid must have equal length")
     if not np.all(np.isfinite(v)):
@@ -163,8 +141,8 @@ def detect_switching_times(lam0, tau_max):
     neither is a permanent tie (e.g. the maximally mixed spectrum).
     """
     lam = validate_spectrum(lam0).reshape(4)
-    if not 0.0 < tau_max < math.inf:
-        raise ValueError("tau_max must be positive and finite")
+    if not _checked_tau(tau_max) > 0.0:
+        raise ValueError("tau_max must be positive")
     i, j = np.triu_indices(4, 1)
     half = evolve_bell_spectrum(lam, math.pi / 4)  # the spectrum at f = 1/2
     g0, g1 = lam[i] - lam[j], half[i] - half[j]  # gaps of each pair at f = 0, 1/2

@@ -144,15 +144,14 @@ def test_criterion_5_ancilla_protocol():
 def test_criterion_6_nonmarkovianity():
     def body():
         grid = np.linspace(0.0, math.pi / 2, 2001)
-        trace = nonmarkovianity_measure(grid, "rhp")
-        assert np.all(trace.i_e[grid <= math.pi / 4 + 1e-12] == 0.0)
-        assert abs(trace.i_e[-1] - 2.0) < 1e-3
+        _, i_e = nonmarkovianity_measure(grid, "rhp")
+        assert np.all(i_e[grid <= math.pi / 4 + 1e-12] == 0.0)
+        assert abs(i_e[-1] - 2.0) < 1e-3
 
         # positive increments only where the two-qubit entanglement revives:
         # inside [pi/4, pi/2] modulo the half period
         wide = np.linspace(0.0, math.pi, 4001)
-        tr = nonmarkovianity_measure(wide, "rhp")
-        inc = np.diff(tr.i_e)
+        inc = np.diff(nonmarkovianity_measure(wide, "rhp")[1])
         step = wide[1] - wide[0]
         for k in np.nonzero(inc > 0)[0]:
             pos = wide[k + 1] % (math.pi / 2)

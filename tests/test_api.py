@@ -15,7 +15,7 @@ PUBLIC_NAMES = {
     "branch_unitary", "evolve_bell_spectrum", "mixing_fraction", "single_qubit_map",
     "two_qubit_map",
     # nonmarkov
-    "NonMarkovTrace", "ancilla_entanglement", "composition_violation", "detect_death_revival",
+    "ancilla_entanglement", "composition_violation", "detect_death_revival",
     "detect_frozen_intervals", "detect_switching_times", "nonmarkovianity_measure",
     # oracle
     "OracleResult", "oracle_closest_classical", "oracle_closest_product",

@@ -1,11 +1,13 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from belldyn.cli import main
 from belldyn.correlations import bell_quantifiers, quantifier_report
 from belldyn.dynamics import (
     BELL_VECTORS,
@@ -43,35 +45,35 @@ def test_ancilla_entanglement_matches_report():
 
 
 def test_measure_increase_counting():
-    tr = nonmarkovianity_measure(np.linspace(0, math.pi / 4, 1001))
-    assert tr.i_e[-1] == 0.0
-    tr = nonmarkovianity_measure(np.linspace(0, math.pi / 2, 2001))
-    assert abs(tr.i_e[-1] - 2.0) < 1e-3
+    _, i_e = nonmarkovianity_measure(np.linspace(0, math.pi / 4, 1001))
+    assert i_e[-1] == 0.0
+    _, i_e = nonmarkovianity_measure(np.linspace(0, math.pi / 2, 2001))
+    assert abs(i_e[-1] - 2.0) < 1e-3
 
 
 def test_measure_literal():
-    tr = nonmarkovianity_measure(np.linspace(0, math.pi / 4, 1001), "literal")
-    assert abs(tr.i_e[-1] - 2.0) < 1e-3
+    _, i_e = nonmarkovianity_measure(np.linspace(0, math.pi / 4, 1001), "literal")
+    assert abs(i_e[-1] - 2.0) < 1e-3
 
 
 def test_measure_monotone_and_zero_start():
     grid = np.linspace(0, 2.2, 2201)
     for convention in ("rhp", "literal"):
-        tr = nonmarkovianity_measure(grid, convention)
-        assert tr.i_e[0] == 0.0
-        assert np.all(np.diff(tr.i_e) >= 0.0)
+        _, i_e = nonmarkovianity_measure(grid, convention)
+        assert i_e[0] == 0.0
+        assert np.all(np.diff(i_e) >= 0.0)
 
 
 def test_measure_zero_on_decay_segment():
     grid = np.linspace(0, math.pi / 4, 500)
-    tr = nonmarkovianity_measure(grid)
-    assert np.all(tr.i_e == 0.0)
+    _, i_e = nonmarkovianity_measure(grid)
+    assert np.all(i_e == 0.0)
 
 
 def test_measure_grid_halving_convergence():
-    coarse = nonmarkovianity_measure(np.linspace(0, math.pi / 2, 1572))
-    fine = nonmarkovianity_measure(np.linspace(0, math.pi / 2, 3143))
-    assert abs(coarse.i_e[-1] - fine.i_e[-1]) < 1e-3
+    _, coarse = nonmarkovianity_measure(np.linspace(0, math.pi / 2, 1572))
+    _, fine = nonmarkovianity_measure(np.linspace(0, math.pi / 2, 3143))
+    assert abs(coarse[-1] - fine[-1]) < 1e-3
 
 
 def test_measure_rejects_bad_grid():
@@ -418,25 +420,37 @@ def test_refine_must_return_finite_values(bad):
 DETECTORS = {"frozen": detect_frozen_intervals, "death_revival": detect_death_revival}
 
 
+#: the message of the library's tau rule, `dynamics._checked_tau`
+TAU_RULE = "tau must be finite and non-negative, at most 8.988e+307"
+
+
 @pytest.mark.parametrize("grid, values, message", [
-    ([0.0], [0.0], "grid needs at least 2 points"),
-    ([0.0, 2.0, 1.0], [0.0] * 3, "grid must be strictly ascending"),
-    ([0.0, 1.0, 3.0], [0.0] * 3, "grid must be uniform"),
+    ([0.0], [0.0], "tau grid needs at least 2 points"),
+    ([0.0, 2.0, 1.0], [0.0] * 3, "tau grid must be strictly ascending"),
+    # accepted: no detector reads the step, so any ascending grid will do
+    ([0.0, 1.0, 3.0], [0.0] * 3, None),
     ([0.0, 1.0, 2.0], [0.0] * 2, "values and tau grid must have equal length"),
     ([0.0, 1.0, 2.0], [0.0, math.inf, 0.0], "values must be finite"),
-    # NaN fails every step comparison of the grid, wherever it sits
-    ([0.0, math.nan, 2.0, 3.0], [0.0] * 4, "grid must be strictly ascending"),
-    ([math.nan] * 4, [0.0] * 4, "grid must be strictly ascending"),
-    ([0.0, 1.0, 2.0, math.nan], [0.0] * 4, "grid must be strictly ascending"),
+    # NaN fails the tau rule, wherever it sits
+    ([0.0, math.nan, 2.0, 3.0], [0.0] * 4, TAU_RULE),
+    ([math.nan] * 4, [0.0] * 4, TAU_RULE),
+    ([0.0, 1.0, 2.0, math.nan], [0.0] * 4, TAU_RULE),
+    # so do points outside [0, max float / 2]
+    ([-1.0, 0.0, 1.0], [0.0] * 3, TAU_RULE),
+    ([0.0, 1.0, 1e308], [0.0] * 3, TAU_RULE),
     ([0.0, 1.0, 2.0, 3.0], [math.nan] * 4, "values must be finite"),
     # a NaN would split an E series' death window or warn in the frozen scan
     ([0.0, 1.0, 2.0, 3.0], [0.0, 0.0, math.nan, 0.0], "values must be finite"),
     ([0.0, 1.0, 2.0, 3.0], [0.5, 0.5, math.nan, 0.5], "values must be finite"),
 ], ids=["one-point", "descending", "non-uniform", "length", "inf-value", "nan-in-grid",
-        "all-nan-grid", "nan-last", "all-nan-values", "nan-in-e", "nan-in-frozen"])
+        "all-nan-grid", "nan-last", "negative", "beyond-limit", "all-nan-values", "nan-in-e",
+        "nan-in-frozen"])
 @pytest.mark.parametrize("detector", sorted(DETECTORS))
 def test_series_detectors_share_one_input_rule(detector, grid, values, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    if message is None:
+        assert DETECTORS[detector](grid, values) == [(grid[0], grid[-1])]
+        return
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         DETECTORS[detector](grid, values)
 
 
@@ -480,6 +494,26 @@ def _detector_intervals():
 
 def test_detector_bits_are_pinned():
     assert _detector_intervals()[0] == DETECTOR_PIN
+
+
+def test_series_detectors_read_the_cli_figure3_output(tmp_path):
+    # the tau column of the default figure3 CSV holds 12 significant digits,
+    # so its steps differ from each other by up to 4.3e-9 relative; the
+    # detectors take it as it is and find the pinned intervals of the exact
+    # grid to within that rounding
+    out = tmp_path / "figure3.csv"
+    assert main(["figure3", "--output", str(out)]) == 0
+    cols = np.genfromtxt(out, delimiter=",", names=True)
+    tau = cols["tau"]
+    found = {
+        "D": detect_frozen_intervals(tau, cols["D"]),
+        "C": detect_frozen_intervals(tau, cols["C"]),
+        "E": detect_death_revival(tau, cols["E"], refine=_report_e(LAM_FIG)),
+    }
+    for key, tol in (("D", 1e-11), ("C", 1e-11), ("E", 1e-9)):
+        want = [(float.fromhex(a), float.fromhex(b)) for a, b in DETECTOR_PIN[key]]
+        assert len(found[key]) == len(want)
+        assert np.max(np.abs(np.subtract(found[key], want))) < tol
 
 
 if __name__ == "__main__":

@@ -51,15 +51,30 @@ bits. The summed `evaluations` fell from 1,628,713 (seed 0) and 1,631,993
 
 Any change to the search order, the grids or the relative-entropy kernel
 that moves a single bit fails here. `python tests/test_oracle_golden.py`
-prints the digests of the current code as JSON.
+prints the digests of the current code as JSON, and the numpy dispatch
+level it ran on to stderr.
+
+numpy's SIMD kernels (np.log2 among them) give different last bits on
+each dispatch level, so each level that moves a bit has its own capture in
+`CAPTURES`: `oracle_golden.json` for X86_V4 (AVX512), and one each for
+X86_V3 (AVX2) and the X86_V2 baseline, made with numpy 2.4.6 under the
+level's NPY_DISABLE_CPU_FEATURES setting. The in-process tests compare with
+the capture of the level this process runs, and skip where numpy reports
+none of them (a numpy before 2.4 or a CPU other than x86-64). The
+subprocess test runs every level the host supports.
 """
 
 import hashlib
 import json
+import os
 import pathlib
+import re
+import subprocess
+import sys
 from functools import partial
 
 import numpy as np
+import pytest
 
 from belldyn.dynamics import bell_spectrum_to_density
 from belldyn.oracle import (
@@ -68,7 +83,36 @@ from belldyn.oracle import (
     oracle_closest_separable_bd,
 )
 
-GOLDEN = pathlib.Path(__file__).parent / "data" / "oracle_golden.json"
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_features__
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+#: the capture of each numpy dispatch level, highest first, and the
+#: NPY_DISABLE_CPU_FEATURES setting that holds a process at that level
+CAPTURES = {
+    "X86_V4": ("oracle_golden.json", ""),
+    "X86_V3": ("oracle_golden_x86_v3.json", "X86_V4 AVX512_ICL AVX512_SPR"),
+    "X86_V2": ("oracle_golden_x86_v2.json", "X86_V4 AVX512_ICL AVX512_SPR X86_V3"),
+}
+
+
+def _level():
+    # the highest level of CAPTURES that numpy runs in this process, or None
+    return next((level for level in CAPTURES if __cpu_features__.get(level)), None)
+
+
+def _captured_level() -> str:
+    level = _level()
+    if level is None:
+        pytest.skip(f"no golden capture for numpy {np.__version__} on this CPU")
+    return level
+
+
+def _golden() -> dict:
+    return json.loads((DATA / CAPTURES[_captured_level()][0]).read_text(encoding="utf-8"))
 
 EDGE_SPECTRA = {
     "fig": [0.9, 0.1, 0.0, 0.0],
@@ -121,13 +165,26 @@ def _digests() -> dict:
 
 
 def test_oracle_results_are_bit_identical_to_the_golden_capture():
-    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    golden = _golden()
     got = _digests()
     assert sorted(got) == sorted(golden)
     moved = [name for name in golden if got[name] != golden[name]]
     assert moved == []
 
 
+def test_each_cpu_level_matches_its_own_capture():
+    # numpy fixes its dispatch level when it is imported, so each level runs
+    # in a process of its own; a level the host lacks reports a lower one
+    _captured_level()
+    ran = []
+    for level, (name, disabled) in CAPTURES.items():
+        cp = subprocess.run([sys.executable, __file__], capture_output=True, check=True,
+                            env=dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled))
+        if re.search(rb"numpy dispatch level: (\S+)", cp.stderr)[1].decode() != level:
+            continue
+        assert cp.stdout == (DATA / name).read_bytes(), f"the {level} digests moved"
+        ran.append(level)
+    assert ran
 
 def _batched_digests(names, states, spectra) -> dict:
     # one call of each oracle on all the named states, in order
@@ -146,7 +203,7 @@ def _batched_digests(names, states, spectra) -> dict:
 def test_batched_entry_points_match_the_golden_capture():
     # every golden state in one batch, forwards and backwards: a state's
     # bits depend neither on its batch-mates nor on its place in the batch
-    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    golden = _golden()
     spectra = _spectra()
     states = {name: bell_spectrum_to_density(lam) for name, lam in spectra.items()}
     states.update(_general_states())
@@ -158,3 +215,4 @@ def test_batched_entry_points_match_the_golden_capture():
 
 if __name__ == "__main__":
     print(json.dumps(_digests(), indent=1, sort_keys=True))
+    print(f"numpy dispatch level: {_level()}", file=sys.stderr)
