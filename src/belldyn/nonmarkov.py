@@ -11,7 +11,9 @@ named as the CLI's ``--convention`` names them:
 * ``literal``: each step adds |dE| - dE, the integral-minus-variation
   form taken verbatim, which instead accumulates during decay.
 
-Both are non-decreasing and start at zero.
+The two are mirror images: literal counts the falls of E the way rhp
+counts its rises, since |dE| - dE = 2*max(-dE, 0). Both are
+non-decreasing and start at zero.
 """
 
 from __future__ import annotations
@@ -55,10 +57,7 @@ def nonmarkovianity_measure(tau_grid, convention: str = "rhp"):
         raise ValueError("tau grid must start at 0")
     e = ancilla_entanglement(g)
     d = np.diff(e)
-    if convention == "rhp":
-        inc = 2.0 * np.clip(d, 0.0, None)
-    else:
-        inc = np.abs(d) - d
+    inc = 2.0 * np.clip(d if convention == "rhp" else -d, 0.0, None)
     return e, np.concatenate([[0.0], np.cumsum(inc)])
 
 
@@ -168,25 +167,17 @@ def detect_death_revival(tau_grid, e_values, refine=None):
     sides of DEATH_THRESHOLD.
     Returns a list of (start_tau, end_tau) pairs."""
     g, e = _checked_series(tau_grid, e_values)
-    dead = e <= DEATH_THRESHOLD
+    # each dead run i..stop-1 starts and stops at an edge of the padded mask
+    edges = np.flatnonzero(np.diff(e <= DEATH_THRESHOLD, prepend=False, append=False))
     out = []
-    i = 0
-    n = e.size
-    while i < n:
-        if not dead[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and dead[j + 1]:
-            j += 1
-        start, end = float(g[i]), float(g[j])
+    for i, stop in zip(edges[::2].tolist(), edges[1::2].tolist()):
+        start, end = float(g[i]), float(g[stop - 1])
         if refine is not None:
             if i > 0:
                 start = _sharpen_boundary(refine, g, e, i - 1, -1)
-            if j + 1 < n:
-                end = _sharpen_boundary(refine, g, e, j + 1, 1)
+            if stop < e.size:
+                end = _sharpen_boundary(refine, g, e, stop, 1)
         out.append((start, end))
-        i = j + 1
     return out
 
 
