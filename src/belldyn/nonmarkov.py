@@ -97,10 +97,11 @@ def detect_frozen_intervals(tau_grid, values):
     interval mean at every grid point, found by a greedy left-to-right scan.
 
     A scan starts at a grid point and takes the following points while all
-    points taken stay within FROZEN_TOL of their mean; the first point that
-    breaks this starts the next scan. Scans of fewer than 3 grid points are
-    discarded, and their points are not revisited, so an interval need not
-    be maximal: a frozen run can lose its first point to a discarded scan.
+    points taken stay within FROZEN_TOL of their mean. A scan of 3 or more
+    points is an interval, and the point that broke it starts the next scan;
+    a shorter scan is discarded, and the next scan starts at its second
+    point, so a discarded scan never hides the first point of a run. An
+    interval still need not be maximal: a scan can end inside a frozen run.
     Returns a list of (start_tau, end_tau) pairs in ascending order."""
     g, v = _checked_series(tau_grid, values)
     v = v.tolist()  # Python floats: the same IEEE arithmetic, without numpy scalars
@@ -121,8 +122,10 @@ def detect_frozen_intervals(tau_grid, values):
                 j += 1
             else:
                 break
-        if j - i >= 3:
-            out.append((float(g[i]), float(g[j - 1])))
+        if j - i < 3:
+            i += 1  # a discarded scan: its second point starts the next one
+            continue
+        out.append((float(g[i]), float(g[j - 1])))
         i = j
     return out
 

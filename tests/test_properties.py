@@ -141,9 +141,9 @@ def test_classical_correlations_are_frozen_wherever_c2_dominates(lam0, tau_max, 
     # the c-vector evolves as ((1 - 2f) c1, c2, (1 - 2f) c3), so wherever |c2|
     # is the largest entry C = 1 - h((1 + |c2|) / 2) takes one value.
     # detect_frozen_intervals is not held to report each such run inside one
-    # interval: its greedy scan can start one point early and then drop the
-    # run's first point (lam0 = (0.0996, 0.2737, 0.2988, 0.3279),
-    # tau_max = 3.0946, n = 165 loses point 20 of the run 20..64).
+    # interval: a scan that starts before the run can take its first points
+    # and end inside it. A discarded short scan no longer drops the run's
+    # first point (test_nonmarkov's example reports the run 20..64 whole).
     lam = evolve_bell_spectrum(lam0, np.linspace(0.0, tau_max, n + 1))
     c = np.abs(c_vector_of_spectrum(lam))
     assert np.max(np.abs(c[:, 1] - c[0, 1])) < 1e-14
