@@ -470,14 +470,14 @@ def test_series_detectors_share_one_input_rule(detector, grid, values, message):
 #: ``python tests/test_nonmarkov.py`` prints the current values
 DETECTOR_PIN = {
     "D": [("0x0.0p+0", "0x1.d8e5ccfa424a6p-3"),
-          ("0x1.860f6596b1743p-1", "0x1.87ab2bf21a2b5p-1"),
-          ("0x1.88790f1fce86ep-1", "0x1.8ee8288d71635p-1"),
-          ("0x1.8fb60bbb25beep-1", "0x1.9af8783b02c0ap-1"),
+          ("0x1.85418268fd18ap-1", "0x1.86dd48c465cfcp-1"),
+          ("0x1.87ab2bf21a2b5p-1", "0x1.8ae2b8a8eb999p-1"),
+          ("0x1.8bb09bd69ff51p-1", "0x1.9af8783b02c0ap-1"),
           ("0x1.9bc65b68b71c3p-1", "0x1.9d6221c41fd35p-1"),
           ("0x1.5702fba4fa884p+0", "0x1.cd3c6ee38b1adp+0"),
-          ("0x1.2a93b407cdc5dp+1", "0x1.2afaa59ea7f39p+1"),
-          ("0x1.2b2e1e6a150a8p+1", "0x1.2cc9e4c57dc19p+1"),
-          ("0x1.2cfd5d90ead88p+1", "0x1.2fcdf8b0e218fp+1"),
+          ("0x1.2a603b3c60aefp+1", "0x1.2ac72cd33adcbp+1"),
+          ("0x1.2afaa59ea7f39p+1", "0x1.2bc888cc5c4f2p+1"),
+          ("0x1.2bfc0197c9661p+1", "0x1.2fcdf8b0e218fp+1"),
           ("0x1.3001717c4f2fdp+1", "0x1.30686313295d9p+1"),
           ("0x1.749158749eacep+1", "0x1.921fb54442d18p+1")],
     "C": [("0x1.dc1d59b113b89p-3", "0x1.569c0a0e205a7p+0"),
