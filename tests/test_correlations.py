@@ -155,10 +155,14 @@ def test_bell_quantifiers_on_a_stack_match_the_report():
 def test_report_meets_the_closed_forms_on_sparse_spectra():
     # the report's eigensolves carry an absolute error of about 1e-13 on the
     # eigenvalues; on spectra with entries near 1e-12 that moves E by up to
-    # 3.5e-11 bits, which must stay well inside 1e-10
+    # 3.5e-11 bits, which must stay well inside 1e-10. The second extra row is
+    # (0, 0, 1/6, 5/6) evolved to tau = 1e-6, with entries of 1.7e-12 and
+    # 3.3e-13: E is 1.33e-11 bits off there
     rng = np.random.default_rng(0)
-    extra = np.array([2.8e-13, 0.419, 4.8e-10, 0.581])
-    lams = np.vstack([rng.dirichlet(np.full(4, 0.05), size=3000), extra / extra.sum()])
+    extra = np.array([[2.8e-13, 0.419, 4.8e-10, 0.581],
+                      evolve_bell_spectrum([0.0, 0.0, 1 / 6, 5 / 6], 1e-6)])
+    lams = np.vstack([rng.dirichlet(np.full(4, 0.05), size=3000),
+                      extra / extra.sum(axis=1, keepdims=True)])
     closed = np.stack(bell_quantifiers(lams), axis=-1)
     for lam, want in zip(lams, closed):
         rep = quantifier_report(bell_spectrum_to_density(lam))

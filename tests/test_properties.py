@@ -19,6 +19,7 @@ from belldyn.dynamics import (  # noqa: E402
     bell_spectrum_of,
     bell_spectrum_to_density,
     evolve_bell_spectrum,
+    mixing_fraction,
     two_qubit_map,
     validate_spectrum,
 )
@@ -42,6 +43,11 @@ spectra = st.lists(st.integers(0, 1000), min_size=4, max_size=4).filter(any).map
     lambda w: np.array(w, dtype=float) / sum(w)
 )
 taus = st.floats(0.0, 4.0 * math.pi, allow_nan=False)
+# tau = 0, or a tau whose mixing fraction is at least 1/4000, so that the
+# evolved entries of `spectra` stay 0 or at least 1/4000^2 = 6.25e-8. Near
+# k pi/2 they reach 1e-12, where the matrix route's cutoff moves E by 1e-11
+# (test_correlations' sparse spectra hold that gap to its own bound).
+kernel_taus = st.one_of(st.just(0.0), taus.filter(lambda t: mixing_fraction(t) >= 1 / 4000))
 
 
 def _density(entries):
@@ -59,7 +65,7 @@ states = st.one_of(
 
 
 @PROPERTY_SETTINGS
-@given(spectra, taus)
+@given(spectra, kernel_taus)
 def test_kernel_matches_the_matrix_route(lam0, tau):
     lam = evolve_bell_spectrum(lam0, tau)
     rep = quantifier_report(bell_spectrum_to_density(lam))
