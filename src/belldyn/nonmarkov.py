@@ -28,6 +28,9 @@ from .dynamics import _checked_grid, _checked_tau, evolve_bell_spectrum, validat
 CONVENTIONS = ("rhp", "literal")
 FROZEN_TOL = 1e-6
 DEATH_THRESHOLD = 1e-12
+# most periods of pi/2 that detect_switching_times unfolds, so that a huge
+# tau_max cannot allocate gigabytes
+_MAX_PERIODS = 10**5
 
 
 def ancilla_entanglement(tau):
@@ -122,11 +125,9 @@ def detect_frozen_intervals(tau_grid, values):
                 j += 1
             else:
                 break
-        if j - i < 3:
-            i += 1  # a discarded scan: its second point starts the next one
-            continue
-        out.append((float(g[i]), float(g[j - 1])))
-        i = j
+        if j - i >= 3:
+            out.append((float(g[i]), float(g[j - 1])))
+        i = j if j - i >= 3 else i + 1
     return out
 
 
@@ -145,6 +146,9 @@ def detect_switching_times(lam0, tau_max):
     lam = validate_spectrum(lam0).reshape(4)
     if not _checked_tau(tau_max) > 0.0:
         raise ValueError("tau_max must be positive")
+    periods = int(tau_max // (math.pi / 2)) + 1
+    if periods > _MAX_PERIODS:
+        raise ValueError(f"tau_max spans more than {_MAX_PERIODS} periods of pi/2")
     i, j = np.triu_indices(4, 1)
     half = evolve_bell_spectrum(lam, math.pi / 4)  # the spectrum at f = 1/2
     g0, g1 = lam[i] - lam[j], half[i] - half[j]  # gaps of each pair at f = 0, 1/2
@@ -154,7 +158,7 @@ def detect_switching_times(lam0, tau_max):
     mid = 0.5 * np.arcsin(np.sqrt(ends[:-1] + ends[1:]))  # tau at each midpoint f
     second = np.argsort(-evolve_bell_spectrum(lam, mid), axis=1, kind="stable")[:, 1]
     theta = 0.5 * np.arcsin(np.sqrt(2.0 * roots[second[1:] != second[:-1]]))
-    k = np.arange(int(tau_max // (math.pi / 2)) + 1)[:, None] * (math.pi / 2)
+    k = np.arange(periods)[:, None] * (math.pi / 2)
     times = np.concatenate([k + theta, k + math.pi / 2 - theta], axis=None)
     return sorted(times[(times > 0.0) & (times <= tau_max)].tolist())
 

@@ -168,6 +168,15 @@ def test_switching_times_of_the_figure_state_are_exact():
             detect_switching_times(LAM_FIG, tau_max)
 
 
+def test_switching_times_refuse_more_periods_than_the_cap():
+    # the closed form unfolds one row per period of pi/2 before it filters
+    # them, so a tau_max past 10**5 periods is refused before any is built
+    tau_max = 10**5 * (math.pi / 2) + 1.0
+    with pytest.raises(ValueError, match=r"^tau_max spans more than 100000 periods of pi/2$"):
+        detect_switching_times(LAM_FIG, tau_max)
+    assert detect_switching_times(LAM_FIG, tau_max - 2.0)[-1] <= tau_max - 2.0
+
+
 def test_death_revival_ancilla_point():
     grid = np.linspace(0, math.pi / 2, 2001)
     out = detect_death_revival(grid, ancilla_entanglement(grid))
