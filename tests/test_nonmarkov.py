@@ -104,7 +104,7 @@ def test_frozen_intervals_constant_series():
 def test_a_discarded_frozen_scan_keeps_the_first_point_of_a_run():
     # C takes one value on grid points 20..64, where |c2| is the largest
     # c-vector entry. The scan from point 19 takes point 20, breaks at 21 and
-    # is discarded; when the next scan started at 21, point 20 was lost
+    # is discarded, so the next scan starts at 20, not at 21
     lam0 = np.array([171, 470, 513, 563]) / 1717  # (0.0996, 0.2737, 0.2988, 0.3279)
     grid = np.linspace(0.0, 3.0946, 166)
     c = bell_quantifiers(evolve_bell_spectrum(lam0, grid))[2]

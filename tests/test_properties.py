@@ -148,8 +148,8 @@ def test_classical_correlations_are_frozen_wherever_c2_dominates(lam0, tau_max, 
     # is the largest entry C = 1 - h((1 + |c2|) / 2) takes one value.
     # detect_frozen_intervals is not held to report each such run inside one
     # interval: a scan that starts before the run can take its first points
-    # and end inside it. A discarded short scan no longer drops the run's
-    # first point (test_nonmarkov's example reports the run 20..64 whole).
+    # and end inside it. A discarded short scan restarts one point later, so
+    # it does not drop the run's first point (test_nonmarkov's example).
     lam = evolve_bell_spectrum(lam0, np.linspace(0.0, tau_max, n + 1))
     c = np.abs(c_vector_of_spectrum(lam))
     assert np.max(np.abs(c[:, 1] - c[0, 1])) < 1e-14
@@ -197,9 +197,10 @@ def test_accumulated_non_markovianity_never_decreases(steps, convention):
 
 
 # T, D, C and E depend on tau only through f = sin^2(2 tau) / 2, which rises
-# from 0 to 1/2 on [0, pi/4] and falls back on [pi/4, pi/2]. The paper's
-# revivals are the claim that none of them rises while f rises, so each can
-# grow again only while f falls, which is where the rhp measure grows.
+# from 0 to 1/2 on [0, pi/4] and falls back on [pi/4, pi/2]. The paper ties
+# each revival to a growing non-Markovianity quantifier: if none of them
+# rises while f rises, each can revive only while f falls, which is exactly
+# where the rhp measure grows.
 quarter_grids = st.one_of(
     st.integers(2, 2001).map(lambda n: np.linspace(0.0, math.pi / 4, n)),
     st.lists(st.floats(0.0, math.pi / 4), min_size=2, max_size=200).map(np.sort),
