@@ -2,17 +2,17 @@
 classical random external fields: closed-form Bell-diagonal evolution,
 correlation quantifiers in bits, brute-force certification oracles and
 non-Markovianity diagnostics. The generic matrix helpers stay in
-`belldyn.linalg` and the Bell-basis internals in `belldyn.dynamics`."""
+`belldyn.linalg` and the Bell-basis internals in `belldyn.dynamics`. The
+matrix route that cross-checks the closed forms, `quantifier_report` with
+its `CorrelationReport` and `correlation_c_vector`, stays in
+`belldyn.correlations`."""
 
 from .correlations import (
-    CorrelationReport,
     bell_quantifiers,
     c_vector_of_spectrum,
     closest_classical_bd,
     closest_product,
     closest_separable_spectrum,
-    correlation_c_vector,
-    quantifier_report,
 )
 from .dynamics import (
     BELL_RESIDUAL_TOL,

@@ -36,7 +36,7 @@ VERIFY_TOL_BITS = 1e-3
 _VERIFY_CHUNK = 32
 # largest --steps, so that a typo cannot allocate a grid of gigabytes
 _MAX_STEPS = 10**6
-# the one number rule of every output: 12 significant digits
+# 12 significant digits: every table, and composition's spectra and trace distance
 _NUMBER = "%.12g"
 
 
@@ -51,6 +51,12 @@ class AnalyticPathError(Exception):
 # ---------------------------------------------------------------------------
 # initial-state parsing
 
+def _json_number(v):
+    if isinstance(v, (bool, str)):  # float() would read true as 1 and "0.5" as 0.5
+        raise TypeError(f"{json.dumps(v)} is not a JSON number")
+    return float(v)
+
+
 def _initial_from_dict(obj):
     if not isinstance(obj, dict):
         raise InputError("initial-state JSON must be an object")
@@ -59,17 +65,16 @@ def _initial_from_dict(obj):
         if not isinstance(vals, (list, tuple)) or len(vals) != 4:
             raise InputError('"bell" must be a list of 4 coefficients')
         try:
-            vals = [float(v) for v in vals]
-        except (TypeError, ValueError) as exc:
+            vals = [_json_number(v) for v in vals]
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f'bad "bell" entry: {exc}') from exc
         return _normalized_spectrum(vals)
     if "matrix" in obj:
         rows = obj["matrix"]
         try:
-            m = np.array(
-                [[complex(re, im) for re, im in row] for row in rows], dtype=complex
-            )
-        except (TypeError, ValueError) as exc:
+            m = np.array([[complex(_json_number(re), _json_number(im)) for re, im in row]
+                          for row in rows], dtype=complex)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f'bad "matrix" entry: {exc}') from exc
         if m.shape != (4, 4):
             raise InputError('"matrix" must be 4x4 with [re, im] entries')
@@ -111,7 +116,7 @@ def load_initial(arg: str | None):
     if text.startswith("{"):
         try:
             return _initial_from_dict(json.loads(text))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer of over 4,300 digits
             raise InputError(f"bad initial-state JSON: {exc}") from exc
     if os.path.exists(text):
         try:
@@ -119,7 +124,7 @@ def load_initial(arg: str | None):
                 obj = json.load(fh)
         except OSError as exc:
             raise InputError(f"cannot read initial-state file: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not UTF-8 or not JSON
             raise InputError(f"bad initial-state file {text}: {exc}") from exc
         return _initial_from_dict(obj)
     if "," in text:

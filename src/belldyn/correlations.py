@@ -24,7 +24,6 @@ from .linalg import (
     PAULI,
     _check_density,
     _clamp_residue,
-    _entropy,
     _marginal,
     _relative_entropy_stack,
     _spectral_entropy,
@@ -80,11 +79,7 @@ def closest_classical_bd(lam) -> np.ndarray:
     chi = (I + c_m sigma_m x sigma_m) / 4 with m = argmax_k |c_k|, ties
     broken toward the smallest index (D and C depend only on |c_m|).
     """
-    return _classical_state(c_vector_of_spectrum(lam).reshape(3))
-
-
-def _classical_state(c) -> np.ndarray:
-    # closest_classical_bd from the c-vector of a checked spectrum
+    c = c_vector_of_spectrum(lam).reshape(3)
     m = int(np.argmax(np.abs(c)))
     return (np.eye(4, dtype=complex) + c[m] * _CORRELATORS[m]) / 4.0
 
@@ -98,11 +93,7 @@ def closest_separable_spectrum(lam) -> np.ndarray:
     the rescaling is degenerate and the spare half is put on the lowest
     non-dominant slot; the distance does not depend on that choice.
     """
-    return _separable_spectrum(validate_spectrum(lam).reshape(4))
-
-
-def _separable_spectrum(a) -> np.ndarray:
-    # closest_separable_spectrum of a checked spectrum of shape (4,)
+    a = validate_spectrum(lam).reshape(4)
     m = int(np.argmax(a))
     lmax = float(a[m])
     if lmax <= 0.5 + 1e-12:
@@ -180,9 +171,10 @@ def quantifier_report(rho) -> CorrelationReport:
     if off >= BELL_RESIDUAL_TOL:
         raise ValueError(f"quantifier_report expects a Bell-diagonal state, residual {off:.3e}")
     pi = _product_state(a)
-    chi = _classical_state(_c_vectors(lam))
-    sig = _bell_density(_separable_spectrum(lam))
+    chi = closest_classical_bd(lam)
+    sig = _bell_density(closest_separable_spectrum(lam))
     s_rho = float(_spectral_entropy(w))  # the check's eigenvalues of rho
-    s_pi, s_chi, s_pi_chi = _entropy(np.stack([pi, chi, _product_state(chi)]))
+    stack = np.stack([pi, chi, _product_state(chi)])
+    s_pi, s_chi, s_pi_chi = _spectral_entropy(np.linalg.eigvalsh(stack)).tolist()
     e = float(_relative_entropy_stack(a, sig[None], s_rho)[0])
     return CorrelationReport(s_pi - s_rho, s_chi - s_rho, s_pi_chi - s_chi, e, pi, chi, sig)

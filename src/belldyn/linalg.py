@@ -24,16 +24,11 @@ PAULI = np.array([
 ], dtype=complex)
 
 
-def _as_square(m, name="matrix"):
+def check_hermitian(m, name="matrix"):
+    """Validate Hermiticity within HERMITICITY_TOL and return the array as complex."""
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] not in (2, 4):
         raise ValueError(f"{name} must be 2x2 or 4x4, got shape {a.shape}")
-    return a
-
-
-def check_hermitian(m, name="matrix"):
-    """Validate Hermiticity within HERMITICITY_TOL and return the array as complex."""
-    a = _as_square(m, name)
     if not np.isfinite(a).all():
         raise ValueError(f"{name} has non-finite entries")
     dev = float(np.abs(a - a.conj().T).max())
@@ -80,16 +75,10 @@ def von_neumann_entropy(rho) -> float:
     tr = float(np.trace(a).real)
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"state trace is {tr!r}, expected 1")
-    return _entropy(a)
-
-
-def _entropy(a):
-    # von_neumann_entropy of checked or built Hermitian unit-trace arrays: a float
-    # for one, a list for a stack; one eigvalsh runs LAPACK on each matrix alike
     w = np.linalg.eigvalsh(a)
     if float(w.min()) < -1e-8:
         raise ValueError(f"state has negative eigenvalue {w.min():.3e}")
-    return _spectral_entropy(w).tolist()
+    return float(_spectral_entropy(w))
 
 
 def _spectral_entropy(w):

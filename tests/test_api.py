@@ -8,8 +8,8 @@ import belldyn
 
 PUBLIC_NAMES = {
     # correlations
-    "CorrelationReport", "bell_quantifiers", "c_vector_of_spectrum", "closest_classical_bd",
-    "closest_product", "closest_separable_spectrum", "correlation_c_vector", "quantifier_report",
+    "bell_quantifiers", "c_vector_of_spectrum", "closest_classical_bd", "closest_product",
+    "closest_separable_spectrum",
     # dynamics
     "BELL_RESIDUAL_TOL", "ancilla_evolve", "bell_spectrum_of", "bell_spectrum_to_density",
     "branch_unitary", "evolve_bell_spectrum", "mixing_fraction", "single_qubit_map",

@@ -275,6 +275,16 @@ BAD_INPUTS = [
     ["evolve", "--initial", '{"foo": 1}'],
     ["evolve", "--initial", "0.5,0.5,-1e-10,0"],
     ["evolve", "--initial", "{"],
+    # JSON entries must be JSON numbers: float() alone reads true and "0.5"
+    ["evolve", "--initial", '{"bell": [true, false, false, false]}'],
+    ["evolve", "--initial", '{"bell": ["0.5", "0.5", 0, 0]}'],
+    ["evolve", "--initial", '{"matrix": [[[0.5, false], [0, 0], [0, 0], [0.5, 0]],'
+                            ' [[0, 0], [0, 0], [0, 0], [0, 0]],'
+                            ' [[0, 0], [0, 0], [0, 0], [0, 0]],'
+                            ' [[0.5, 0], [0, 0], [0, 0], [0.5, 0]]]}'],
+    # an integer too large for a float, and one too long for int()
+    ["evolve", "--initial", '{"bell": [1%s, 0, 0, 0]}' % ("0" * 400)],
+    ["evolve", "--initial", '{"bell": [0, 0, 0, 1%s]}' % ("0" * 5000)],
     ["evolve", "--initial", "a,b,c,d"],
     ["evolve", "--initial", "0.5,0.5"],
     ["verify", "--n", "0"],
@@ -296,11 +306,14 @@ def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     ("[0.9, 0.1, 0, 0]", "error: initial-state JSON must be an object\n"),
     ('{"bell": ', "error: bad initial-state file "),
     (None, "error: cannot read initial-state file: "),
-], ids=["list", "broken-json", "directory"])
+    (b'{"bell": [0.9, 0.1, 0, 0]}\xff', "error: bad initial-state file "),
+], ids=["list", "broken-json", "directory", "not-utf-8"])
 def test_bad_initial_state_file_exits_2_with_one_line(content, message, tmp_path, capsys):
     path = tmp_path / "initial"
     if content is None:
         path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
     else:
         path.write_text(content, encoding="utf-8")
     assert main(["evolve", "--initial", str(path)]) == 2
@@ -332,7 +345,9 @@ _QUARTERS = {(k, k): (0.25, 0.0) for k in range(4)}
     (_matrix_initial({(0, 0): (1.0, 0.0)}), 3,
      "error: initial state is not Bell-diagonal (residual 5.000e-01); "
      "this pipeline is analytic-only\n"),
-], ids=["nan", "shape", "trace", "hermitian", "negative", "not-bell-diagonal"])
+    (_matrix_initial({**_QUARTERS, (0, 1): (False, 0.0)}), 2,
+     'error: bad "matrix" entry: false is not a JSON number\n'),
+], ids=["nan", "shape", "trace", "hermitian", "negative", "not-bell-diagonal", "json-bool"])
 def test_each_matrix_rule_keeps_its_message(initial, code, message, capsys):
     # the matrix is checked once at the boundary; each rule still names itself
     assert main(["evolve", "--initial", initial, "--steps", "2"]) == code
