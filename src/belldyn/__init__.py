@@ -1,11 +1,10 @@
 """Correlation dynamics of two noninteracting qubits driven by local
 classical random external fields: closed-form Bell-diagonal evolution,
 correlation quantifiers in bits, brute-force certification oracles and
-non-Markovianity diagnostics. The generic matrix helpers stay in
+non-Markovianity diagnostics. The matrix primitives stay in
 `belldyn.linalg` and the Bell-basis internals in `belldyn.dynamics`. The
 matrix route that cross-checks the closed forms, `quantifier_report` with
-its `CorrelationReport` and `correlation_c_vector`, stays in
-`belldyn.correlations`."""
+its `CorrelationReport`, stays in `belldyn.correlations`."""
 
 from .correlations import (
     bell_quantifiers,

@@ -43,12 +43,6 @@ BELL_C_VECTORS = np.array([
 _CORRELATORS = np.array([tensor(p, p) for p in PAULI])
 
 
-def correlation_c_vector(rho) -> np.ndarray:
-    """(c1, c2, c3) with c_k = Tr[rho (sigma_k x sigma_k)]."""
-    a = _check_density(rho, caller="correlation_c_vector")[0]
-    return np.array([float(np.trace(a @ s).real) for s in _CORRELATORS])
-
-
 def _c_vectors(a):
     # einsum, not matmul: BLAS rounds a lone spectrum and a stack differently
     return np.einsum("...i,ij->...j", a, BELL_C_VECTORS)
@@ -89,9 +83,10 @@ def closest_separable_spectrum(lam) -> np.ndarray:
 
     Separable inputs (largest coefficient <= 1/2) are returned unchanged.
     Otherwise the dominant coefficient is capped at 1/2 and the remaining
-    three are rescaled to lam_j / (2 (1 - lam_max)). For a pure Bell state
-    the rescaling is degenerate and the spare half is put on the lowest
-    non-dominant slot; the distance does not depend on that choice.
+    three are rescaled to lam_j / (2 (1 - lam_max)), however small their sum.
+    For a pure Bell state the rescaling is degenerate and the spare half is
+    put on the lowest non-dominant slot; the distance does not depend on that
+    choice.
     """
     a = validate_spectrum(lam).reshape(4)
     m = int(np.argmax(a))
@@ -101,7 +96,7 @@ def closest_separable_spectrum(lam) -> np.ndarray:
     # summed, not 1 - lmax: the cancellation in 1 - lmax would break the
     # 1e-12 normalization of the result for nearly pure inputs
     rest = float(a[np.arange(4) != m].sum())
-    if rest < 1e-15:
+    if rest == 0.0:
         out = np.zeros(4)
         out[0 if m != 0 else 1] = 0.5
     else:

@@ -24,13 +24,14 @@ from belldyn.dynamics import (
     evolve_bell_spectrum,
     two_qubit_map,
 )
-from belldyn.linalg import relative_entropy, trace_distance
 from belldyn.nonmarkov import (
     ancilla_entanglement,
     composition_violation,
     detect_frozen_intervals,
     nonmarkovianity_measure,
 )
+
+from matrix_reference import relative_entropy, trace_distance
 
 LAM_FIG = np.array([0.9, 0.1, 0.0, 0.0])
 H09 = 0.4689955935892812

@@ -669,7 +669,12 @@ def test_verify_failure_exits_4(tmp_path, monkeypatch, capsys):
         data = json.loads(out.read_text(encoding="utf-8"))
         assert data["passed"] is False
         assert data["families"][family]["worst_state"] is not None
-        assert f"the {family} family" in capsys.readouterr().err
+        # exit 4 keeps the full report in --output and says on stderr, in one
+        # line per failing family, which family failed
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"certification failed for the {family} family")
 
 
 def test_verify_catches_a_wrong_closed_form(tmp_path, monkeypatch, capsys):

@@ -10,7 +10,6 @@ from belldyn.correlations import (
     closest_classical_bd,
     closest_product,
     closest_separable_spectrum,
-    correlation_c_vector,
     quantifier_report,
 )
 from belldyn.dynamics import (
@@ -21,8 +20,15 @@ from belldyn.dynamics import (
     evolve_bell_spectrum,
     two_qubit_map,
 )
-from belldyn.linalg import relative_entropy, tensor, trace_distance, von_neumann_entropy
+from belldyn.linalg import tensor
 from belldyn.oracle import oracle_closest_classical
+
+from matrix_reference import (
+    correlation_c_vector,
+    relative_entropy,
+    trace_distance,
+    von_neumann_entropy,
+)
 
 LAM_FIG = np.array([0.9, 0.1, 0.0, 0.0])
 H09 = 0.4689955935892812

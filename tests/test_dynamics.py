@@ -15,7 +15,8 @@ from belldyn.dynamics import (
     two_qubit_map,
     validate_spectrum,
 )
-from belldyn.linalg import relative_entropy, trace_distance
+
+from matrix_reference import relative_entropy, trace_distance
 
 LAM_FIG = np.array([0.9, 0.1, 0.0, 0.0])
 

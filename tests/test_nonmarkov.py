@@ -396,7 +396,10 @@ def test_secant_meets_a_linear_crossing():
 
 def test_secant_stops_on_a_bracket_floating_point_cannot_split():
     # ulp(1e4) = 1.8e-12 exceeds the 1e-12 stop; the bisection spent its
-    # 80 steps here, where the same crossing at tau ~ 3.3 takes 40
+    # 80 steps here, where the same crossing at tau ~ 3.3 takes 40. The secant
+    # ends before the bracket gets that narrow, though: on this linear E its
+    # 29th sample lands within 1e-15 of DEATH_THRESHOLD. A step in E (below)
+    # reaches the unsplittable bracket
     crossing = 1e4 + 3.3
 
     def late(tau):
@@ -407,6 +410,28 @@ def test_secant_stops_on_a_bracket_floating_point_cannot_split():
     windows = detect_death_revival(grid, [late(t) for t in grid], refine=refine)
     assert len(windows) == 1 and windows[0][0] == grid[0]
     assert abs(windows[0][1] - (crossing + 1e-9)) <= 2 * np.spacing(crossing)
+    assert len(refine.taus) <= 40
+
+
+@pytest.mark.parametrize("k, jump, unsplittable", [
+    (0.0, 0.5 + math.pi * 1e-3, False),  # a bracket narrower than 1e-12, in 37 calls
+    (1e4 + 3.0, 1e4 + 3.3, True),  # a bracket floating point cannot split, in 36
+], ids=["bracket-width", "unsplittable"])
+def test_secant_meets_a_step_at_one_of_its_bracket_stops(k, jump, unsplittable):
+    # E steps from 0 to 1e-3 past the jump, so no sample lands within 1e-15 of
+    # DEATH_THRESHOLD: the boundary is the midpoint of the final bracket
+    def step(tau):
+        return 1e-3 if tau > jump else 0.0
+
+    grid = np.linspace(k, k + 1.0, 11)
+    refine = _Recording(step)
+    windows = detect_death_revival(grid, [step(t) for t in grid], refine=refine)
+    assert len(windows) == 1 and windows[0][0] == grid[0]
+    taus = [*grid, *refine.taus]
+    dead = max(t for t in taus if t <= jump)
+    alive = min(t for t in taus if t > jump)
+    assert abs(windows[0][1] - jump) <= 0.5 * (alive - dead)
+    assert (alive == np.nextafter(dead, math.inf)) == unsplittable
     assert len(refine.taus) <= 40
 
 

@@ -19,10 +19,6 @@ from belldyn.linalg import (
     _relative_entropy_stack,
     _support_rule,
     _xlog2,
-    dephase_in_basis,
-    relative_entropy,
-    trace_distance,
-    von_neumann_entropy,
 )
 from belldyn.nonmarkov import detect_switching_times
 from belldyn.oracle import (
@@ -48,6 +44,8 @@ from belldyn.oracle import (
     oracle_closest_product,
     oracle_closest_separable_bd,
 )
+
+from matrix_reference import dephase_in_basis, relative_entropy, trace_distance, von_neumann_entropy
 
 LAM_FIG = np.array([0.9, 0.1, 0.0, 0.0])
 H09 = 0.4689955935892812
