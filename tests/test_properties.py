@@ -262,8 +262,8 @@ def test_switching_times_are_exactly_the_label_changes(lam0, tau_max):
 
 @PROPERTY_SETTINGS
 @given(st.one_of(spectra, small_spectra), taus)
-# lam = (0, 6e-41, 1 - 6e-41, 0): a spare half on the lowest empty slot
-# missed lam's support, which gives an infinite gap
+# nearly pure: lam = (0, 6e-41, 1 - 6e-41, 0), whose closest separable
+# state must still hold lam's support, or the gap is infinite
 @example(np.array([0.0, 0.0, 1.0, 0.0]), 5.55413911477054e-21)
 def test_closest_separable_spectrum_is_certified_optimal(lam0, tau):
     # S(lam || q) is convex in q, so its Frank-Wolfe gap over the separable
