@@ -7,10 +7,10 @@ the dimensionless combination tau = g*t.
 
 Basis conventions: the single-qubit computational ordering is {|0>, |1>}
 and the two-qubit ordering is |00>, |01>, |10>, |11> (qubit A major).
-`branch_unitary` reports the branch evolution in the {|1>, |0>} ordering
-(the form in which it is usually quoted); the channels conjugate by the
-basis swap once, so every state passed in or out of this module uses the
-computational ordering.
+`branch_unitary` reports the branch evolution in the {|1>, |0>} ordering,
+as it is usually quoted. Swapping |0> and |1> reverses a 2x2 matrix's rows
+and columns; both diagonal entries of a branch are cos tau, so the channels
+use its transpose, and take and return states in the computational ordering.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .linalg import _check_density, check_density, tensor
+from .linalg import _check_density, check_density
 
 BRANCH_PHASES = (0.0, math.pi)
 
@@ -38,9 +38,6 @@ BELL_RESIDUAL_TOL = 1e-8
 
 #: largest tau whose 2*tau is still finite
 _TAU_LIMIT = np.finfo(float).max / 2
-
-#: the basis swap |0> <-> |1> between the two single-qubit orderings
-_SWAP = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 def validate_spectrum(lam) -> np.ndarray:
@@ -96,15 +93,6 @@ def mixing_fraction(tau):
     return float(f) if f.ndim == 0 else f
 
 
-def _phase_sign(phase) -> float:
-    p = float(phase)
-    if abs(p) < 1e-12:
-        return 1.0
-    if abs(p - math.pi) < 1e-12:
-        return -1.0
-    raise ValueError(f"branch phase must be 0 or pi, got {p!r}")
-
-
 def branch_unitary(phase, tau) -> np.ndarray:
     """Branch time-evolution operator in the {|1>, |0>} ordering:
 
@@ -114,7 +102,13 @@ def branch_unitary(phase, tau) -> np.ndarray:
     Only the two model phases 0 and pi are accepted, and tau obeys
     `mixing_fraction`'s bound, [0, max float / 2].
     """
-    e = _phase_sign(phase)
+    p = float(phase)
+    if abs(p) < 1e-12:
+        e = 1.0
+    elif abs(p - math.pi) < 1e-12:
+        e = -1.0
+    else:
+        raise ValueError(f"branch phase must be 0 or pi, got {p!r}")
     t = float(_checked_tau(tau))
     c, s = math.cos(t), math.sin(t)
     return np.array([[c, -e * s], [e * s, c]], dtype=complex)
@@ -122,7 +116,7 @@ def branch_unitary(phase, tau) -> np.ndarray:
 
 def _comp_branches(tau) -> list:
     # the branch unitaries in the computational {|0>, |1>} ordering
-    return [_SWAP @ branch_unitary(p, tau) @ _SWAP for p in BRANCH_PHASES]
+    return [branch_unitary(p, tau).T for p in BRANCH_PHASES]
 
 
 def _branch_average(rho, name, ops) -> np.ndarray:
@@ -142,14 +136,14 @@ def single_qubit_map(rho, tau) -> np.ndarray:
 def two_qubit_map(rho, tau) -> np.ndarray:
     """Four-branch average (1/4) sum_ij (U_i x U_j) rho (U_i x U_j)^dag."""
     u = _comp_branches(tau)
-    return _branch_average(rho, "two_qubit_map", [tensor(ua, ub) for ua in u for ub in u])
+    return _branch_average(rho, "two_qubit_map", [np.kron(ua, ub) for ua in u for ub in u])
 
 
 def ancilla_evolve(rho, tau) -> np.ndarray:
     """Evolve only qubit B of a two-qubit state, qubit A acting as a
     noise-isolated ancilla: (1/2) sum_i (I x U_i) rho (I x U_i)^dag."""
     eye = np.eye(2, dtype=complex)
-    return _branch_average(rho, "ancilla_evolve", [tensor(eye, u) for u in _comp_branches(tau)])
+    return _branch_average(rho, "ancilla_evolve", [np.kron(eye, u) for u in _comp_branches(tau)])
 
 
 def evolve_bell_spectrum(lam, tau) -> np.ndarray:

@@ -91,20 +91,6 @@ def _support_rule(w, overlap, s_rho):
     return _clamp_residue(np.where(bad, math.inf, vals))
 
 
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product of two 2x2 operators, qubit-A-major ordering |ab>."""
-    x = np.asarray(a, dtype=complex)
-    y = np.asarray(b, dtype=complex)
-    if x.shape != (2, 2) or y.shape != (2, 2):
-        raise ValueError(f"tensor expects two 2x2 factors, got {x.shape} and {y.shape}")
-    return np.kron(x, y)
-
-
-def _marginal(a, keep) -> np.ndarray:
-    # the marginal of subsystem keep, "A" or "B", of a checked 4x4 complex array
-    return np.einsum("abcb->ac" if keep == "A" else "abad->bd", a.reshape(2, 2, 2, 2))
-
-
 def _dephase(a, angles):
     # zero the off-diagonal elements of a checked 4x4 complex array in the
     # product basis |a_i b_j> of local Bloch angles (thetaA, phiA, thetaB,

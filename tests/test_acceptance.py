@@ -31,13 +31,15 @@ from belldyn.nonmarkov import (
     nonmarkovianity_measure,
 )
 
-from matrix_reference import relative_entropy, trace_distance
+from matrix_reference import (
+    DEATH_HI,
+    DEATH_LO,
+    LAM_FIG,
+    TAU_SWITCH,
+    relative_entropy,
+    trace_distance,
+)
 
-LAM_FIG = np.array([0.9, 0.1, 0.0, 0.0])
-H09 = 0.4689955935892812
-TAU_SWITCH = 0.5 * math.asin(math.sqrt(0.2))
-DEATH_LO = 0.5 * math.asin(math.sqrt(8.0 / 9.0))
-DEATH_HI = (math.pi - math.asin(math.sqrt(8.0 / 9.0))) / 2.0
 #: sha256 of the `verify --n 100 --seed 0` report, captured when the
 #: analytic side became the printed kernel `bell_quantifiers`, and again when
 #: the product oracle began to score its candidates in Bloch form (only the

@@ -26,7 +26,7 @@ from belldyn.dynamics import (
     validate_spectrum,
 )
 
-H09 = 0.4689955935892812
+from matrix_reference import H09
 
 
 def read_csv(path):

@@ -14,34 +14,27 @@ from belldyn.correlations import (
 )
 from belldyn.dynamics import (
     BELL_RESIDUAL_TOL,
-    BELL_VECTORS,
     bell_spectrum_of,
     bell_spectrum_to_density,
     evolve_bell_spectrum,
     two_qubit_map,
 )
-from belldyn.linalg import tensor
 from belldyn.oracle import oracle_closest_classical
 
 from matrix_reference import (
+    H09,
+    LAM_FIG,
+    bell_projector,
     correlation_c_vector,
     relative_entropy,
     trace_distance,
     von_neumann_entropy,
 )
 
-LAM_FIG = np.array([0.9, 0.1, 0.0, 0.0])
-H09 = 0.4689955935892812
-
 
 def h(x):
     """Binary entropy in bits, zero at both endpoints."""
     return -sum(p * math.log2(p) for p in (x, 1.0 - x) if p > 0.0)
-
-
-def bell_projector(k):
-    v = BELL_VECTORS[:, k]
-    return np.outer(v, v.conj())
 
 
 def test_binary_entropy():
@@ -297,7 +290,7 @@ def test_report_total_correlation_local_unitary_invariance():
         rho /= np.trace(rho).real
         ua, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
         ub, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-        u = tensor(ua, ub)
+        u = np.kron(ua, ub)
         rot = u @ rho @ u.conj().T
         t_direct = von_neumann_entropy(closest_product(rho)) - von_neumann_entropy(rho)
         t_rot = von_neumann_entropy(closest_product(rot)) - von_neumann_entropy(rot)
@@ -308,7 +301,7 @@ def _rotated(rho, seed):
     rng = np.random.default_rng(seed)
     ua, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
     ub, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-    u = tensor(ua, ub)
+    u = np.kron(ua, ub)
     return u @ rho @ u.conj().T
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from belldyn.dynamics import (
-    BELL_VECTORS,
     ancilla_evolve,
     bell_spectrum_of,
     bell_spectrum_to_density,
@@ -16,20 +15,13 @@ from belldyn.dynamics import (
     validate_spectrum,
 )
 
-from matrix_reference import relative_entropy, trace_distance
-
-LAM_FIG = np.array([0.9, 0.1, 0.0, 0.0])
-
-
-def bell_projector(k):
-    v = BELL_VECTORS[:, k]
-    return np.outer(v, v.conj())
-
-
-def random_density(rng, dim):
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
+from matrix_reference import (
+    LAM_FIG,
+    bell_projector,
+    random_density,
+    relative_entropy,
+    trace_distance,
+)
 
 
 def test_branch_unitary_examples():
@@ -47,9 +39,31 @@ def test_branch_unitary_is_unitary():
             assert np.max(np.abs(u @ u.conj().T - np.eye(2))) < 1e-12
 
 
-def test_branch_unitary_rejects_other_phases():
-    with pytest.raises(ValueError):
-        branch_unitary(math.pi / 2, 1.0)
+# the phase rule: within 1e-12 of 0 or pi, and checked before tau
+@pytest.mark.parametrize("phase", [
+    pytest.param(math.pi / 2, id="pi/2"),
+    pytest.param(2e-12, id="2e-12"),
+    pytest.param(-2e-12, id="-2e-12"),
+    pytest.param(math.pi + 2e-12, id="pi+2e-12"),
+    pytest.param(math.pi - 2e-12, id="pi-2e-12"),
+    pytest.param(math.nan, id="nan"),
+    pytest.param(math.inf, id="inf"),
+])
+def test_branch_unitary_rejects_other_phases(phase):
+    for tau in (1.0, -1.0):
+        with pytest.raises(ValueError, match=r"^branch phase must be 0 or pi, got "):
+            branch_unitary(phase, tau)
+
+
+@pytest.mark.parametrize("phase, exact", [
+    pytest.param(5e-13, 0.0, id="5e-13"),
+    pytest.param(-5e-13, 0.0, id="-5e-13"),
+    pytest.param(math.pi + 5e-13, math.pi, id="pi+5e-13"),
+    pytest.param(math.pi - 5e-13, math.pi, id="pi-5e-13"),
+])
+def test_branch_unitary_accepts_phases_within_the_band(phase, exact):
+    for tau in (0.0, 0.3, math.pi / 2, 1e5):
+        assert branch_unitary(phase, tau).tobytes() == branch_unitary(exact, tau).tobytes()
 
 
 def test_mixing_fraction():

@@ -5,21 +5,20 @@ import pytest
 
 from belldyn.correlations import closest_product, quantifier_report
 from belldyn.dynamics import bell_spectrum_of
-from belldyn.linalg import check_density, tensor
+from belldyn.linalg import check_density
 from belldyn.oracle import oracle_closest_classical, oracle_closest_product
 
-from matrix_reference import dephase_in_basis, relative_entropy, trace_distance, von_neumann_entropy
+from matrix_reference import (
+    H09,
+    dephase_in_basis,
+    random_density,
+    relative_entropy,
+    trace_distance,
+    von_neumann_entropy,
+)
 
 BELL_2P = np.zeros((4, 4), dtype=complex)
 BELL_2P[np.ix_([0, 3], [0, 3])] = 0.5  # (|00>+|11>)/sqrt(2) projector
-
-H09 = 0.4689955935892812  # binary entropy of 0.9 in bits
-
-
-def random_density(rng, dim):
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
 
 
 def test_check_hermitian_rejects_bad_matrices():
@@ -75,26 +74,11 @@ def test_relative_entropy_nonnegative():
         assert relative_entropy(rho, rho) < 1e-12
 
 
-def test_tensor_examples():
-    assert np.allclose(tensor(np.eye(2), np.eye(2)), np.eye(4))
-    p0 = np.diag([1.0, 0.0])
-    p1 = np.diag([0.0, 1.0])
-    expect = np.zeros((4, 4))
-    expect[1, 1] = 1.0  # |01><01|
-    assert np.allclose(tensor(p0, p1), expect)
-    assert np.allclose(tensor(np.eye(2) / 2, np.eye(2) / 2), np.eye(4) / 4)
-
-
-def test_tensor_rejects_wrong_dims():
-    with pytest.raises(ValueError):
-        tensor(np.eye(4), np.eye(2))
-
-
 def test_closest_product_returns_product_states_unchanged():
     # the product of the two marginals inverts the tensor product
     rng = np.random.default_rng(13)
     for _ in range(20):
-        rho = tensor(random_density(rng, 2), random_density(rng, 2))
+        rho = np.kron(random_density(rng, 2), random_density(rng, 2))
         assert np.max(np.abs(closest_product(rho) - rho)) < 1e-12
 
 

@@ -25,10 +25,7 @@ from belldyn.nonmarkov import (
     nonmarkovianity_measure,
 )
 
-LAM_FIG = np.array([0.9, 0.1, 0.0, 0.0])
-TAU_SWITCH = 0.5 * math.asin(math.sqrt(0.2))  # f = 0.1 crossing, ~0.2318
-DEATH_LO = 0.5 * math.asin(math.sqrt(8.0 / 9.0))  # ~0.6155
-DEATH_HI = (math.pi - math.asin(math.sqrt(8.0 / 9.0))) / 2.0  # ~0.9553
+from matrix_reference import DEATH_HI, DEATH_LO, LAM_FIG, TAU_SWITCH
 
 
 def test_ancilla_entanglement_examples():

@@ -45,10 +45,17 @@ from belldyn.oracle import (
     oracle_closest_separable_bd,
 )
 
-from matrix_reference import dephase_in_basis, relative_entropy, trace_distance, von_neumann_entropy
+from matrix_reference import (
+    DEATH_HI,
+    DEATH_LO,
+    H09,
+    LAM_FIG,
+    dephase_in_basis,
+    relative_entropy,
+    trace_distance,
+    von_neumann_entropy,
+)
 
-LAM_FIG = np.array([0.9, 0.1, 0.0, 0.0])
-H09 = 0.4689955935892812
 GRID_TOL = 1e-3
 
 
@@ -997,8 +1004,6 @@ def test_product_oracle_meets_mutual_information_from_the_centre():
 # boundaries, tau = pi/4 and tau = k pi/2, and 1e-9 to either side of each.
 # The spectrum depends on tau only through f, of period pi/2, so one period
 # holds them all.
-DEATH_LO = 0.5 * math.asin(math.sqrt(8.0 / 9.0))
-DEATH_HI = (math.pi - math.asin(math.sqrt(8.0 / 9.0))) / 2.0
 FEATURE_TAUS = sorted(
     tau + d
     for tau in (0.0, math.pi / 4, math.pi / 2, DEATH_LO, DEATH_HI,

@@ -1,5 +1,6 @@
-"""Property-based checks of the invariants of the Bell-diagonal dynamics and
-of the classical oracle's objective."""
+"""Property-based checks of the invariants of the Bell-diagonal dynamics, of
+the classical oracle's objective, and the optimality certificates of the two
+convex families, product and separable."""
 
 import math
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st  # noqa: E402
 from belldyn.correlations import (  # noqa: E402
     bell_quantifiers,
     c_vector_of_spectrum,
+    closest_product,
     closest_separable_spectrum,
     quantifier_report,
 )
@@ -32,9 +34,16 @@ from belldyn.nonmarkov import (  # noqa: E402
     detect_switching_times,
     nonmarkovianity_measure,
 )
-from belldyn.oracle import _dephased_entropy, _directions, _pauli_data  # noqa: E402
+from belldyn.linalg import PAULI  # noqa: E402
+from belldyn.oracle import (  # noqa: E402
+    _dephased_entropy,
+    _directions,
+    _pauli_data,
+    oracle_closest_product,
+    oracle_closest_separable_bd,
+)
 
-from matrix_reference import trace_distance  # noqa: E402
+from matrix_reference import trace_distance, von_neumann_entropy  # noqa: E402
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -276,7 +285,94 @@ def test_closest_separable_spectrum_is_certified_optimal(lam0, tau):
     q = closest_separable_spectrum(lam)
     assert np.all(q >= 0.0) and np.all(q <= 0.5 + 1e-12)
     assert abs(q.sum() - 1.0) <= 1e-12
+    assert _separable_gap(lam, q) <= 1e-14
+
+
+def _separable_gap(lam, q):
     r = np.divide(lam, q, out=np.zeros(4), where=lam > 0)
     i, j = np.triu_indices(4, 1)
-    gap = (np.max(r[i] + r[j]) / 2.0 - 1.0) / math.log(2)
-    assert gap <= 1e-14
+    return (np.max(r[i] + r[j]) / 2.0 - 1.0) / math.log(2)
+
+
+# S(rho || pA x pB) = -S(rho) + c(aA, rA) + c(aB, rB) in the Bloch vectors a
+# of rho's marginals and r of pA and pB, with
+#     c(a, r) = -(1/2 ln((1 - |r|^2)/4) + atanh|r| a.r/|r|) / ln 2,
+# convex in r on the unit ball. The ball's support function gives the
+# Frank-Wolfe gap g = sum_X (grad c_X . r_X + |grad c_X|). Pure marginals,
+# |a| = 1, put the minimizer on the sphere, where c is singular: they are
+# left out.
+def _marginal_blochs(rho):
+    q = np.asarray(rho).reshape(2, 2, 2, 2)
+    return [np.einsum("kij,ji->k", PAULI, np.einsum(s, q)).real for s in ("abcb->ac", "abad->bd")]
+
+
+def _cross_entropy(a, r):
+    n = math.sqrt(r @ r)
+    along = a @ r / n if n > 0.0 else 0.0
+    return -(0.5 * math.log((1.0 - n * n) / 4.0) + math.atanh(n) * along) / math.log(2)
+
+
+def _cross_entropy_gradient(a, r):
+    n = math.sqrt(r @ r)
+    if n == 0.0:
+        return -a / math.log(2)
+    u = r / n
+    along = a @ u
+    return -((along - n) / (1.0 - n * n) * u + math.atanh(n) / n * (a - along * u)) / math.log(2)
+
+
+def _product_gap(rho, sigma):
+    gap = 0.0
+    for a, r in zip(_marginal_blochs(rho), _marginal_blochs(sigma)):
+        grad = _cross_entropy_gradient(a, r)
+        gap += grad @ r + math.sqrt(grad @ grad)
+    return gap
+
+
+def _certificate_draws():
+    # Dirichlet Bell spectra, flat to sparse, and general states g g^dag / Tr
+    # of rank 2-4 whose marginals are not pure
+    rng = np.random.default_rng(12)
+    lams = [rng.dirichlet([alpha] * 4) for alpha in (1.0, 0.3, 0.05) for _ in range(60)]
+    general = []
+    for rank in (2, 3, 4):
+        for _ in range(30):
+            g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+            rho = g @ g.conj().T
+            general.append(rho / np.trace(rho).real)
+    states = [bell_spectrum_to_density(lam) for lam in lams] + general
+    return lams, [rho for rho in states
+                  if max(math.sqrt(a @ a) for a in _marginal_blochs(rho)) <= 1.0 - 1e-9]
+
+
+def test_closest_product_is_certified_optimal():
+    # the closed form reads at most about 1e-15 bits; I/4 in its place reads
+    # (|aA| + |aB|) / ln 2, the gradient -a / ln 2 at r = 0
+    _, states = _certificate_draws()
+    assert len(states) == 270
+    for rho in states:
+        assert _product_gap(rho, closest_product(rho)) <= 1e-13
+        wrong = sum(math.sqrt(a @ a) for a in _marginal_blochs(rho)) / math.log(2)
+        assert abs(_product_gap(rho, np.eye(4) / 4.0) - wrong) <= 1e-12
+
+
+def test_oracle_minimizers_meet_the_lower_bounds():
+    # convexity: f(x) - g(x) <= min f for every feasible x, so at each
+    # oracle's minimizer f - g stays below the closed form. g itself is first
+    # order there (medians about 5e-9 bits separable, 0 product, and up to
+    # 1e-3), too loose to stand in for the 1e-12 gates.
+    lams, states = _certificate_draws()
+    for rho, res in zip(states, oracle_closest_product(states)):
+        s_rho = von_neumann_entropy(rho)
+        pairs = zip(_marginal_blochs(rho), _marginal_blochs(res.minimizer))
+        f = -s_rho + sum(_cross_entropy(a, r) for a, r in pairs)
+        assert abs(f - res.value) <= 1e-9  # f is the oracle's objective
+        t = von_neumann_entropy(closest_product(rho)) - s_rho  # S(rho_A) + S(rho_B) - S(rho)
+        assert f - _product_gap(rho, res.minimizer) <= t + 1e-13
+    e = bell_quantifiers(np.array(lams))[3]
+    for lam, e_lam, res in zip(lams, e, oracle_closest_separable_bd(lams)):
+        q = bell_spectrum_of(res.minimizer)[0]
+        pos = lam > 0
+        f = float(np.sum(lam[pos] * np.log2(lam[pos] / q[pos])))
+        assert abs(f - res.value) <= 1e-9
+        assert f - _separable_gap(lam, q) <= e_lam + 1e-13
